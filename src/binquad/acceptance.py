@@ -11,8 +11,6 @@ import random
 from itertools import product
 from math import gcd
 
-import numpy as np
-
 from .clifford import (
     QuadraticAlgebra,
     algebra_isomorphic,
@@ -78,6 +76,9 @@ def _definite_primitive_forms(bound: int):
 
 
 def _unit_det_matrix_pool(bound: int):
+    # numpy serves only this brute oracle, so only C02 pays for its import.
+    import numpy as np
+
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     g = np.array(np.meshgrid(rng, rng, rng, rng, indexing="ij")).reshape(4, -1).T
     det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
@@ -86,6 +87,8 @@ def _unit_det_matrix_pool(bound: int):
 
 def _oracle_isomorphic(psi_pool, p: CliffordPair, p2: CliffordPair) -> bool:
     """Vectorized bounded search for psi with psi*M = (k + eps*M')*psi."""
+    import numpy as np
+
     from .clifford import _witness_for_eps
 
     M = p.m

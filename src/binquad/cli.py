@@ -9,6 +9,7 @@ or malformed input, 2 domain error, 3 undecided (Unknown) verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -130,6 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--filter", default=None, help="run only criteria whose name matches")
     return ap
+
+
+# The verb tree does not depend on the request: build it on the first run
+# and reuse it.  parse_args leaves the parser unchanged and returns a fresh
+# Namespace on every call.
+_parser = functools.cache(build_parser)
 
 
 def _dispatch(args) -> int:
@@ -267,9 +274,8 @@ def _dispatch(args) -> int:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import NonScalarNorm, NotAModule, UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm
-from .mat2 import madd, mat, mat_from_json, mat_to_json, mident, mmul, mscale
+from .mat2 import madd, mat, mident, mmul, mscale
 from .ring import Ring, RingHom, ring_from_json
 
 
@@ -239,30 +239,24 @@ def quat_elem(q: BinaryQuadraticForm, x0, x1=0, y1=0, y2=0):
     return (R.normalize(x0), R.normalize(x1), R.normalize(y1), R.normalize(y2))
 
 
-def _basis_product(q: BinaryQuadraticForm, i: int, j: int):
+def _basis_table(q: BinaryQuadraticForm):
+    """table[i][j] = coordinates of e_i*e_j on the basis (1, tau, e1, e2)."""
     a, b, c = q.coeffs()
     R = q.ring
     one, zero = R.one, R.zero
-    table = {
-        (1, 1): (R.neg(R.mul(a, c)), b, zero, zero),
-        (1, 2): (zero, zero, b, R.neg(a)),
-        (1, 3): (zero, zero, c, zero),
-        (2, 1): (zero, zero, zero, a),
-        (3, 1): (zero, zero, R.neg(c), b),
-        (2, 2): (a, zero, zero, zero),
-        (2, 3): (zero, one, zero, zero),
-        (3, 2): (b, R.neg(one), zero, zero),
-        (3, 3): (c, zero, zero, zero),
-    }
-    if i == 0 or j == 0:
-        out = [zero, zero, zero, zero]
-        out[max(i, j)] = one
-        return tuple(out)
-    return table[(i, j)]
+    unit, tau = (one, zero, zero, zero), (zero, one, zero, zero)
+    e1, e2 = (zero, zero, one, zero), (zero, zero, zero, one)
+    return (
+        (unit, tau, e1, e2),
+        (tau, (R.neg(R.mul(a, c)), b, zero, zero), (zero, zero, b, R.neg(a)), (zero, zero, c, zero)),
+        (e1, (zero, zero, zero, a), (a, zero, zero, zero), tau),
+        (e2, (zero, zero, R.neg(c), b), (b, R.neg(one), zero, zero), (c, zero, zero, zero)),
+    )
 
 
 def quat_mul(q: BinaryQuadraticForm, z, w):
     R = q.ring
+    table = _basis_table(q)
     out = [R.zero] * 4
     for i, zi in enumerate(z):
         if zi == R.zero:
@@ -271,7 +265,7 @@ def quat_mul(q: BinaryQuadraticForm, z, w):
             if wj == R.zero:
                 continue
             coeff = R.mul(zi, wj)
-            prod = _basis_product(q, i, j)
+            prod = table[i][j]
             for k in range(4):
                 out[k] = R.add(out[k], R.mul(coeff, prod[k]))
     return tuple(out)
@@ -312,11 +306,3 @@ def quat_from_json(q: BinaryQuadraticForm, obj):
 
 def map_matrix(hom: RingHom, M):
     return mat(hom.dst, tuple(tuple(hom(x) for x in row) for row in M))
-
-
-def matrix_json(ring: Ring, M):
-    return mat_to_json(ring, M)
-
-
-def matrix_from_json(ring: Ring, obj):
-    return mat_from_json(ring, obj)

@@ -20,7 +20,7 @@ from math import gcd
 from .clifford import QuadraticAlgebra, _witness_for_eps
 from .errors import NotComposable, NotPrimitive, UsageError
 from .form import BinaryQuadraticForm, reduce_definite
-from .norm import IdealLattice, form_to_ideal, ideal_conjugate, ideal_multiply, universal_norm_form
+from .norm import IdealLattice, _xgcd, form_to_ideal, ideal_conjugate, ideal_multiply, universal_norm_form
 from .ring import IntegerRing, ZZ
 
 
@@ -94,20 +94,6 @@ def _coprime_representative(q: BinaryQuadraticForm, m: int) -> BinaryQuadraticFo
                 return q.act(M, 1)
         bound *= 2
     raise AssertionError(f"no representation of a value coprime to {m} by {q}")
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> int:

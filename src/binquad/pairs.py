@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional
 
 from .clifford import (
@@ -283,15 +283,9 @@ def _intertwiner_basis(p: CliffordPair, p2: CliffordPair, phi: AlgebraWitness):
         fr = [Fraction(x) for x in row]
         den = 1
         for x in fr:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
         scaled.append([int(x * den) for x in fr])
     return _integer_kernel(scaled)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _witness_from_basis(p, p2, phi, basis, span: int = 10) -> Optional[PairWitness]:

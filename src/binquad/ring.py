@@ -17,6 +17,9 @@ from .errors import IncompatibleHom, NotInvertible, UnsupportedRing, UsageError
 
 class Ring:
     kind: str = ""
+    # 0 and 1 in normal form, set by each subclass.
+    zero: object
+    one: object
 
     def normalize(self, v):
         raise NotImplementedError
@@ -32,14 +35,6 @@ class Ring:
 
     def neg(self, v):
         return self.normalize(-v)
-
-    @property
-    def zero(self):
-        return self.normalize(0)
-
-    @property
-    def one(self):
-        return self.normalize(1)
 
     def is_unit(self, v) -> bool:
         raise NotImplementedError
@@ -73,8 +68,14 @@ class Ring:
 
 class IntegerRing(Ring):
     kind = "int"
+    zero = 0
+    one = 1
 
     def normalize(self, v):
+        # Exact type first: isinstance(v, Fraction) goes through the ABC
+        # __instancecheck__.  bool and other int-likes still take int(v).
+        if type(v) is int:
+            return v
         if isinstance(v, Fraction):
             if v.denominator != 1:
                 raise UsageError(f"{v} is not an integer")
@@ -113,6 +114,9 @@ class IntegerRing(Ring):
 
 class ModularRing(Ring):
     kind = "mod"
+    # Residues of 0 and 1 for every modulus n >= 2.
+    zero = 0
+    one = 1
 
     def __init__(self, n: int):
         if n < 2:
@@ -120,6 +124,8 @@ class ModularRing(Ring):
         self.n = int(n)
 
     def normalize(self, v):
+        if type(v) is int:
+            return v % self.n
         if isinstance(v, Fraction):
             if v.denominator != 1:
                 raise UsageError(f"{v} is not an integer")
@@ -165,8 +171,12 @@ class ModularRing(Ring):
 
 class RationalRing(Ring):
     kind = "rat"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def normalize(self, v):
+        if type(v) is Fraction:
+            return v
         return Fraction(v)
 
     def is_unit(self, v) -> bool:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import binquad
 from binquad.cli import run
 
 INT_RING = '{"ring":{"ring":"int"}}'
@@ -196,3 +201,32 @@ def test_output_is_canonical_json(capsys):
     out = capsys.readouterr().out
     assert out == out.strip() + "\n"
     assert json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n" == out
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    # One process serves every call below with the same parser; options of
+    # one call must not leak into the next, and each call must print and
+    # return exactly what a fresh `binquad` process does.
+    monkeypatch.setenv("COLUMNS", "80")
+    z4 = ',"ring":{"ring":"mod","n":4}}'
+    q1, q2 = '{"a":0,"b":2,"c":0' + z4, '{"a":2,"b":0,"c":0' + z4
+    calls = [
+        ["similar", "--help"],
+        ["similar", q1, q2, "--bound", "3"],
+        ["similar", q1, q2],
+        ["--ring", "mod:7", "disc", '{"a":1,"b":5,"c":9}'],
+        ["disc", '{"a":1,"b":5,"c":9}'],
+        ["similar", q1],
+        ["verify", "--filter", "C07"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(binquad.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    for argv in calls:
+        code = run(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "binquad.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -179,6 +179,32 @@ def test_quat_mul_examples():
     assert quat_mul(split, s, s) == (0, 0, 0, 0)
 
 
+
+@pytest.mark.parametrize("ring", [ZZ, ModularRing(7), ModularRing(12)])
+@pytest.mark.parametrize("coeffs", [(2, 1, 3), (4, -5, 6), (0, 3, -2), (-3, 7, 5)])
+def test_quat_basis_products_match_multiplication_table(ring, coeffs):
+    # All sixteen products e_i*e_j on (1, tau, e1, e2), against the table
+    # in the comment of binquad.clifford.
+    q = bqf(*coeffs, ring=ring)
+    a, b, c = q.coeffs()
+    one, tau, e1, e2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    table = {
+        (tau, tau): (-a * c, b, 0, 0),
+        (e1, e1): (a, 0, 0, 0),
+        (e2, e2): (c, 0, 0, 0),
+        (e1, e2): (0, 1, 0, 0),
+        (e2, e1): (b, -1, 0, 0),
+        (tau, e1): (0, 0, b, -a),
+        (tau, e2): (0, 0, c, 0),
+        (e1, tau): (0, 0, 0, a),
+        (e2, tau): (0, 0, -c, b),
+    }
+    for x in (one, tau, e1, e2):
+        table[(one, x)] = table[(x, one)] = x
+    assert len(table) == 16
+    for (x, y), want in table.items():
+        assert quat_mul(q, x, y) == tuple(ring.normalize(v) for v in want)
+
 def test_quat_conj_trace_norm_examples():
     q = bqf(1, 0, 1)
     z = (1, 0, 1, 0)

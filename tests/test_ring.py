@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from binquad.errors import IncompatibleHom, NotInvertible, UnsupportedRing
+from binquad.errors import IncompatibleHom, NotInvertible, UnsupportedRing, UsageError
 from binquad.ring import (
     ModularRing,
     QQ,
@@ -121,3 +121,88 @@ def test_ring_json_round_trip():
     assert QQ.elem_to_json(Fraction(3, 4)) == {"num": 3, "den": 4}
     assert QQ.elem_from_json({"num": 3, "den": 4}) == Fraction(3, 4)
     assert QQ.elem_to_json(Fraction(4, 2)) == 2
+
+
+# The ring arithmetic as first written, before the exact-type fast paths in
+# normalize and the constant zero and one: the oracle for the rings above.
+class _SeedRing:
+    def add(self, u, v):
+        return self.normalize(u + v)
+
+    def sub(self, u, v):
+        return self.normalize(u - v)
+
+    def mul(self, u, v):
+        return self.normalize(u * v)
+
+    def neg(self, v):
+        return self.normalize(-v)
+
+    @property
+    def zero(self):
+        return self.normalize(0)
+
+    @property
+    def one(self):
+        return self.normalize(1)
+
+
+class _SeedIntegerRing(_SeedRing):
+    def normalize(self, v):
+        if isinstance(v, Fraction):
+            if v.denominator != 1:
+                raise UsageError(f"{v} is not an integer")
+            return int(v)
+        return int(v)
+
+
+class _SeedModularRing(_SeedRing):
+    def __init__(self, n):
+        self.n = n
+
+    def normalize(self, v):
+        if isinstance(v, Fraction):
+            if v.denominator != 1:
+                raise UsageError(f"{v} is not an integer")
+            v = int(v)
+        return int(v) % self.n
+
+
+class _SeedRationalRing(_SeedRing):
+    def normalize(self, v):
+        return Fraction(v)
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except UsageError as e:
+        return ("UsageError", str(e))
+    return (type(v), v)
+
+
+ring_pairs = st.one_of(
+    st.just((ZZ, _SeedIntegerRing())),
+    st.just((QQ, _SeedRationalRing())),
+    st.integers(min_value=2, max_value=10**12).map(lambda n: (ModularRing(n), _SeedModularRing(n))),
+)
+elems = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256),
+    st.integers(min_value=-(2**256), max_value=-(2**64)),
+    st.booleans(),
+    st.integers().map(Fraction),
+    st.fractions(),
+)
+
+
+@given(ring_pairs, elems, elems)
+def test_ring_arithmetic_matches_seed_definitions(rings, u, v):
+    R, seed = rings
+    for name in ("zero", "one"):
+        assert _outcome(getattr, R, name) == _outcome(getattr, seed, name)
+    for name in ("normalize", "neg"):
+        for x in (u, v):
+            assert _outcome(getattr(R, name), x) == _outcome(getattr(seed, name), x)
+    for name in ("add", "sub", "mul"):
+        assert _outcome(getattr(R, name), u, v) == _outcome(getattr(seed, name), u, v)

@@ -32,8 +32,7 @@ class QuadraticAlgebra:
         object.__setattr__(self, "nm", self.ring.normalize(self.nm))
 
     def disc(self):
-        R = self.ring
-        return R.sub(R.mul(self.t, self.t), R.mul(R.normalize(4), self.nm))
+        return self.ring.normalize(self.t * self.t - 4 * self.nm)
 
     def elem(self, x, y=0):
         R = self.ring
@@ -41,42 +40,33 @@ class QuadraticAlgebra:
 
     def mul(self, z, w):
         """(x1 + y1*tau)(x2 + y2*tau) with tau^2 = t*tau - nm."""
-        R = self.ring
+        n = self.ring.normalize
         x1, y1 = z
         x2, y2 = w
-        yy = R.mul(y1, y2)
-        return (
-            R.sub(R.mul(x1, x2), R.mul(self.nm, yy)),
-            R.add(R.add(R.mul(x1, y2), R.mul(y1, x2)), R.mul(self.t, yy)),
-        )
+        yy = y1 * y2
+        return (n(x1 * x2 - self.nm * yy), n(x1 * y2 + y1 * x2 + self.t * yy))
 
     def add(self, z, w):
-        R = self.ring
-        return (R.add(z[0], w[0]), R.add(z[1], w[1]))
+        n = self.ring.normalize
+        return (n(z[0] + w[0]), n(z[1] + w[1]))
 
     def conj(self, z):
         """Standard involution: x + y*tau -> (x + y*t) - y*tau."""
-        R = self.ring
+        n = self.ring.normalize
         x, y = z
-        return (R.add(x, R.mul(y, self.t)), R.neg(y))
+        return (n(x + y * self.t), n(-y))
 
     def trace(self, z):
-        R = self.ring
-        return R.add(R.add(z[0], z[0]), R.mul(z[1], self.t))
+        return self.ring.normalize(2 * z[0] + z[1] * self.t)
 
     def norm(self, z):
         """x^2 + t*x*y + nm*y^2, the value of z * conj(z)."""
-        R = self.ring
         x, y = z
-        return R.add(
-            R.add(R.mul(x, x), R.mul(self.t, R.mul(x, y))),
-            R.mul(self.nm, R.mul(y, y)),
-        )
+        return self.ring.normalize(x * x + self.t * x * y + self.nm * y * y)
 
     def regular_matrix(self):
         """Left multiplication by tau on the algebra itself."""
-        R = self.ring
-        return mat(R, ((0, R.neg(self.nm)), (1, self.t)))
+        return mat(self.ring, ((0, -self.nm), (1, self.t)))
 
     def map(self, hom: RingHom) -> "QuadraticAlgebra":
         return QuadraticAlgebra(hom.dst, hom(self.t), hom(self.nm))
@@ -100,8 +90,7 @@ class QuadraticAlgebra:
 
 def even_clifford(q: BinaryQuadraticForm) -> QuadraticAlgebra:
     """tau = e1*e2 satisfies tau^2 = b*tau - a*c."""
-    R = q.ring
-    return QuadraticAlgebra(R, q.b, R.mul(q.a, q.c))
+    return QuadraticAlgebra(q.ring, q.b, q.a * q.c)
 
 
 def alg_discriminant(C: QuadraticAlgebra):
@@ -110,14 +99,12 @@ def alg_discriminant(C: QuadraticAlgebra):
 
 def m_left(q: BinaryQuadraticForm):
     """tau*e1 = b*e1 - a*e2, tau*e2 = c*e1."""
-    R = q.ring
-    return mat(R, ((q.b, q.c), (R.neg(q.a), 0)))
+    return mat(q.ring, ((q.b, q.c), (-q.a, 0)))
 
 
 def m_right(q: BinaryQuadraticForm):
     """e1*tau = a*e2, e2*tau = b*e2 - c*e1."""
-    R = q.ring
-    return mat(R, ((0, R.neg(q.c)), (q.a, q.b)))
+    return mat(q.ring, ((0, -q.c), (q.a, q.b)))
 
 
 @dataclass(frozen=True)
@@ -136,7 +123,7 @@ def module_axiom_holds(C: QuadraticAlgebra, M) -> bool:
     R = C.ring
     M = mat(R, M)
     lhs = mmul(R, M, M)
-    rhs = madd(R, mscale(R, C.t, M), mscale(R, R.neg(C.nm), mident(R)))
+    rhs = madd(R, mscale(R, C.t, M), mscale(R, -C.nm, mident(R)))
     return lhs == rhs
 
 
@@ -146,7 +133,7 @@ def is_traceable(C: QuadraticAlgebra, M) -> bool:
     M = mat(R, M)
     if not module_axiom_holds(C, M):
         raise NotAModule(f"matrix {M} does not satisfy the relation of {C}")
-    return R.add(M[0][0], M[1][1]) == C.t
+    return R.normalize(M[0][0] + M[1][1]) == C.t
 
 
 @dataclass(frozen=True)
@@ -167,14 +154,15 @@ class AlgebraWitness:
         e = R.normalize(self.eps)
         if not R.is_unit(e):
             return False
-        t_ok = D.t == R.add(R.mul(e, C.t), R.add(self.k, self.k))
+        t_ok = D.t == R.normalize(e * C.t + 2 * self.k)
         nm_ok = D.nm == C.norm((self.k, e))
         return t_ok and nm_ok
 
     def apply_elem(self, ring: Ring, z):
         """Image in C of the element x + y*tau' of D: (x + k*y, eps*y)."""
+        n = ring.normalize
         x, y = z
-        return (ring.add(x, ring.mul(self.k, y)), ring.mul(ring.normalize(self.eps), y))
+        return (n(x + self.k * y), n(self.eps * y))
 
     def to_json(self, ring: Ring) -> dict:
         return {"k": ring.elem_to_json(self.k), "eps": ring.elem_to_json(ring.normalize(self.eps))}
@@ -182,7 +170,7 @@ class AlgebraWitness:
 
 def _witness_for_eps(C: QuadraticAlgebra, D: QuadraticAlgebra, eps: int) -> Optional[AlgebraWitness]:
     R = C.ring
-    k = R.half(R.sub(D.t, R.mul(R.normalize(eps), C.t)))
+    k = R.half(R.normalize(D.t - eps * C.t))
     if k is None:
         return None
     w = AlgebraWitness(k, eps)
@@ -240,47 +228,45 @@ def quat_elem(q: BinaryQuadraticForm, x0, x1=0, y1=0, y2=0):
 
 
 def _basis_table(q: BinaryQuadraticForm):
-    """table[i][j] = coordinates of e_i*e_j on the basis (1, tau, e1, e2)."""
+    """table[i][j] = coordinates of e_i*e_j on the basis (1, tau, e1, e2),
+    unnormalized."""
     a, b, c = q.coeffs()
-    R = q.ring
-    one, zero = R.one, R.zero
-    unit, tau = (one, zero, zero, zero), (zero, one, zero, zero)
-    e1, e2 = (zero, zero, one, zero), (zero, zero, zero, one)
+    unit, tau, e1, e2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
     return (
         (unit, tau, e1, e2),
-        (tau, (R.neg(R.mul(a, c)), b, zero, zero), (zero, zero, b, R.neg(a)), (zero, zero, c, zero)),
-        (e1, (zero, zero, zero, a), (a, zero, zero, zero), tau),
-        (e2, (zero, zero, R.neg(c), b), (b, R.neg(one), zero, zero), (c, zero, zero, zero)),
+        (tau, (-a * c, b, 0, 0), (0, 0, b, -a), (0, 0, c, 0)),
+        (e1, (0, 0, 0, a), (a, 0, 0, 0), tau),
+        (e2, (0, 0, -c, b), (b, -1, 0, 0), (c, 0, 0, 0)),
     )
 
 
 def quat_mul(q: BinaryQuadraticForm, z, w):
-    R = q.ring
+    n = q.ring.normalize
     table = _basis_table(q)
-    out = [R.zero] * 4
+    out = [0] * 4
     for i, zi in enumerate(z):
-        if zi == R.zero:
+        if zi == 0:
             continue
         for j, wj in enumerate(w):
-            if wj == R.zero:
+            if wj == 0:
                 continue
-            coeff = R.mul(zi, wj)
+            coeff = zi * wj
             prod = table[i][j]
             for k in range(4):
-                out[k] = R.add(out[k], R.mul(coeff, prod[k]))
-    return tuple(out)
+                out[k] += coeff * prod[k]
+    return tuple(n(v) for v in out)
 
 
 def quat_conj(q: BinaryQuadraticForm, z):
     """x0 + x1*b - x1*tau - y1*e1 - y2*e2."""
-    R = q.ring
+    n = q.ring.normalize
     x0, x1, y1, y2 = z
-    return (R.add(x0, R.mul(x1, q.b)), R.neg(x1), R.neg(y1), R.neg(y2))
+    return (n(x0 + x1 * q.b), n(-x1), n(-y1), n(-y2))
 
 
 def quat_trace(q: BinaryQuadraticForm, z):
     R = q.ring
-    s = tuple(R.add(z[i], quat_conj(q, z)[i]) for i in range(4))
+    s = tuple(R.normalize(zi + ci) for zi, ci in zip(z, quat_conj(q, z)))
     if s[1] != R.zero or s[2] != R.zero or s[3] != R.zero:
         raise NonScalarNorm(f"trace of {z} is not scalar")
     return s[0]

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import NotDefinite, NotInvertible, UsageError
-from .mat2 import mat, mat_from_json, mat_to_json, mdet, mident, minv, mmul
+from .mat2 import mapply, mat, mat_from_json, mat_to_json, mdet, mident, minv, mmul
 from .ring import (
     IntegerRing,
     ModularRing,
@@ -24,6 +24,7 @@ from .ring import (
     RingHom,
     ZZ,
     content,
+    fraction_sqrt,
     ring_from_json,
 )
 
@@ -46,25 +47,24 @@ class BinaryQuadraticForm:
     def coeffs(self):
         return (self.a, self.b, self.c)
 
+    # Plain Python arithmetic with one normalize per result, as in mat2.
+
     def evaluate(self, x, y):
-        R = self.ring
-        x, y = R.normalize(x), R.normalize(y)
-        return R.add(
-            R.add(R.mul(self.a, R.mul(x, x)), R.mul(self.b, R.mul(x, y))),
-            R.mul(self.c, R.mul(y, y)),
-        )
+        n = self.ring.normalize
+        x, y = n(x), n(y)
+        return n(self.a * x * x + self.b * x * y + self.c * y * y)
 
     def polar(self, v, w):
         """b_q(v, w) = q(v+w) - q(v) - q(w); symmetric and bilinear."""
-        R = self.ring
-        s = self.evaluate(R.add(v[0], w[0]), R.add(v[1], w[1]))
-        return R.sub(R.sub(s, self.evaluate(*v)), self.evaluate(*w))
+        n = self.ring.normalize
+        (x1, y1), (x2, y2) = (n(v[0]), n(v[1])), (n(w[0]), n(w[1]))
+        return n(2 * self.a * x1 * x2 + self.b * (x1 * y2 + y1 * x2) + 2 * self.c * y1 * y2)
 
     def discriminant(self):
         """(4ac - b^2, b^2 - 4ac): the sign-flipped pair of conventions."""
-        R = self.ring
-        classical = R.sub(R.mul(self.b, self.b), R.mul(R.normalize(4), R.mul(self.a, self.c)))
-        return (R.neg(classical), classical)
+        n = self.ring.normalize
+        classical = self.b * self.b - 4 * self.a * self.c
+        return (n(-classical), n(classical))
 
     def is_zero(self):
         z = self.ring.zero
@@ -107,22 +107,18 @@ class BinaryQuadraticForm:
         col1 = (M[0][0], M[1][0])
         col2 = (M[0][1], M[1][1])
         return BinaryQuadraticForm(
-            R,
-            R.mul(u, self.evaluate(*col1)),
-            R.mul(u, self.polar(col1, col2)),
-            R.mul(u, self.evaluate(*col2)),
+            R, u * self.evaluate(*col1), u * self.polar(col1, col2), u * self.evaluate(*col2)
         )
 
     def map(self, hom: RingHom) -> "BinaryQuadraticForm":
         return BinaryQuadraticForm(hom.dst, hom(self.a), hom(self.b), hom(self.c))
 
     def neg(self) -> "BinaryQuadraticForm":
-        R = self.ring
-        return BinaryQuadraticForm(R, R.neg(self.a), R.neg(self.b), R.neg(self.c))
+        return BinaryQuadraticForm(self.ring, -self.a, -self.b, -self.c)
 
     def conjugate(self) -> "BinaryQuadraticForm":
         """(a, -b, c): the image under x -> x, y -> -y."""
-        return BinaryQuadraticForm(self.ring, self.a, self.ring.neg(self.b), self.c)
+        return BinaryQuadraticForm(self.ring, self.a, -self.b, self.c)
 
     def to_json(self) -> dict:
         e = self.ring.elem_to_json
@@ -180,11 +176,7 @@ class SimilarityWitness:
         if not R.is_unit(mdet(R, self.m)) or not R.is_unit(self.u):
             return False
         for v in _PROBES:
-            img = (
-                R.add(R.mul(self.m[0][0], v[0]), R.mul(self.m[0][1], v[1])),
-                R.add(R.mul(self.m[1][0], v[0]), R.mul(self.m[1][1], v[1])),
-            )
-            if q2.evaluate(*img) != R.mul(self.u, q.evaluate(*v)):
+            if q2.evaluate(*mapply(R, self.m, v)) != R.normalize(self.u * q.evaluate(*v)):
                 return False
         return True
 
@@ -288,18 +280,34 @@ def value_set_mod(q: BinaryQuadraticForm, m: int) -> frozenset:
     return frozenset(vals)
 
 
-def _screen_not_similar(q1, q2, value_sets: bool = True) -> Optional[str]:
+def _screen_not_similar(q1, q2) -> Optional[str]:
     """Cheap exact invariants that certify non-similarity, or None."""
     R = q1.ring
-    if q1.is_zero() != q2.is_zero():
-        return "zero"
+    d1 = q1.discriminant()[1]
+    d2 = q2.discriminant()[1]
     if isinstance(R, IntegerRing):
-        if q1.discriminant()[1] != q2.discriminant()[1]:
+        if d1 != d2:
             return "discriminant"
         if q1.content() != q2.content():
             return "content"
-        if not value_sets:
-            return None
+        return None
+    if isinstance(R, ModularRing):
+        # only even n gets here; binquad.modular decides odd n
+        if not any(R.mul(R.mul(w, w), d1) == d2 for w in R.units()):
+            return "discriminant"
+        return None
+    # Rationals: disc scales by u^2 det(M)^2, so its vanishing and the
+    # square class of d1*d2 survive.
+    if (d1 == 0) != (d2 == 0) or fraction_sqrt(d1 * d2) is None:
+        return "discriminant"
+    return None
+
+
+def _value_set_screen(q1, q2) -> Optional[str]:
+    """Value sets over Z (mod m <= 16, up to sign) and over Z/n (up to a
+    unit): exact invariants that cost O(m^2) and O(n^2)."""
+    R = q1.ring
+    if isinstance(R, IntegerRing):
         for m in range(2, 17):
             s1 = value_set_mod(q1, m)
             s2 = value_set_mod(q2, m)
@@ -307,10 +315,6 @@ def _screen_not_similar(q1, q2, value_sets: bool = True) -> Optional[str]:
                 return f"value_set_mod_{m}"
         return None
     if isinstance(R, ModularRing):
-        d1 = q1.discriminant()[1]
-        d2 = q2.discriminant()[1]
-        if not any(R.mul(R.mul(w, w), d1) == d2 for w in R.units()):
-            return "discriminant"
         vals1 = frozenset(
             q1.evaluate(x, y) for x in range(R.n) for y in range(R.n)
         )
@@ -319,13 +323,6 @@ def _screen_not_similar(q1, q2, value_sets: bool = True) -> Optional[str]:
         )
         if not any(frozenset(R.mul(u, v) for v in vals1) == vals2 for u in R.units()):
             return "value_set"
-        return None
-    # Rationals: only the vanishing pattern of the discriminant survives
-    # unit scaling, since disc scales by u^2 det(M)^2.
-    d1 = q1.discriminant()[1]
-    d2 = q2.discriminant()[1]
-    if (d1 == 0) != (d2 == 0):
-        return "discriminant"
     return None
 
 
@@ -404,7 +401,7 @@ def _definite_similarity(q1, q2) -> SimilarityVerdict:
     for r2x, M2x in candidates:
         if r1.coeffs() == r2x.coeffs():
             W = mmul(R, M2x, minv(R, M1))
-            u = R.mul(R.normalize(s1), R.normalize(s2))
+            u = R.normalize(s1 * s2)
             w = SimilarityWitness(W, u)
             if not w.verify(q1, q2):
                 raise AssertionError("definite similarity produced a bad witness")
@@ -415,15 +412,24 @@ def _definite_similarity(q1, q2) -> SimilarityVerdict:
 def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm, bound: int = 12) -> SimilarityVerdict:
     """Tri-state similarity decision.
 
-    Definite integral forms are decided completely through reduction.
-    Everything else is screened by exact invariants (discriminant,
-    content, value sets mod m <= 16) and then searched up to the bound;
-    an exhausted search returns an Unknown verdict carrying the bound.
+    Definite integral forms are decided completely through reduction, and
+    forms over Z/n with n odd through Jordan splitting (binquad.modular).
+    Everything else is screened by exact invariants (discriminant up to
+    squares, content, value sets mod m <= 16) and then searched up to the
+    bound; an exhausted search returns an Unknown verdict carrying the
+    bound.
     """
     if q1.ring != q2.ring:
         raise UsageError(f"forms live over different rings: {q1.ring!r} vs {q2.ring!r}")
     R = q1.ring
-    reason = _screen_not_similar(q1, q2, value_sets=False)
+    if q1.is_zero() != q2.is_zero():
+        return SimilarityVerdict("not_similar", reason="zero")
+    if isinstance(R, ModularRing) and R.n % 2 == 1:
+        # Imported on first use: Z and Q callers never compile it.
+        from .modular import similar_odd
+
+        return similar_odd(q1, q2)
+    reason = _screen_not_similar(q1, q2)
     if reason is not None:
         return SimilarityVerdict("not_similar", reason=reason)
     if q1.coeffs() == q2.coeffs():
@@ -433,7 +439,7 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm, bound: int = 12) -
         if d < 0 and q1.a != 0 and q2.a != 0:
             return _definite_similarity(q1, q2)
     # value-set screens are only worth their cost ahead of the search
-    reason = _screen_not_similar(q1, q2, value_sets=True)
+    reason = _value_set_screen(q1, q2)
     if reason is not None:
         return SimilarityVerdict("not_similar", reason=reason)
     w = _bounded_witness_search(q1, q2, bound)

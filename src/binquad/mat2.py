@@ -1,7 +1,9 @@
 """2x2 matrices over a coefficient ring, stored as tuples of rows.
 
 Column convention throughout the package: the columns of an action matrix
-are the images of the basis vectors e1, e2.
+are the images of the basis vectors e1, e2.  Entries are computed with
+plain Python operators and normalized once per result, which is exact:
+Z -> Z/n is a ring map and Q is closed under Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -25,37 +27,31 @@ def mzero(ring: Ring):
 
 
 def madd(ring: Ring, A, B):
-    return tuple(
-        tuple(ring.add(A[i][j], B[i][j]) for j in range(2)) for i in range(2)
-    )
+    n = ring.normalize
+    return tuple(tuple(n(A[i][j] + B[i][j]) for j in range(2)) for i in range(2))
 
 
 def mscale(ring: Ring, k, A):
-    k = ring.normalize(k)
-    return tuple(tuple(ring.mul(k, A[i][j]) for j in range(2)) for i in range(2))
+    n = ring.normalize
+    k = n(k)
+    return tuple(tuple(n(k * A[i][j]) for j in range(2)) for i in range(2))
 
 
 def mmul(ring: Ring, A, B):
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            s = ring.add(ring.mul(A[i][0], B[0][j]), ring.mul(A[i][1], B[1][j]))
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    n = ring.normalize
+    return tuple(
+        tuple(n(A[i][0] * B[0][j] + A[i][1] * B[1][j]) for j in range(2)) for i in range(2)
+    )
 
 
 def mdet(ring: Ring, A):
-    return ring.sub(ring.mul(A[0][0], A[1][1]), ring.mul(A[0][1], A[1][0]))
+    return ring.normalize(A[0][0] * A[1][1] - A[0][1] * A[1][0])
 
 
 def mapply(ring: Ring, A, v):
-    x, y = ring.normalize(v[0]), ring.normalize(v[1])
-    return (
-        ring.add(ring.mul(A[0][0], x), ring.mul(A[0][1], y)),
-        ring.add(ring.mul(A[1][0], x), ring.mul(A[1][1], y)),
-    )
+    n = ring.normalize
+    x, y = n(v[0]), n(v[1])
+    return (n(A[0][0] * x + A[0][1] * y), n(A[1][0] * x + A[1][1] * y))
 
 
 def minv(ring: Ring, A):
@@ -63,13 +59,7 @@ def minv(ring: Ring, A):
     if not ring.is_unit(d):
         raise NotInvertible(f"matrix determinant {d} is not a unit")
     di = ring.inv(d)
-    return mat(
-        ring,
-        (
-            (ring.mul(di, A[1][1]), ring.mul(di, ring.neg(A[0][1]))),
-            (ring.mul(di, ring.neg(A[1][0])), ring.mul(di, A[0][0])),
-        ),
-    )
+    return mat(ring, ((di * A[1][1], -di * A[0][1]), (-di * A[1][0], di * A[0][0])))
 
 
 def mat_to_json(ring: Ring, A):

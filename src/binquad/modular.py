@@ -1,0 +1,198 @@
+"""Similarity of binary forms over Z/n for odd n, decided by invariants.
+
+Over Z/p^k with p odd every binary form diagonalises, and two diagonal
+forms <alpha1 p^e1, alpha2 p^e2> and <beta1 p^f1, beta2 p^f2> (e1 <= e2,
+f1 <= f2, valuations capped at k) are similar iff (e1, e2) = (f1, f2) and,
+when e2 < k, alpha1*alpha2 and beta1*beta2 have the same Legendre class:
+the Jordan invariants of Cassels, *Rational Quadratic Forms*, ch. 8 and
+O'Meara, *Introduction to Quadratic Forms*, sections 92-93.  Z/n is the
+product of its prime powers, so the verdict over Z/n is the conjunction
+of the local verdicts, and the witness is glued from the local witnesses
+by CRT.
+"""
+
+from __future__ import annotations
+
+from math import prod
+
+from .form import SimilarityVerdict, SimilarityWitness
+from .mat2 import mat, mident, minv, mmul
+from .ring import ModularRing
+
+# Trial division runs up to TRIAL_LIMIT, which factors every n <= 10^12;
+# a cofactor left over is accepted only when Miller-Rabin proves it prime.
+TRIAL_LIMIT = 10**6
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The bases above decide primality for every n below this bound.
+_MR_PROVEN = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 1 < n < _MR_PROVEN."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factor(n: int):
+    """{p: k} with n the product of the p^k, or None when the least
+    prime factor of a cofactor that is not proven prime exceeds
+    TRIAL_LIMIT."""
+    out = {}
+    d = 2
+    while n > 1:
+        if n < _MR_PROVEN and _is_prime(n):
+            out[n] = out.get(n, 0) + 1
+            break
+        while n % d:
+            d += 1 if d == 2 else 2
+            if d > TRIAL_LIMIT:
+                return None
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+    return out
+
+
+def _legendre(x: int, p: int) -> int:
+    """1 for a nonzero square mod p, p - 1 for a non-square, 0 for 0."""
+    return pow(x, (p - 1) // 2, p)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """Tonelli-Shanks: r with r^2 = a mod p, for a nonzero square a."""
+    a %= p
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while _legendre(z, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _sqrt_unit(a: int, p: int, k: int) -> int:
+    """r with r^2 = a mod p^k, for a unit a that is a square mod p: a
+    root mod p lifted by Newton's step, which doubles the precision
+    because 2r is a unit."""
+    pk = p**k
+    r = _sqrt_mod_prime(a, p)
+    while (r * r - a) % pk:
+        r = (r - (r * r - a) * pow(2 * r, -1, pk)) % pk
+    return r
+
+
+def _val(x: int, p: int, k: int):
+    """(e, x / p^e) for a residue x mod p^k; e = k when x = 0."""
+    e = 0
+    while e < k and x % p == 0:
+        x, e = x // p, e + 1
+    return e, x
+
+
+def _diagonalize(q, p: int, k: int, R: ModularRing):
+    """(P, d1, d2) with q(P v) = d1*x^2 + d2*y^2 mod p^k = R.n and
+    v(d1) <= v(d2): complete the square on a coefficient of least
+    valuation, after moving it to a."""
+    a, b, c = (x % R.n for x in q.coeffs())
+    v = min(_val(x, p, k)[0] for x in (a, b, c))
+    if v == k:
+        return mident(R), 0, 0
+    P = mident(R)
+    if _val(a, p, k)[0] > v:
+        if _val(c, p, k)[0] == v:
+            P = mat(R, ((0, 1), (1, 0)))
+            a, c = c, a
+        else:
+            # only b has least valuation: (x, y) -> (x, x + y) gives a + b + c
+            P = mat(R, ((1, 0), (1, 1)))
+            a, b = R.normalize(a + b + c), R.normalize(b + 2 * c)
+    # 2*a*t = b mod p^k, so q(x - t*y, y) = a*x^2 + (c - a*t^2)*y^2
+    t = b // p**v * pow(2 * (a // p**v), -1, R.n)
+    P = mmul(R, P, mat(R, ((1, -t), (0, 1))))
+    return P, a, R.normalize(c - a * t * t)
+
+
+def _local_witness(q1, q2, p: int, k: int):
+    """(lam, M) over Z/p^k with q2(M v) = lam * q1(v), or None when the
+    Jordan invariants differ."""
+    R = ModularRing(p**k)
+    P1, d11, d12 = _diagonalize(q1, p, k, R)
+    P2, d21, d22 = _diagonalize(q2, p, k, R)
+    (e1, al1), (e2, al2) = _val(d11, p, k), _val(d12, p, k)
+    (f1, be1), (f2, be2) = _val(d21, p, k), _val(d22, p, k)
+    if (e1, e2) != (f1, f2):
+        return None
+    # lam matches the first constituents exactly: beta1 = lam * alpha1.
+    lam = R.normalize(be1 * pow(al1, -1, R.n)) if e1 < k else 1
+    s = 1
+    if e2 < k:
+        # beta2 * s^2 = lam * alpha2 mod p^(k - e2) needs a square root.
+        pj = p ** (k - e2)
+        x = lam * al2 * pow(be2, -1, pj) % pj
+        if _legendre(x, p) != 1:
+            return None
+        s = _sqrt_unit(x, p, k - e2)
+    S = mat(R, ((1, 0), (0, s)))
+    return lam, mmul(R, P2, mmul(R, S, minv(R, P1)))
+
+
+def _disc_classes_match(d1: int, d2: int, p: int, k: int) -> bool:
+    """Whether d2 = w^2 * d1 mod p^k for some unit w."""
+    (e1, u1), (e2, u2) = _val(d1 % p**k, p, k), _val(d2 % p**k, p, k)
+    return e1 == e2 and (e1 == k or _legendre(u1 * u2, p) == 1)
+
+
+def _crt(residues, moduli) -> int:
+    n = prod(moduli)
+    x = 0
+    for r, m in zip(residues, moduli):
+        x += r * (n // m) * pow(n // m, -1, m)
+    return x % n
+
+
+def similar_odd(q1, q2) -> SimilarityVerdict:
+    """Similarity over Z/n with n odd, for forms that passed the zero
+    screen: decided unless n cannot be factored within TRIAL_LIMIT."""
+    R = q1.ring
+    if q1.coeffs() == q2.coeffs():
+        return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
+    primes = factor(R.n)
+    if primes is None:
+        return SimilarityVerdict("unknown", reason="factoring", bound=TRIAL_LIMIT)
+    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+    if not all(_disc_classes_match(d1, d2, p, k) for p, k in primes.items()):
+        return SimilarityVerdict("not_similar", reason="discriminant")
+    local = [_local_witness(q1, q2, p, k) for p, k in primes.items()]
+    if None in local:
+        return SimilarityVerdict("not_similar", reason="jordan_invariants")
+    moduli = [p**k for p, k in primes.items()]
+    lam = _crt([w[0] for w in local], moduli)
+    M = mat(R, [[_crt([w[1][i][j] for w in local], moduli) for j in range(2)] for i in range(2)])
+    w = SimilarityWitness(M, lam)
+    if not w.verify(q1, q2):
+        raise AssertionError("Jordan splitting produced a bad witness")
+    return SimilarityVerdict("similar", witness=w)

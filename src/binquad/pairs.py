@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 from typing import Optional
 
 from .clifford import (
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .form import BinaryQuadraticForm, similar
 from .mat2 import madd, mat, mat_from_json, mat_to_json, mdet, mident, mmul, mscale
-from .ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ring_from_json
+from .ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, fraction_sqrt, ring_from_json
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ class CliffordPair:
         return self.alg.ring
 
     def is_traceable(self) -> bool:
-        R = self.ring
-        return R.add(self.m[0][0], self.m[1][1]) == self.alg.t
+        return self.ring.normalize(self.m[0][0] + self.m[1][1]) == self.alg.t
 
     def map(self, hom: RingHom) -> "CliffordPair":
         return CliffordPair(
@@ -91,9 +90,9 @@ def normalize_pair(p: CliffordPair):
         raise NotTraceable(f"pair {p} is not traceable")
     R = p.ring
     shift = p.m[1][1]
-    M2 = madd(R, p.m, mscale(R, R.neg(shift), mident(R)))
-    t2 = R.sub(p.alg.t, R.add(shift, shift))
-    nm2 = R.add(R.sub(p.alg.nm, R.mul(p.alg.t, shift)), R.mul(shift, shift))
+    M2 = madd(R, p.m, mscale(R, -shift, mident(R)))
+    t2 = p.alg.t - 2 * shift
+    nm2 = p.alg.nm - p.alg.t * shift + shift * shift
     return CliffordPair(QuadraticAlgebra(R, t2, nm2), M2), shift
 
 
@@ -101,10 +100,10 @@ def pair_to_form(p: CliffordPair) -> BinaryQuadraticForm:
     """Read (a, b, c) off the normalized action matrix [[b, c], [-a, 0]]."""
     n, _ = normalize_pair(p)
     R = p.ring
-    a = R.neg(n.m[1][0])
+    a = R.normalize(-n.m[1][0])
     b = n.m[0][0]
     c = n.m[0][1]
-    if b != n.alg.t or R.mul(a, c) != n.alg.nm:
+    if b != n.alg.t or R.normalize(a * c) != n.alg.nm:
         raise InconsistentPair(
             f"normalized pair {n} does not arise from a form: "
             f"read-off ({a}, {b}, {c}) vs algebra ({n.alg.t}, {n.alg.nm})"
@@ -200,13 +199,9 @@ def _witness_from_similarity(p, p2, shift1, shift2, q2, simw) -> Optional[PairWi
     w1, w2 = W[0][1], W[1][1]
     a2, b2, c2 = q2.coeffs()
     # W(e1) * W(e2) = [v1 w1 a2 + v2 w2 c2 + v2 w1 b2] + det(W) tau
-    scal = R.add(
-        R.add(R.mul(R.mul(v1, w1), a2), R.mul(R.mul(v2, w2), c2)),
-        R.mul(R.mul(v2, w1), b2),
-    )
-    k0 = R.mul(ui, scal)
-    eps = R.mul(ui, mdet(R, W))
-    k = R.add(k0, R.sub(shift1, R.mul(eps, shift2)))
+    k0 = ui * (v1 * w1 * a2 + v2 * w2 * c2 + v2 * w1 * b2)
+    eps = R.normalize(ui * mdet(R, W))
+    k = R.normalize(k0 + shift1 - eps * shift2)
     witness = PairWitness(W, AlgebraWitness(k, eps))
     return witness if witness.verify(p, p2) else None
 
@@ -398,23 +393,21 @@ def pairs_isomorphic(p: CliffordPair, p2: CliffordPair, bound: int = 12) -> Pair
 def clifford_form_to_wood_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """(a, b, c) -> (c, -b, a): the same pair read in the normalization
     tau*x = -c'*y - b'*x, tau*y = a'*x, tau^2 = -b'*tau - a'*c'."""
-    R = q.ring
-    return BinaryQuadraticForm(R, q.c, R.neg(q.b), q.a)
+    return BinaryQuadraticForm(q.ring, q.c, -q.b, q.a)
 
 
 def wood_pair(w: BinaryQuadraticForm) -> CliffordPair:
     """The pair carved out of a form read as Wood data [A, B, C]."""
     R = w.ring
     A, B, C = w.coeffs()
-    alg = QuadraticAlgebra(R, R.neg(B), R.mul(A, C))
-    m = mat(R, ((R.neg(B), A), (R.neg(C), 0)))
+    alg = QuadraticAlgebra(R, -B, A * C)
+    m = mat(R, ((-B, A), (-C, 0)))
     return CliffordPair(alg, m)
 
 
 def dual_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """The induced form (c, -b, a) on the dual module; an exact involution."""
-    R = q.ring
-    return BinaryQuadraticForm(R, q.c, R.neg(q.b), q.a)
+    return BinaryQuadraticForm(q.ring, q.c, -q.b, q.a)
 
 
 @dataclass(frozen=True)
@@ -455,16 +448,6 @@ def dual_form_trace(q: BinaryQuadraticForm):
     return stages
 
 
-def _fraction_sqrt(v: Fraction) -> Optional[Fraction]:
-    if v < 0:
-        return None
-    p, q = v.numerator, v.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
-
-
 def dual_conic(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """The form cut out by the tangent lines of the conic q = 0.
 
@@ -482,7 +465,7 @@ def dual_conic(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     det = a * c - b * b / 4
     if det != 0:
         return BinaryQuadraticForm(R, c / det, -b / det, a / det)
-    alpha = _fraction_sqrt(a)
+    alpha = fraction_sqrt(a)
     if alpha is None:
         raise NotAPerfectSquare(f"{q} has zero determinant but {a} is not a square")
     if alpha != 0:
@@ -491,7 +474,7 @@ def dual_conic(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
             raise NotAPerfectSquare(f"{q} is not the square of a linear form")
     else:
         # a = 0 and det = 0 force b = 0
-        beta = _fraction_sqrt(c)
+        beta = fraction_sqrt(c)
         if beta is None:
             raise NotAPerfectSquare(f"{q} has zero determinant but {c} is not a square")
     return BinaryQuadraticForm(R, beta * beta, -2 * alpha * beta, alpha * alpha)

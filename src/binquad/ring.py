@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from typing import Optional
 
 from .errors import IncompatibleHom, NotInvertible, UnsupportedRing, UsageError
 
@@ -251,6 +252,18 @@ def content(values, ring: Ring) -> int:
     for v in values:
         g = gcd(g, ring.normalize(v))
     return g
+
+
+def fraction_sqrt(v: Fraction) -> Optional[Fraction]:
+    """The non-negative rational square root of v, or None if v is not a
+    square in Q."""
+    if v < 0:
+        return None
+    p, q = v.numerator, v.denominator
+    rp, rq = isqrt(p), isqrt(q)
+    if rp * rp == p and rq * rq == q:
+        return Fraction(rp, rq)
+    return None
 
 
 def is_unit(v, ring: Ring) -> bool:

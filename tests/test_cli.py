@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import binquad
@@ -230,3 +231,20 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
             [sys.executable, "-m", "binquad.cli", *argv], capture_output=True, text=True, env=env, timeout=60
         )
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_similar_odd_modulus_is_decided_in_time(capsys):
+    # x^2 + y^2 and x^2 + 3y^2 are similar over Z/p when 3 is a square mod
+    # p, as it is for p = 1009 and p = 10007; a witness search over the
+    # units used to run for minutes here.
+    from binquad.form import BinaryQuadraticForm, SimilarityWitness
+    from binquad.ring import ModularRing
+
+    for n in (1009, 10007):
+        R = ModularRing(n)
+        q1, q2 = BinaryQuadraticForm(R, 1, 0, 1), BinaryQuadraticForm(R, 1, 0, 3)
+        start = time.perf_counter()
+        code, out = run_json(capsys, ["similar", json.dumps(q1.to_json()), json.dumps(q2.to_json())])
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out["verdict"] == "similar"
+        assert SimilarityWitness.from_json(out["witness"], R).verify(q1, q2)

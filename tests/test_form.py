@@ -285,3 +285,44 @@ def test_form_json_round_trip():
     assert BinaryQuadraticForm.from_json(q.to_json()) == q
     w = SimilarityWitness(((1, 0), (0, -1)), 1)
     assert SimilarityWitness.from_json(w.to_json(ZZ), ZZ) == w
+
+
+def test_similar_rational_square_class_screen():
+    from fractions import Fraction
+
+    # disc -4 against -8: their product 32 is not a rational square
+    v = similar(BinaryQuadraticForm(QQ, 1, 0, 1), BinaryQuadraticForm(QQ, 1, 0, 2))
+    assert v.verdict == "not_similar" and v.reason == "discriminant"
+    q1 = BinaryQuadraticForm(QQ, 1, 0, 1)
+    q2 = BinaryQuadraticForm(QQ, Fraction(1, 2), 1, 1)
+    v = similar(q1, q2)
+    assert v.is_similar and v.witness.verify(q1, q2)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+units_q = rationals.filter(lambda u: u != 0)
+tiny = st.integers(min_value=-1, max_value=1)
+
+
+@given(
+    st.tuples(rationals, rationals, rationals),
+    st.tuples(rationals, rationals, rationals),
+    st.tuples(tiny, tiny, tiny, tiny),
+    units_q,
+    st.booleans(),
+)
+def test_rational_screen_never_contradicts_the_search(c1, c2, m, u, moved):
+    from binquad.form import _bounded_witness_search, _screen_not_similar
+
+    q1 = BinaryQuadraticForm(QQ, *c1)
+    M = ((m[0], m[1]), (m[2], m[3]))
+    if moved and m[0] * m[3] - m[1] * m[2] != 0:
+        q2 = q1.act(M, u)
+    else:
+        q2 = BinaryQuadraticForm(QQ, *c2)
+    if q1.is_zero() != q2.is_zero():
+        return
+    w = _bounded_witness_search(q1, q2, 1)
+    if w is not None:
+        assert w.verify(q1, q2)
+        assert _screen_not_similar(q1, q2) is None

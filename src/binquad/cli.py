@@ -106,7 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     verb("pair2form", "pair", help="form read off a traceable pair")
     verb("traceable", "pair", help="traceability of a pair")
     p = verb("similar", "form1", "form2", help="similarity verdict with witness")
-    p.add_argument("--bound", type=int, default=12, help="witness search bound (Z, Q and even n)")
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=12,
+        help="witness search bound (square D over Z, even n, and D > 0 past the cycle limit)",
+    )
     verb("reduce", "form", help="reduced representative and SL2 witness")
     p = verb("dual", "form", help="dual form on the dual module")
     p.add_argument("--trace", action="store_true", help="emit the five-stage trace")

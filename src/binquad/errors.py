@@ -76,3 +76,8 @@ class BadDiscriminant(DomainError):
 
 class NotAPerfectSquare(DomainError):
     pass
+
+
+class BudgetExceeded(DomainError):
+    """A decision procedure used up its step budget before deciding; the
+    message names the budget."""

@@ -11,10 +11,12 @@ det(M) = +1, u = +1 relation used by composition and class groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import isqrt
 from typing import Optional
 
-from .errors import NotDefinite, NotInvertible, UsageError
+from .errors import BudgetExceeded, NotDefinite, NotInvertible, UsageError
 from .mat2 import mapply, mat, mat_from_json, mat_to_json, mdet, mident, minv, mmul
 from .ring import (
     IntegerRing,
@@ -256,14 +258,24 @@ def _positive_reduction(q: BinaryQuadraticForm):
     return -1, r, M
 
 
+def _nonsquare_positive(d) -> bool:
+    return d > 0 and isqrt(d) ** 2 != d
+
+
 def properly_equivalent(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> bool:
-    """SL2-equivalence with scale +1, decided for definite forms over Z."""
+    """SL2-equivalence with scale +1, decided over Z for definite forms by
+    reduction and for non-square D > 0 by cycles of reduced forms
+    (binquad.indefinite; raises BudgetExceeded past its CYCLE_LIMIT)."""
     d1 = q1.discriminant()[1]
     d2 = q2.discriminant()[1]
     if d1 != d2:
         return False
     if d1 >= 0:
-        raise NotDefinite("proper equivalence is only decided for definite forms")
+        if isinstance(q1.ring, IntegerRing) and _nonsquare_positive(d1):
+            from .indefinite import properly_equivalent_indefinite
+
+            return properly_equivalent_indefinite(q1, q2)
+        raise NotDefinite("proper equivalence is only decided for definite forms and non-square D > 0")
     if (q1.a > 0) != (q2.a > 0):
         return False
     _, r1, _ = _positive_reduction(q1)
@@ -409,15 +421,56 @@ def _definite_similarity(q1, q2) -> SimilarityVerdict:
     return SimilarityVerdict("not_similar", reason="definite_reduction")
 
 
+def _diagonalize_rational(q):
+    """(P, alpha, beta) with q(P v) = alpha*x^2 + beta*y^2 and alpha != 0,
+    for a nonzero form over Q: complete the square on a; on c after
+    swapping x and y when a = 0; and on q(x, x + y) = b*x^2 + b*x*y when
+    a = c = 0."""
+    R = q.ring
+    a, b, c = q.coeffs()
+    if a != 0:
+        t = b / (2 * a)
+        return mat(R, ((1, -t), (0, 1))), a, c - a * t * t
+    if c != 0:
+        t = b / (2 * c)
+        return mat(R, ((0, 1), (1, -t))), c, -c * t * t
+    # (x, y) -> (x, x + y), then x -> x - y/2
+    h = Fraction(1, 2)
+    return mat(R, ((1, -h), (1, h))), b, -b / 4
+
+
+def _rational_similarity(q1, q2) -> SimilarityVerdict:
+    """Complete decision over Q for nonzero forms that passed the screens.
+
+    In characteristic 0 every binary form is alpha*<1, d>, so forms whose
+    discriminants agree up to squares (and in vanishing) are similar:
+    with q_i(P_i v) = <alpha_i, beta_i>, take u = alpha2/alpha1 and
+    M = P2 diag(1, s) P1^-1 with s^2 = alpha2*beta1 / (alpha1*beta2)
+    (s = 1 in rank 1), a square because d1*d2 is."""
+    R = q1.ring
+    P1, al1, be1 = _diagonalize_rational(q1)
+    P2, al2, be2 = _diagonalize_rational(q2)
+    s = fraction_sqrt(al2 * be1 / (al1 * be2)) if be2 != 0 else 1
+    (p00, p01), (p10, p11) = P2
+    M = mmul(R, ((p00, s * p01), (p10, s * p11)), minv(R, P1))
+    w = SimilarityWitness(M, R.normalize(al2 / al1))
+    if not w.verify(q1, q2):
+        raise AssertionError("rational diagonalisation produced a bad witness")
+    return SimilarityVerdict("similar", witness=w)
+
+
 def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm, bound: int = 12) -> SimilarityVerdict:
     """Tri-state similarity decision.
 
-    Definite integral forms are decided completely through reduction, and
-    forms over Z/n with n odd through Jordan splitting (binquad.modular).
-    Everything else is screened by exact invariants (discriminant up to
-    squares, content, value sets mod m <= 16) and then searched up to the
-    bound; an exhausted search returns an Unknown verdict carrying the
-    bound.
+    Decided completely: definite integral forms through reduction,
+    integral forms of non-square discriminant D > 0 through cycles of
+    reduced forms (binquad.indefinite, up to its CYCLE_LIMIT), forms over
+    Q through diagonalisation, and forms over Z/n with n odd through
+    Jordan splitting (binquad.modular).  Everything else (square D over Z,
+    even n, and D > 0 past the cycle limit) is screened by exact
+    invariants (discriminant up to squares, content, value sets mod
+    m <= 16) and then searched up to the bound; an exhausted search
+    returns an Unknown verdict carrying the bound.
     """
     if q1.ring != q2.ring:
         raise UsageError(f"forms live over different rings: {q1.ring!r} vs {q2.ring!r}")
@@ -438,6 +491,16 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm, bound: int = 12) -
         d = q1.discriminant()[1]
         if d < 0 and q1.a != 0 and q2.a != 0:
             return _definite_similarity(q1, q2)
+        if _nonsquare_positive(d):
+            # Imported on first use, as binquad.modular is.
+            from .indefinite import similar_indefinite
+
+            try:
+                return similar_indefinite(q1, q2)
+            except BudgetExceeded:
+                pass  # past the cycle limit: the screens and the search decide
+    elif isinstance(R, RationalRing):
+        return _rational_similarity(q1, q2)
     # value-set screens are only worth their cost ahead of the search
     reason = _value_set_screen(q1, q2)
     if reason is not None:

@@ -56,9 +56,29 @@ def test_similar_positive(capsys):
 
 
 def test_similar_unknown_exit_code(capsys):
+    from binquad.form import SimilarityWitness, bqf
+    from binquad.ring import ZZ
+
     code, out = run_json(capsys, ["similar", form_json(1, 0, -34), form_json(2, 0, -17)])
+    assert code == 0 and out["verdict"] == "similar"
+    assert SimilarityWitness.from_json(out["witness"], ZZ).verify(bqf(1, 0, -34), bqf(2, 0, -17))
+    code, out = run_json(capsys, ["similar", form_json(1, 7, 0), form_json(3, 7, 0)])
     assert code == 3
     assert out == {"verdict": "unknown", "bound": 12}
+
+
+def test_similar_rational_scaled_form(capsys):
+    # (1/2, 0, 9/2) = 1/2 * q(x, 3y) for q = x^2 + y^2: the integral
+    # witness search could not find it.
+    from fractions import Fraction
+
+    from binquad.form import BinaryQuadraticForm, SimilarityWitness
+    from binquad.ring import QQ
+
+    q1, q2 = BinaryQuadraticForm(QQ, 1, 0, 1), BinaryQuadraticForm(QQ, Fraction(1, 2), 0, Fraction(9, 2))
+    code, out = run_json(capsys, ["similar", json.dumps(q1.to_json()), json.dumps(q2.to_json())])
+    assert code == 0 and out["verdict"] == "similar"
+    assert SimilarityWitness.from_json(out["witness"], QQ).verify(q1, q2)
 
 
 def test_reduce(capsys):

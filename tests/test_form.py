@@ -203,7 +203,14 @@ def test_similar_value_set_screen():
 
 
 def test_similar_unknown_is_honest():
-    v = similar(bqf(1, 0, -34), bqf(2, 0, -17))
+    # Similar through M = ((-3, -17), (-1, -6)), det 1, u = 1: its entries
+    # lie past bound 12, so only the cycle of reduced forms finds it.
+    q1, q2 = bqf(1, 0, -34), bqf(2, 0, -17)
+    v = similar(q1, q2)
+    assert v.is_similar and v.witness.verify(q1, q2)
+    assert SimilarityWitness(((-3, -17), (-1, -6)), 1).verify(q1, q2)
+    # D = 49 is a square: screened and searched, and left undecided.
+    v = similar(bqf(1, 7, 0), bqf(3, 7, 0))
     assert v.verdict == "unknown" and v.bound == 12
 
 
@@ -326,3 +333,32 @@ def test_rational_screen_never_contradicts_the_search(c1, c2, m, u, moved):
     if w is not None:
         assert w.verify(q1, q2)
         assert _screen_not_similar(q1, q2) is None
+
+
+@given(
+    st.tuples(rationals, rationals, rationals),
+    st.tuples(rationals, rationals, rationals, rationals),
+    units_q,
+)
+def test_rational_similarity_is_decided_with_a_witness(c, m, u):
+    q1 = BinaryQuadraticForm(QQ, *c)
+    M = ((m[0], m[1]), (m[2], m[3]))
+    if q1.is_zero() or m[0] * m[3] == m[1] * m[2]:
+        return
+    q2 = q1.act(M, u)
+    v = similar(q1, q2)
+    assert v.is_similar and v.witness.verify(q1, q2)
+    v = similar(q2, q1)
+    assert v.is_similar and v.witness.verify(q2, q1)
+
+
+def test_rational_rank_one_forms_are_similar():
+    from fractions import Fraction
+
+    # disc 0: a nonzero multiple of a square of a linear form
+    third = Fraction(1, 3)
+    rank_one = [(1, 0, 0), (0, 0, Fraction(-3, 5)), (1, 2, 1), (4, -12, 9), (third, -2 * third, third)]
+    forms = [BinaryQuadraticForm(QQ, *c) for c in rank_one]
+    for q1, q2 in product(forms, repeat=2):
+        v = similar(q1, q2)
+        assert v.is_similar and v.witness.verify(q1, q2)

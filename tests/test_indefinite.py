@@ -1,0 +1,152 @@
+import random
+import time
+from itertools import product
+from math import gcd, isqrt
+
+import pytest
+from hypothesis import given, strategies as st
+
+from binquad.errors import BudgetExceeded, DomainError, NotDefinite
+from binquad.form import _bounded_witness_search, _value_set_screen, bqf, properly_equivalent, similar
+from binquad.mat2 import mmul
+from binquad.ring import ZZ
+
+coef = st.integers(min_value=-9, max_value=9)
+
+
+def _nonsquare_positive(f):
+    a, b, c = f
+    d = b * b - 4 * a * c
+    return d > 0 and isqrt(d) ** 2 != d
+
+
+forms = st.tuples(coef, coef, coef).filter(_nonsquare_positive)
+steps = st.lists(st.tuples(st.booleans(), st.integers(min_value=-50, max_value=50)), max_size=6)
+
+
+def _gl2(word, flip):
+    """A product of elementary matrices, times diag(1, -1) when flip."""
+    M = ((1, 0), (0, 1))
+    for upper, k in word:
+        M = mmul(ZZ, M, ((1, k), (0, 1)) if upper else ((1, 0), (k, 1)))
+    return mmul(ZZ, M, ((1, 0), (0, -1))) if flip else M
+
+
+@given(forms, steps, st.booleans(), st.sampled_from((1, -1)))
+def test_constructed_pairs_are_similar_with_a_witness(f, word, flip, u):
+    q1 = bqf(*f)
+    q2 = q1.act(_gl2(word, flip), u)
+    v = similar(q1, q2)
+    assert v.is_similar and v.witness.verify(q1, q2)
+    if not flip and u == 1:
+        assert properly_equivalent(q1, q2)
+
+
+small = st.integers(min_value=-4, max_value=4)
+
+
+@given(st.tuples(small, small, small).filter(_nonsquare_positive), small, small)
+def test_cycle_finds_every_witness_the_search_finds(f, a2, b2):
+    # q2 is a second form of the same discriminant, when one exists
+    q1 = bqf(*f)
+    D = q1.discriminant()[1]
+    if a2 == 0 or (b2 * b2 - D) % (4 * a2):
+        return
+    q2 = bqf(a2, b2, (b2 * b2 - D) // (4 * a2))
+    v = similar(q1, q2)
+    w = _bounded_witness_search(q1, q2, 3)
+    if v.is_similar:
+        assert v.witness.verify(q1, q2)
+    else:
+        assert v.verdict == "not_similar" and w is None
+
+
+def test_pair_that_every_value_set_passes():
+    # D = 145 has narrow class number 4, and these two forms lie in
+    # classes that are not even similar; no value set mod m <= 16 sees it.
+    q1, q2 = bqf(1, 11, -6), bqf(4, 7, -6)
+    assert _value_set_screen(q1, q2) is None
+    v = similar(q1, q2)
+    assert v.verdict == "not_similar" and v.reason == "indefinite_cycle"
+
+
+def test_value_set_reason_is_kept():
+    v = similar(bqf(1, 0, -10), bqf(2, 0, -5))
+    assert v.verdict == "not_similar" and v.reason == "value_set_mod_5"
+
+
+def _brute_sl2_orbit(q, bound):
+    rng = range(-bound, bound + 1)
+    return {
+        q.act(((p, r), (s, t)), 1).coeffs()
+        for p, r, s, t in product(rng, repeat=4)
+        if p * t - r * s == 1
+    }
+
+
+def test_properly_equivalent_against_sl2_search():
+    by_disc = {}
+    for f in product(range(-3, 4), repeat=3):
+        if _nonsquare_positive(f):
+            by_disc.setdefault(f[1] ** 2 - 4 * f[0] * f[2], []).append(bqf(*f))
+    checked = 0
+    for group in by_disc.values():
+        for q1 in group:
+            orbit = _brute_sl2_orbit(q1, 3)
+            for q2 in group:
+                pe = properly_equivalent(q1, q2)
+                assert pe == properly_equivalent(q2, q1)
+                if q2.coeffs() in orbit:
+                    assert pe
+                    checked += 1
+    assert checked > 100
+    assert not properly_equivalent(bqf(-2, 2, 1), bqf(2, 2, -1))
+    with pytest.raises(NotDefinite):
+        properly_equivalent(bqf(1, 7, 0), bqf(1, 7, 0))
+
+
+# Narrow class numbers h+(D), from the class number h(D) and the norm of
+# the fundamental unit: h+ = 2h when that norm is +1.
+NARROW_CLASS_NUMBERS = {5: 1, 8: 1, 12: 2, 13: 1, 21: 2, 40: 2, 60: 4, 105: 4, 136: 4, 145: 4, 148: 3}
+
+
+def test_proper_classes_count_the_narrow_class_number():
+    for D, h in NARROW_CLASS_NUMBERS.items():
+        r = isqrt(D)
+        # every class has a reduced form, and reduced forms have 0 < b < sqrt(D), |a| < sqrt(D)
+        candidates = [
+            bqf(a, b, (b * b - D) // (4 * a))
+            for a in range(-r, r + 1)
+            for b in range(1, r + 1)
+            if a and (b * b - D) % (4 * a) == 0 and gcd(gcd(a, b), (b * b - D) // (4 * a)) == 1
+        ]
+        classes = []
+        for q in candidates:
+            if not any(properly_equivalent(q, c) for c in classes):
+                classes.append(q)
+        assert len(classes) == h, D
+
+
+def _big_pair(rng, bits):
+    """Two primitive forms of one discriminant, (3a, b, c) and (a, b, 3c)."""
+    while True:
+        a, b, c = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1, -(rng.getrandbits(bits) | 1)
+        q1, q2 = bqf(3 * a, b, c), bqf(a, b, 3 * c)
+        if q1.content() == q2.content() == 1:
+            return q1, q2
+
+
+def test_large_coefficients_end_in_time():
+    rng = random.Random(1024)
+    q1, q2 = _big_pair(rng, 1024)
+    start = time.perf_counter()
+    v = similar(q1, q1.act(((3, 7), (2, 5)), -1))
+    assert v.is_similar and v.witness.verify(q1, q1.act(((3, 7), (2, 5)), -1))
+    # the cycle of D ~ 2^2050 is far longer than the limit: the verdict
+    # falls back to the screens and the bounded search
+    v = similar(q1, q2)
+    assert v.verdict != "similar" or v.witness.verify(q1, q2)
+    assert time.perf_counter() - start < 10
+    with pytest.raises(BudgetExceeded, match="CYCLE_LIMIT") as err:
+        properly_equivalent(q1, q2)
+    assert isinstance(err.value, DomainError)

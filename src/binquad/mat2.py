@@ -22,10 +22,6 @@ def mident(ring: Ring):
     return mat(ring, ((1, 0), (0, 1)))
 
 
-def mzero(ring: Ring):
-    return mat(ring, ((0, 0), (0, 0)))
-
-
 def madd(ring: Ring, A, B):
     n = ring.normalize
     return tuple(tuple(n(A[i][j] + B[i][j]) for j in range(2)) for i in range(2))

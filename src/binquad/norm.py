@@ -40,6 +40,7 @@ from .errors import (
 )
 from .form import BinaryQuadraticForm, SimilarityWitness
 from .mat2 import mat, mat_from_json, mat_to_json, mdet, mmul
+from .modular import factor
 from .ring import IntegerRing, ModularRing, RationalRing, RingHom, ZZ
 
 
@@ -312,7 +313,9 @@ def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:
     The even algebra and both action matrices must commute with the map
     exactly.  When the target is a field (Q or Z/p) and q is primitive,
     the mapped form is additionally checked to be similar to the norm
-    form of its even algebra, with an explicit verified witness.
+    form of its even algebra, with an explicit verified witness.  Z/n
+    counts as a field when `modular.factor` proves n prime; a modulus it
+    cannot factor is skipped, as a non-field is.
     """
     checks = {}
     q2 = q.map(hom)
@@ -323,21 +326,10 @@ def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:
     return checks
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _norm_form_check(q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> Optional[bool]:
     R = q2.ring
     field = isinstance(R, RationalRing) or (
-        isinstance(R, ModularRing) and _is_prime(R.n)
+        isinstance(R, ModularRing) and factor(R.n) == {R.n: 1}
     )
     if not field or not q.is_primitive():
         return None

@@ -6,16 +6,16 @@ dual conics over the rationals.
 The correspondence: a traceable pair normalizes (by shifting the
 generator) to an action matrix [[b, c], [-a, 0]], whose read-off is the
 form (a, b, c); conversely a form yields (even algebra, left action
-matrix).  Pair isomorphism is decided through form similarity, with an
-independent bounded matrix search kept as a cross-check oracle.
+matrix).  Pair isomorphism is decided by one route: form similarity,
+whose witness is transported to a pair witness.  The bounded matrix
+search `pairs_isomorphic_search` is kept only as an independent oracle
+for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import gcd
 from typing import Optional
 
 from .clifford import (
@@ -206,117 +206,6 @@ def _witness_from_similarity(p, p2, shift1, shift2, q2, simw) -> Optional[PairWi
     return witness if witness.verify(p, p2) else None
 
 
-def _integer_kernel(rows):
-    """Basis of the integer kernel of an integer matrix, by unimodular
-    column reduction (so the basis spans all integer solutions, not just
-    a finite-index sublattice)."""
-    m, n = len(rows), len(rows[0])
-    A = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colop_sub(j, k, q):
-        for i in range(m):
-            A[i][j] -= q * A[i][k]
-        for i in range(n):
-            U[i][j] -= q * U[i][k]
-
-    def colswap(j, k):
-        for i in range(m):
-            A[i][j], A[i][k] = A[i][k], A[i][j]
-        for i in range(n):
-            U[i][j], U[i][k] = U[i][k], U[i][j]
-
-    col = 0
-    for row in range(m):
-        while True:
-            nz = [j for j in range(col, n) if A[row][j] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: abs(A[row][j]))
-            colswap(col, j0)
-            done = True
-            for j in range(col + 1, n):
-                if A[row][j] != 0:
-                    q = A[row][j] // A[row][col]
-                    colop_sub(j, col, q)
-                    if A[row][j] != 0:
-                        done = False
-            if done:
-                col += 1
-                break
-        if col >= n:
-            break
-    kernel = []
-    for j in range(n):
-        if all(A[i][j] == 0 for i in range(m)):
-            kernel.append([U[i][j] for i in range(n)])
-    return kernel
-
-
-def _intertwiner_basis(p: CliffordPair, p2: CliffordPair, phi: AlgebraWitness):
-    """Basis of {psi : psi*M = (k + eps*M')*psi} over the ring, as flat
-    (p00, p01, p10, p11) vectors; integral basis over Z."""
-    R = p.ring
-    M = p.m
-    N = madd(
-        R,
-        mscale(R, phi.k, mident(R)),
-        mscale(R, R.normalize(phi.eps), p2.m),
-    )
-    # Linear system in psi entries (p00, p01, p10, p11): psi*M - N*psi = 0.
-    m00, m01, m10, m11 = M[0][0], M[0][1], M[1][0], M[1][1]
-    n00, n01, n10, n11 = N[0][0], N[0][1], N[1][0], N[1][1]
-    rows = [
-        [m00 - n00, m10, -n01, 0],
-        [m01, m11 - n00, 0, -n01],
-        [-n10, 0, m00 - n11, m10],
-        [0, -n10, m01, m11 - n11],
-    ]
-    # Over Q, scale rows to integers; the kernel is unchanged.
-    scaled = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        scaled.append([int(x * den) for x in fr])
-    return _integer_kernel(scaled)
-
-
-def _witness_from_basis(p, p2, phi, basis, span: int = 10) -> Optional[PairWitness]:
-    """Search small combinations of the intertwiner basis for a unit det."""
-    R = p.ring
-    if not basis:
-        return None
-    ordered = [0]
-    for k in range(1, span + 1):
-        ordered.extend((k, -k))
-    for coeffs in product(ordered, repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        flat = [0, 0, 0, 0]
-        for c, vec in zip(coeffs, basis):
-            for i in range(4):
-                flat[i] += c * vec[i]
-        psi = mat(R, ((flat[0], flat[1]), (flat[2], flat[3])))
-        if R.is_unit(mdet(R, psi)):
-            w = PairWitness(psi, phi)
-            if w.verify(p, p2):
-                return w
-    return None
-
-
-def _pair_witness(p: CliffordPair, p2: CliffordPair) -> Optional[PairWitness]:
-    R = p.ring
-    if isinstance(R, (IntegerRing, RationalRing)):
-        for phi in _algebra_map_candidates(p, p2):
-            w = _witness_from_basis(p, p2, phi, _intertwiner_basis(p, p2, phi))
-            if w is not None:
-                return w
-        return None
-    return pairs_isomorphic_search(p, p2, bound=12)
-
-
 def pairs_isomorphic_search(p: CliffordPair, p2: CliffordPair, bound: int = 12) -> Optional[PairWitness]:
     """Brute-force oracle: enumerate psi with entries up to the bound."""
     R = p.ring
@@ -354,10 +243,11 @@ def pairs_isomorphic_search(p: CliffordPair, p2: CliffordPair, bound: int = 12) 
 def pairs_isomorphic(p: CliffordPair, p2: CliffordPair, bound: int = 12) -> PairVerdict:
     """Decide pair isomorphism by converting to forms.
 
-    Both pairs must be traceable.  A positive form-similarity verdict is
-    transported into an explicit (psi, phi) witness (with the intertwiner
-    solve kept as a fallback); Unknown form verdicts fall back to the
-    direct bounded search.
+    Both pairs must be traceable.  The read-off forms are compared with
+    `similar`: a similarity witness is transported into an explicit
+    (psi, phi) witness, a non-similarity keeps its reason, and an
+    `unknown` keeps its reason and bound.  `pairs_isomorphic_search` is
+    the independent oracle and never runs here.
     """
     if not p.is_traceable() or not p2.is_traceable():
         raise NotTraceable("pair isomorphism is defined for traceable pairs")
@@ -372,19 +262,12 @@ def pairs_isomorphic(p: CliffordPair, p2: CliffordPair, bound: int = 12) -> Pair
     verdict = similar(pair_to_form(p), q2, bound=bound)
     if verdict.verdict == "not_similar":
         return PairVerdict("not_isomorphic", reason=verdict.reason)
-    if verdict.verdict == "similar":
-        w = None
-        if verdict.witness is not None:
-            w = _witness_from_similarity(p, p2, shift1, shift2, q2, verdict.witness)
-        if w is None:
-            w = _pair_witness(p, p2)
-        if w is not None:
-            return PairVerdict("isomorphic", witness=w)
-        return PairVerdict("isomorphic")
-    w = pairs_isomorphic_search(p, p2, bound=bound)
-    if w is not None:
-        return PairVerdict("isomorphic", witness=w)
-    return PairVerdict("unknown", bound=bound)
+    if verdict.verdict == "unknown":
+        return PairVerdict("unknown", reason=verdict.reason, bound=verdict.bound)
+    w = _witness_from_similarity(p, p2, shift1, shift2, q2, verdict.witness)
+    if w is None:
+        raise AssertionError("similarity transport produced a bad pair witness")
+    return PairVerdict("isomorphic", witness=w)
 
 
 # -- Wood normalization and duality ---------------------------------------

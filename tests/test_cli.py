@@ -190,6 +190,22 @@ def test_basechange(capsys):
     }
 
 
+def test_basechange_into_a_large_prime_field_is_prompt(capsys):
+    # Z/(2^61 - 1) is a field; deciding that by trial division used to run
+    # for minutes
+    hom = json.dumps({"src": {"ring": "int"}, "dst": {"ring": "mod", "n": 2**61 - 1}})
+    start = time.perf_counter()
+    code, out = run_json(capsys, ["basechange", form_json(1, 1, 1), hom])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out == {
+        "bimodule_left": "pass",
+        "bimodule_right": "pass",
+        "even_clifford": "pass",
+        "norm_form": "pass",
+    }
+
+
 def test_ring_flag(capsys):
     code, out = run_json(capsys, ["--ring", "mod:7", "disc", '{"a":2,"b":1,"c":3}'])
     assert code == 0

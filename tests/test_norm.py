@@ -240,6 +240,18 @@ def test_base_change_checks_examples():
     assert checks["even_clifford"] and checks["bimodule_left"] and checks["bimodule_right"]
 
 
+def test_base_change_norm_form_check_needs_a_proven_prime():
+    # primality comes from binquad.modular.factor: a large prime is
+    # settled at once, and a modulus it cannot factor is skipped as a
+    # composite one is
+    for n in (2**61 - 1, 10**14 + 31):
+        assert base_change_checks(bqf(1, 1, 1), RingHom(ZZ, ModularRing(n)))["norm_form"] is True
+    for n in (4, 1000003 * 1000033):
+        checks = base_change_checks(bqf(1, 1, 1), RingHom(ZZ, ModularRing(n)))
+        assert checks["norm_form"] is None
+        assert checks["even_clifford"] and checks["bimodule_left"] and checks["bimodule_right"]
+
+
 def test_ideal_json_round_trip():
     I = form_to_ideal(bqf(2, 1, 3))
     assert IdealLattice.from_json(I.to_json()) == I

@@ -1,9 +1,14 @@
+import json
 import random
+import time
 from fractions import Fraction
+from itertools import product
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from binquad import pairs
 from binquad.clifford import QuadraticAlgebra
 from binquad.errors import NotAModule, NotAPerfectSquare, NotTraceable
 from binquad.form import BinaryQuadraticForm, bqf, similar
@@ -23,6 +28,16 @@ from binquad.pairs import (
 from binquad.ring import ModularRing, QQ, ZZ
 
 small = st.integers(min_value=-7, max_value=7)
+
+
+def shifted_pair(q, m):
+    """The Clifford pair of q with its generator shifted by m: algebra
+    (b + 2m, bm + m^2 + ac), action [[b + m, c], [-a, m]]."""
+    R = q.ring
+    return CliffordPair(
+        QuadraticAlgebra(R, q.b + 2 * m, q.b * m + m * m + q.a * q.c),
+        ((q.b + m, q.c), (-q.a, m)),
+    )
 
 
 def test_normalize_pair_example():
@@ -260,3 +275,150 @@ def test_dual_conic_degenerate_branch():
 def test_pair_json_round_trip():
     p = form_to_pair(bqf(2, 1, 3))
     assert CliffordPair.from_json(p.to_json()) == p
+
+
+# -- one route: the similarity witness transported, never the search ------
+
+MODULI = (2, 3, 4, 5, 7, 8, 9, 12, 15, 25)
+RINGS = (ZZ, QQ) + tuple(ModularRing(n) for n in MODULI)
+
+
+def _is_square(d):
+    return d >= 0 and isqrt(d) ** 2 == d
+
+
+@st.composite
+def similar_or_random_pairs(draw):
+    """A shifted pair of q and a shifted pair of either a random form or
+    q moved by an invertible M and scaled by a unit u."""
+    R = draw(st.sampled_from(RINGS))
+    if isinstance(R, ModularRing):
+        elem = st.integers(min_value=0, max_value=R.n - 1)
+        unit = elem.filter(lambda x: gcd(x, R.n) == 1)
+        M = st.tuples(elem, elem, elem, elem).filter(lambda e: gcd(e[0] * e[3] - e[1] * e[2], R.n) == 1)
+    elif R is QQ:
+        elem = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+        unit = elem.filter(lambda x: x != 0)
+        M = st.tuples(elem, elem, elem, elem).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+    else:
+        elem = small
+        unit = st.sampled_from([1, -1])
+        # GL2(Z) as a product of elementary matrices, with an optional
+        # reflection
+        M = st.builds(
+            lambda s, t, r, f: ((1 + s * t) * f, s + r + s * t * r, t * f, 1 + t * r),
+            small, small, small, st.sampled_from([1, -1]),
+        )
+    q1 = BinaryQuadraticForm(R, draw(elem), draw(elem), draw(elem))
+    if draw(st.booleans()):
+        e = draw(M)
+        q2 = q1.act(((e[0], e[1]), (e[2], e[3])), draw(unit))
+    else:
+        q2 = BinaryQuadraticForm(R, draw(elem), draw(elem), draw(elem))
+    if R is ZZ:
+        # square discriminants over Z are searched; they have their own
+        # test below
+        assume(not any(_is_square(q.b * q.b - 4 * q.a * q.c) for q in (q1, q2)))
+    return shifted_pair(q1, draw(elem)), shifted_pair(q2, draw(elem))
+
+
+@settings(max_examples=300, deadline=None)
+@given(similar_or_random_pairs())
+def test_every_similarity_witness_transports_to_a_pair_witness(pq):
+    # pairs_isomorphic has no route besides the transport, so a similar
+    # verdict without a verified pair witness would be an error
+    p1, p2 = pq
+    s = similar(pair_to_form(p1), pair_to_form(p2))
+    v = pairs_isomorphic(p1, p2)
+    if s.is_similar:
+        assert v.is_isomorphic and v.witness is not None and v.witness.verify(p1, p2)
+    else:
+        verdict = {"not_similar": "not_isomorphic", "unknown": "unknown"}[s.verdict]
+        assert (v.verdict, v.witness, v.reason) == (verdict, None, s.reason)
+
+
+def test_pair_search_finds_nothing_where_similarity_is_unknown():
+    # Over Z a pair witness psi is a similarity witness M = psi with
+    # u = det(psi)/eps = +-1 and the same entries, so at the same bound the
+    # pair search retraces the exhausted similarity search.  Over an even
+    # modulus 2 is not regular and the search has no algebra map to try.
+    rng = random.Random(71)
+    by_disc = {}
+    for a, b, c in product(range(-9, 10), repeat=3):
+        if b * b - 4 * a * c > 0 and _is_square(b * b - 4 * a * c):
+            by_disc.setdefault(b * b - 4 * a * c, []).append(bqf(a, b, c))
+    square = [fs for fs in by_disc.values() if len(fs) > 1]
+    cases = []
+    while len(cases) < 40:
+        q1, q2 = rng.sample(rng.choice(square), 2)
+        if similar(q1, q2, bound=3).verdict == "unknown":
+            cases.append((q1, q2, 3))
+    assert similar(bqf(1, 7, 0), bqf(3, 7, 0), bound=3).verdict == "unknown"
+    cases.append((bqf(1, 7, 0), bqf(3, 7, 0), 3))
+    for n, sample in ((2, None), (4, None), (8, 1500)):
+        R = ModularRing(n)
+        forms = [BinaryQuadraticForm(R, *c) for c in product(range(n), repeat=3)]
+        grid = [(q1, q2) for q1 in forms for q2 in forms]
+        found = [(q1, q2, 12) for q1, q2 in (rng.sample(grid, sample) if sample else grid) if similar(q1, q2).verdict == "unknown"]
+        assert found, n
+        cases += found
+    for q1, q2, bound in cases:
+        m1, m2 = rng.randint(-5, 5), rng.randint(-5, 5)
+        assert pairs_isomorphic_search(shifted_pair(q1, m1), shifted_pair(q2, m2), bound=bound) is None
+
+
+def test_pair_search_is_off_the_request_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pairs_isomorphic_search ran on the request path")
+
+    monkeypatch.setattr(pairs, "pairs_isomorphic_search", refuse)
+    big = ModularRing(1000003 * 1000033)
+    # (q1, q2, bound, the verdict, or its JSON where it is unknown)
+    cases = [
+        (bqf(4, 5, 3), bqf(2, -1, 3), 12, "isomorphic"),
+        (bqf(1, 0, 1), bqf(1, 1, 1), 12, "not_isomorphic"),
+        (bqf(1, 0, -34), bqf(2, 0, -17), 12, "isomorphic"),
+        (bqf(1, 7, 0), bqf(3, 7, 0), 3, {"verdict": "unknown", "bound": 3}),
+        (BinaryQuadraticForm(QQ, 1, 0, 1), BinaryQuadraticForm(QQ, Fraction(1, 2), 0, Fraction(9, 2)), 12, "isomorphic"),
+        (BinaryQuadraticForm(ModularRing(7), 2, 1, 3), BinaryQuadraticForm(ModularRing(7), 3, 0, 1), 12, None),
+        (
+            BinaryQuadraticForm(ModularRing(4), 0, 2, 0),
+            BinaryQuadraticForm(ModularRing(4), 2, 0, 0),
+            4,
+            {"verdict": "unknown", "bound": 4},
+        ),
+        (BinaryQuadraticForm(ModularRing(12), 1, 1, 1), BinaryQuadraticForm(ModularRing(12), 1, 1, 7), 12, None),
+        (BinaryQuadraticForm(ModularRing(2), 1, 1, 0), BinaryQuadraticForm(ModularRing(2), 0, 1, 1), 12, None),
+        (
+            BinaryQuadraticForm(big, 1, 0, 1),
+            BinaryQuadraticForm(big, 1, 0, 3),
+            12,
+            {"verdict": "unknown", "reason": "factoring", "bound": 1000000},
+        ),
+    ]
+    for q1, q2, bound, expected in cases:
+        for m1, m2 in ((0, 0), (2, -3)):
+            p1, p2 = shifted_pair(q1, m1), shifted_pair(q2, m2)
+            v = pairs_isomorphic(p1, p2, bound=bound)
+            if isinstance(expected, dict):
+                assert v.to_json(q1.ring) == expected, (q1, q2)
+            elif expected is not None:
+                assert v.verdict == expected, (q1, q2)
+            assert v.verdict == {"similar": "isomorphic", "not_similar": "not_isomorphic", "unknown": "unknown"}[
+                similar(q1, q2, bound=bound).verdict
+            ]
+            assert v.witness is None or v.witness.verify(p1, p2)
+
+
+def test_pairs_over_an_unfactorable_modulus_answer_unknown_in_time():
+    # similar cannot factor n, whose least prime factor is past the trial
+    # bound; the pair verdict keeps that reason instead of searching over
+    # the units of Z/n
+    R = ModularRing(1000003 * 1000033)
+    p1 = form_to_pair(BinaryQuadraticForm(R, 1, 0, 1))
+    p2 = form_to_pair(BinaryQuadraticForm(R, 1, 0, 3))
+    start = time.perf_counter()
+    v = pairs_isomorphic(p1, p2)
+    assert time.perf_counter() - start < 2
+    assert json.dumps(v.to_json(R), separators=(",", ":")) == '{"verdict":"unknown","reason":"factoring","bound":1000000}'
+

@@ -247,8 +247,9 @@ def criterion_dual_conic():
 
 
 def criterion_composition_vs_oracle():
-    """Tensor composition agrees with the Dirichlet congruence oracle in
-    the proper class, and the group laws hold."""
+    """Tensor composition agrees with the classical oracle (Shanks'
+    composition, dirichlet_compose) in the proper class, and the group
+    laws hold."""
     pairs_checked = 0
     for D in _valid_discriminants(-200):
         forms = reduced_forms(D)

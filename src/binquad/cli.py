@@ -23,7 +23,7 @@ from .clifford import (
     quat_to_json,
     quat_trace,
 )
-from .compose import compose, dirichlet_compose, identity_form, inverse_form, proper_reduce
+from .compose import compose, identity_form, inverse_form, proper_reduce
 from .errors import DomainError, UsageError
 from .form import BinaryQuadraticForm, reduce_definite, similar
 from .mat2 import mat_to_json
@@ -37,7 +37,7 @@ from .pairs import (
     form_to_pair,
     pair_to_form,
 )
-from .picard import class_group, pic_counts
+from .picard import class_group
 from .ring import ModularRing, QQ, RingHom, ZZ, ring_from_json
 
 EXIT_OK = 0
@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("compose", "form1", "form2", help="Gauss composition")
     p.add_argument("--proper-reduce", action="store_true")
     p.add_argument("--twist", action="store_true", help="transport along the conjugated witness")
-    p.add_argument("--oracle", action="store_true", help="use the Dirichlet congruence route")
     p = verb("inverse", "form", help="inverse class representative")
     p.add_argument("--proper-reduce", action="store_true")
     verb("identity", "algebra", help="norm form of an algebra")
@@ -207,10 +206,7 @@ def _dispatch(args) -> int:
     if verb == "compose":
         q1 = _form(args, args.form1)
         q2 = _form(args, args.form2)
-        if args.oracle:
-            out = dirichlet_compose(q1, q2)
-        else:
-            out = compose(q1, q2, twist=args.twist)
+        out = compose(q1, q2, twist=args.twist)
         if getattr(args, "proper_reduce"):
             out = proper_reduce(out)
         _emit(out.to_json())
@@ -231,13 +227,12 @@ def _dispatch(args) -> int:
         except ValueError as e:
             raise UsageError(f"discriminant must be an integer, got {args.D!r}") from e
         g = class_group(D)
-        oriented, unoriented = pic_counts(D)
         _emit(
             {
                 "h": g.order,
                 "invariant_factors": list(g.invariant_factors),
-                "oriented": oriented,
-                "unoriented": unoriented,
+                "oriented": g.order,
+                "unoriented": g.unoriented,
                 "forms": [q.to_json() for q in g.forms],
             }
         )

@@ -8,19 +8,19 @@ Two routes are implemented and kept deliberately independent:
   eps = +1 witness by default; the conjugated eps = -1 choice lands in
   the inverse class and is exposed as ``twist``), the lattices are
   multiplied, and the content-normalized norm form is read off.
-* ``dirichlet_compose`` is the classical congruence construction used as
-  an oracle: precondition to coprime leading coefficients, solve for the
-  middle coefficient B mod 2*a1*a2', and read off (a1*a2', B, (B^2-D)/4a1a2').
+* ``dirichlet_compose`` is the classical composition in Shanks' form
+  (Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
+  Alg. 5.4.7), run by ``shanks`` on plain int triples; it is the oracle
+  the lattice route is checked against, and class-group tables are built
+  with it.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from .clifford import QuadraticAlgebra, _witness_for_eps
 from .errors import NotComposable, NotPrimitive, UsageError
 from .form import BinaryQuadraticForm, reduce_definite
-from .norm import IdealLattice, _xgcd, form_to_ideal, ideal_conjugate, ideal_multiply, universal_norm_form
+from .norm import IdealLattice, _nonzero_leading, _xgcd, form_to_ideal, ideal_conjugate, ideal_multiply, universal_norm_form
 from .ring import IntegerRing, ZZ
 
 
@@ -74,53 +74,33 @@ def inverse_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return universal_norm_form(ideal_conjugate(form_to_ideal(q)))
 
 
-def _coprime_representative(q: BinaryQuadraticForm, m: int) -> BinaryQuadraticForm:
-    """A properly equivalent form whose leading coefficient is nonzero and
-    coprime to m; exists for every primitive form."""
-    if q.a != 0 and gcd(q.a, m) == 1:
-        return q
-    bound = 1
-    while bound <= 64:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if gcd(x, y) != 1:
-                    continue
-                v = q.evaluate(x, y)
-                if v == 0 or gcd(v, m) != 1:
-                    continue
-                # extend the primitive column (x, y) to an SL2 matrix
-                g, s, t = _xgcd(x, y)
-                M = ((x, -t), (y, s))
-                return q.act(M, 1)
-        bound *= 2
-    raise AssertionError(f"no representation of a value coprime to {m} by {q}")
-
-
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    g, x, _ = _xgcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise AssertionError(f"inconsistent congruences {r1} mod {m1}, {r2} mod {m2}")
-    lcm = m1 // g * m2
-    t = ((r2 - r1) // g * x) % (m2 // g)
-    return (r1 + m1 * t) % lcm
+def shanks(f1, f2):
+    """Unreduced composition of int triples of one discriminant D with
+    nonzero leading coefficients (Cohen, GTM 138, Alg. 5.4.7): with
+    d1 = gcd(a1, a2, (b1 + b2)/2), a3 = a1*a2/d1^2 and b3 = bi mod 2*ai/d1,
+    for either sign of a1, a2."""
+    (a1, b1, _), (a2, b2, c2) = f1, f2
+    D = b2 * b2 - 4 * a2 * c2
+    s = (b1 + b2) // 2
+    n = b2 - s
+    d, y1, _ = _xgcd(a2, a1)  # y1*a2 + v*a1 = d
+    d1, x2, v = _xgcd(s, d)  # x2*s + v*d = d1
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * v * n - x2 * c2) % v1
+    b3 = b2 + 2 * v2 * r
+    a3 = v1 * v2
+    return a3, b3, (b3 * b3 - D) // (4 * a3)
 
 
 def dirichlet_compose(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """Classical composition through the congruence system for the middle
-    coefficient.  Independent of the lattice machinery."""
+    """Classical composition of primitive forms of equal discriminant, by
+    ``shanks``.  Independent of the lattice machinery.  A zero leading
+    coefficient (square D only) is first moved off by a proper basis
+    change."""
     _require_composable(q1, q2)
-    D = q1.discriminant()[1]
-    r1 = _coprime_representative(q1, 1)
-    r2 = _coprime_representative(q2, r1.a)
-    a1, b1 = r1.a, r1.b
-    a2, b2 = r2.a, r2.b
-    # B = b1 mod 2a1, B = b2 mod 2a2; solvable since b1 = b2 = D (mod 2).
-    B = _crt(b1, 2 * abs(a1), b2, 2 * abs(a2))
-    A = a1 * a2
-    num = B * B - D
-    if num % (4 * A) != 0:
-        raise AssertionError("middle coefficient failed the discriminant congruence")
-    return BinaryQuadraticForm(ZZ, A, B, num // (4 * A))
+    f1 = _nonzero_leading(*q1.coeffs())
+    f2 = _nonzero_leading(*q2.coeffs())
+    return BinaryQuadraticForm(ZZ, *shanks(f1, f2))
 
 
 def proper_reduce(q: BinaryQuadraticForm) -> BinaryQuadraticForm:

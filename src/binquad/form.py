@@ -216,6 +216,24 @@ class SimilarityVerdict:
         return out
 
 
+def reduce_triple(a: int, b: int, c: int):
+    """Gauss reduction of a positive definite int triple: the reduced
+    triple and the SL2(Z) matrix (a tuple of rows) carrying (a, b, c) to it."""
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    while True:
+        if a > c or (a == c and b < 0):
+            # swap step: (a, b, c) -> (c, -b, a)
+            a, b, c = c, -b, a
+            m00, m01, m10, m11 = m01, -m00, m11, -m10
+        elif not (-a < b <= a):
+            # translation step: k = floor((a-b)/2a) puts b + 2ak in (-a, a]
+            k = (a - b) // (2 * a)
+            a, b, c = a, b + 2 * a * k, a * k * k + b * k + c
+            m01, m11 = m00 * k + m01, m10 * k + m11
+        else:
+            return (a, b, c), ((m00, m01), (m10, m11))
+
+
 def reduce_definite(q: BinaryQuadraticForm):
     """Gauss reduction of a positive definite integral form.
 
@@ -229,24 +247,8 @@ def reduce_definite(q: BinaryQuadraticForm):
     _, classical = q.discriminant()
     if classical >= 0 or q.a <= 0:
         raise NotDefinite(f"form {q} is not positive definite")
-    a, b, c = q.coeffs()
-    M = mident(R)
-    while True:
-        if a > c or (a == c and b < 0):
-            # swap step: (a, b, c) -> (c, -b, a)
-            S = mat(R, ((0, -1), (1, 0)))
-            M = mmul(R, M, S)
-            a, b, c = c, -b, a
-            continue
-        if not (-a < b <= a):
-            # translation step: k = floor((a-b)/2a) puts b + 2ak in (-a, a]
-            k = (a - b) // (2 * a)
-            T = mat(R, ((1, k), (0, 1)))
-            M = mmul(R, M, T)
-            a, b, c = a, b + 2 * a * k, a * k * k + b * k + c
-            continue
-        break
-    return BinaryQuadraticForm(R, a, b, c), M
+    r, M = reduce_triple(q.a, q.b, q.c)
+    return BinaryQuadraticForm(R, *r), M
 
 
 def _positive_reduction(q: BinaryQuadraticForm):
@@ -489,7 +491,7 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm, bound: int = 12) -
         return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
     if isinstance(R, IntegerRing):
         d = q1.discriminant()[1]
-        if d < 0 and q1.a != 0 and q2.a != 0:
+        if d < 0:
             return _definite_similarity(q1, q2)
         if _nonsquare_positive(d):
             # Imported on first use, as binquad.modular is.

@@ -207,12 +207,18 @@ def form_to_ideal(q: BinaryQuadraticForm) -> IdealLattice:
         raise ZeroForm("the zero form has no associated lattice")
     if not q.is_primitive():
         raise NotPrimitive(f"{q} is not primitive")
-    if q.a == 0:
-        if q.c != 0:
-            q = q.act(((0, -1), (1, 0)), 1)
-        else:
-            q = q.act(((1, 0), (1, 1)), 1)
+    q = BinaryQuadraticForm(ZZ, *_nonzero_leading(*q.coeffs()))
     return IdealLattice(even_clifford(q), ((q.a, q.b), (0, -1)))
+
+
+def _nonzero_leading(a: int, b: int, c: int):
+    """A properly equivalent triple with a != 0, for a nonzero form (only
+    square D allows a = 0): (x, y) -> (-y, x), or (x, x + y) when c = 0."""
+    if a != 0:
+        return a, b, c
+    if c != 0:
+        return c, -b, a
+    return b, b, c
 
 
 def naive_norm_form(I: IdealLattice) -> BinaryQuadraticForm:

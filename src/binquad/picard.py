@@ -1,7 +1,8 @@
 """Class sets of negative discriminants: reduced-form enumeration, the
-composition group, and the two Picard-style counts (oriented classes and
-orbits under conjugation), each computed independently through forms and
-through ideal lattices.
+composition group on int triples, and the two Picard-style counts
+(oriented classes and orbits under conjugation).  The counts are read
+off the group table; ``pic_counts`` recomputes them independently
+through forms and through ideal lattices, as an oracle.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
-from .compose import compose, identity_form
+from .compose import identity_form, shanks
 from .errors import BadDiscriminant
-from .form import BinaryQuadraticForm, reduce_definite
+from .form import BinaryQuadraticForm, reduce_definite, reduce_triple
+from .modular import factor
 from .norm import IdealLattice, ideal_conjugate, ideal_is_invertible, ideal_is_principal, ideal_multiply
 from .ring import ZZ
 
@@ -57,13 +59,22 @@ def class_number(D: int) -> int:
 @dataclass(frozen=True)
 class ClassGroup:
     discriminant: int
+    # forms[0] is the principal form (1, D mod 2, .), the one reduced form with a = 1
     forms: tuple
-    table: tuple  # table[i][j] = index of reduced(compose(forms[i], forms[j]))
+    table: tuple  # table[i][j] = index of the reduced composition of forms[i] and forms[j]
     invariant_factors: tuple
 
     @property
     def order(self) -> int:
         return len(self.forms)
+
+    @property
+    def unoriented(self) -> int:
+        """Classes up to conjugation.  The conjugate (a, -b, c) lies in the
+        inverse class, so the orbits are the classes x with x^2 = e plus
+        one per pair {x, x^-1} of the others."""
+        two_torsion = sum(1 for i, row in enumerate(self.table) if row[i] == 0)
+        return (self.order + two_torsion) // 2
 
     def to_json(self) -> dict:
         return {
@@ -76,34 +87,23 @@ class ClassGroup:
 
 
 def class_group(D: int) -> ClassGroup:
+    """Reduced forms and their Cayley table, composed by Shanks' algorithm
+    and reduced on int triples."""
     forms = reduced_forms(D)
-    index = {q.coeffs(): i for i, q in enumerate(forms)}
-    table = []
-    for q1 in forms:
-        row = []
-        for q2 in forms:
-            r, _ = reduce_definite(compose(q1, q2))
-            row.append(index[r.coeffs()])
-        table.append(tuple(row))
-    return ClassGroup(D, tuple(forms), tuple(table), _invariant_factors(table, index, forms, D))
+    triples = [q.coeffs() for q in forms]
+    index = {f: i for i, f in enumerate(triples)}
+    table = tuple(tuple(index[reduce_triple(*shanks(f1, f2))[0]] for f2 in triples) for f1 in triples)
+    return ClassGroup(D, tuple(forms), table, _invariant_factors(table))
 
 
-def _identity_index(forms, D):
-    k = D % 2
-    principal = (1, k, (k * k - D) // 4)
-    for i, q in enumerate(forms):
-        if q.coeffs() == principal:
-            return i
-    raise AssertionError(f"principal form missing for D={D}")
-
-
-def _invariant_factors(table, index, forms, D):
+def _invariant_factors(table):
     """Invariant factors d1 | d2 | ... of the abelian group given by a
-    Cayley table, via the element counts killed by each prime power."""
-    n = len(forms)
+    Cayley table with identity 0, via the element counts killed by each
+    prime power."""
+    n = len(table)
+    e = 0
     if n == 1:
         return ()
-    e = _identity_index(forms, D)
 
     def power(i, k):
         acc = e
@@ -115,20 +115,8 @@ def _invariant_factors(table, index, forms, D):
             k >>= 1
         return acc
 
-    def prime_factors(m):
-        out = {}
-        p = 2
-        while p * p <= m:
-            while m % p == 0:
-                out[p] = out.get(p, 0) + 1
-                m //= p
-            p += 1
-        if m > 1:
-            out[m] = out.get(m, 0) + 1
-        return out
-
     partitions = {}
-    for p, _ in prime_factors(n).items():
+    for p in factor(n):
         # s_j = #{x : x^(p^j) = e}; the conjugate partition of the p-type
         counts = [1]
         j = 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,11 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import binquad
+import binquad.compose as composition
+from binquad import cli, norm, picard
 from binquad.cli import run
 
 INT_RING = '{"ring":{"ring":"int"}}'
@@ -34,12 +39,12 @@ def test_compose_proper_reduce(capsys):
     assert out == {"a": 2, "b": -1, "c": 3, "ring": {"ring": "int"}}
 
 
-def test_compose_oracle_route_agrees_in_class(capsys):
-    code, out = run_json(
-        capsys, ["compose", form_json(2, 1, 3), form_json(2, 1, 3), "--oracle", "--proper-reduce"]
-    )
-    assert code == 0
-    assert out == {"a": 2, "b": -1, "c": 3, "ring": {"ring": "int"}}
+def test_compose_has_no_oracle_flag(capsys):
+    # the classical route is checked against the lattice one in verify
+    # and the tests, not offered on the command line
+    code = run(["compose", form_json(2, 1, 3), form_json(2, 1, 3), "--oracle"])
+    assert code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_similar_not_similar_exit_code(capsys):
@@ -161,6 +166,39 @@ def test_classgroup_and_picard(capsys):
     assert len(out["forms"]) == 3
     code, out2 = run_json(capsys, ["picard", "-23"])
     assert code == 0 and out2 == out
+
+
+# stdout of `classgroup D`, or its sha256 where it is long
+CLASSGROUP_GOLDEN = {
+    -3: '{"forms":[{"a":1,"b":1,"c":1,"ring":{"ring":"int"}}],"h":1,"invariant_factors":[],"oriented":1,"unoriented":1}\n',
+    -4: '{"forms":[{"a":1,"b":0,"c":1,"ring":{"ring":"int"}}],"h":1,"invariant_factors":[],"oriented":1,"unoriented":1}\n',
+    -23: '{"forms":[{"a":1,"b":1,"c":6,"ring":{"ring":"int"}},{"a":2,"b":-1,"c":3,"ring":{"ring":"int"}},'
+    '{"a":2,"b":1,"c":3,"ring":{"ring":"int"}}],"h":3,"invariant_factors":[3],"oriented":3,"unoriented":2}\n',
+    -47: '{"forms":[{"a":1,"b":1,"c":12,"ring":{"ring":"int"}},{"a":2,"b":-1,"c":6,"ring":{"ring":"int"}},'
+    '{"a":2,"b":1,"c":6,"ring":{"ring":"int"}},{"a":3,"b":-1,"c":4,"ring":{"ring":"int"}},'
+    '{"a":3,"b":1,"c":4,"ring":{"ring":"int"}}],"h":5,"invariant_factors":[5],"oriented":5,"unoriented":3}\n',
+    -3299: "83dfb559cb31b7326e4f8e3bcc10f746ad2a784483f5e63eba9857041037a0e6",
+    -10007: "d8bd2774e7e1c9c49ec9248604f3b06aabe4edbcdb34edcb0b01bc96ac5c0db5",
+}
+
+
+@pytest.mark.parametrize("D", sorted(CLASSGROUP_GOLDEN))
+def test_classgroup_golden_runs_no_lattice_code(monkeypatch, capsys, D):
+    # the counts are read off the composition table; the lattice route
+    # (pic_counts and everything under it) is an oracle for verify and tests
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice code ran on a classgroup request")
+
+    for mod in (cli, composition, norm, picard):
+        for name in ("pic_counts", "ideal_class_representatives", "ideal_is_principal", "ideal_multiply",
+                     "form_to_ideal", "compose"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    want = CLASSGROUP_GOLDEN[D]
+    for verb in ("classgroup", "picard"):
+        assert run([verb, str(D)]) == 0
+        out = capsys.readouterr().out
+        assert (out if want.startswith("{") else hashlib.sha256(out.encode()).hexdigest()) == want
 
 
 def test_classgroup_domain_error(capsys):

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binquad.clifford import QuadraticAlgebra
 from binquad.compose import (
@@ -14,6 +15,7 @@ from binquad.compose import (
 )
 from binquad.errors import NotComposable, NotPrimitive
 from binquad.form import bqf, properly_equivalent, similar
+from binquad.mat2 import mmul
 from binquad.picard import reduced_forms
 from binquad.ring import ZZ
 
@@ -45,6 +47,14 @@ def test_dirichlet_examples():
     # ambiguous class squares to the principal class
     out = dirichlet_compose(bqf(2, 2, 3), bqf(2, 2, 3))
     assert proper_reduce(out) == bqf(1, 0, 5)
+
+
+def test_dirichlet_compose_at_square_discriminants_moves_a_zero_leading_coefficient():
+    # (0, b, 0) and (0, b, c) have no coprime leading coefficient to start from
+    assert dirichlet_compose(bqf(0, 1, 0), bqf(0, 1, 0)) == bqf(1, 1, 0)
+    for q1, q2 in ((bqf(0, 7, 3), bqf(1, 7, 0)), (bqf(0, 7, 3), bqf(0, -7, 2)), (bqf(3, 7, 0), bqf(0, 7, 1))):
+        out = dirichlet_compose(q1, q2)
+        assert out.discriminant()[1] == 49 and out.is_primitive()
 
 
 def test_composable_preconditions():
@@ -152,3 +162,39 @@ def test_group_laws_on_a_cyclic_class_set():
         assert properly_equivalent(compose(q, inverse_form(q)), ident)
     for q1, q2 in product(forms, repeat=2):
         assert properly_equivalent(compose(q1, q2), compose(q2, q1))
+
+
+NEGATIVE = [D for D in range(-3, -601, -1) if D % 4 in (0, 1)]
+POSITIVE = [D for D in range(5, 201) if D % 4 in (0, 1) and isqrt(D) ** 2 != D]
+words = st.lists(st.tuples(st.booleans(), st.integers(min_value=-6, max_value=6)), max_size=4)
+
+
+def _sl2(word):
+    M = ((1, 0), (0, 1))
+    for upper, k in word:
+        M = mmul(ZZ, M, ((1, k), (0, 1)) if upper else ((1, 0), (k, 1)))
+    return M
+
+
+@given(st.sampled_from(NEGATIVE), st.data(), words, words)
+def test_shanks_matches_lattice_compose_on_moved_definite_forms(D, data, w1, w2):
+    forms = reduced_forms(D)
+    q1 = data.draw(st.sampled_from(forms)).act(_sl2(w1), 1)
+    q2 = data.draw(st.sampled_from(forms)).act(_sl2(w2), 1)
+    assert properly_equivalent(dirichlet_compose(q1, q2), compose(q1, q2))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(POSITIVE), st.data(), words, words, words)
+def test_shanks_group_laws_in_the_narrow_class_at_positive_discriminants(D, data, w1, w2, w3):
+    # lattice compose fails these laws in the proper class (see the
+    # similarity-only test above); Shanks' composition keeps them
+    forms = _reduced_indefinite_forms(D)
+    q1, q2, q3 = (data.draw(st.sampled_from(forms)).act(_sl2(w), 1) for w in (w1, w2, w3))
+    ident = bqf(1, D % 2, (D % 2 - D) // 4)
+    assert properly_equivalent(dirichlet_compose(q1, ident), q1)
+    assert properly_equivalent(dirichlet_compose(q1, q1.conjugate()), ident)
+    assert properly_equivalent(dirichlet_compose(q1, q2), dirichlet_compose(q2, q1))
+    assert properly_equivalent(
+        dirichlet_compose(dirichlet_compose(q1, q2), q3), dirichlet_compose(q1, dirichlet_compose(q2, q3))
+    )

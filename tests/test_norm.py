@@ -39,6 +39,9 @@ def test_form_to_ideal_examples():
     # a = 0 needs a basis change first; the class is preserved
     K = form_to_ideal(bqf(0, 1, 0))
     assert universal_norm_form(K).discriminant()[1] == 1
+    # (x, y) -> (-y, x) takes (0, 7, 3) to (3, -7, 0)
+    L = form_to_ideal(bqf(0, 7, 3))
+    assert L.basis == ((3, -7), (0, -1)) and L.alg == QuadraticAlgebra(ZZ, -7, 0)
 
 
 def test_form_to_ideal_rejections():

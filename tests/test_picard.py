@@ -1,8 +1,11 @@
+from math import gcd, prod
+
 import pytest
 
 from binquad.clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
+from binquad.compose import compose
 from binquad.errors import BadDiscriminant
-from binquad.form import bqf
+from binquad.form import bqf, reduce_definite
 from binquad.picard import (
     class_group,
     class_number,
@@ -94,6 +97,55 @@ def test_class_group_table_is_a_latin_square_with_identity():
         assert sorted(row[i] for row in g.table) == list(range(n))
         assert ident in g.table[i]
         assert g.table[i][ident] == i
+
+
+def _lattice_table(forms):
+    """Cayley table of lattice composition on the reduced forms (identity
+    first).  Lattice rows are computed for a generating set only; since
+    composition is associative, the row of g*y is the row of y followed
+    by the row of g."""
+    index = {q.coeffs(): i for i, q in enumerate(forms)}
+    rows = {0: list(range(len(forms)))}
+    gens = []
+    while len(rows) < len(forms):
+        g = next(i for i in range(len(forms)) if i not in rows)
+        gens.append([index[reduce_definite(compose(forms[g], x))[0].coeffs()] for x in forms])
+        frontier = list(rows)
+        while frontier:
+            y = frontier.pop()
+            for row in gens:
+                if row[y] not in rows:
+                    rows[row[y]] = [row[v] for v in rows[y]]
+                    frontier.append(row[y])
+    return tuple(tuple(rows[i]) for i in range(len(forms)))
+
+
+def test_class_group_tables_match_the_lattice_route():
+    for D in range(-3, -2001, -1):
+        if D % 4 not in (0, 1):
+            continue
+        g = class_group(D)
+        assert g.table == _lattice_table(g.forms), D
+        # a finite abelian group is fixed by the counts #{x : x^k = e}, k | h;
+        # for Z/d1 x ... x Z/dr they are prod(gcd(k, d_i))
+        factors = g.invariant_factors
+        assert all(big % small == 0 for small, big in zip(factors, factors[1:])), D
+        for k in range(1, g.order + 1):
+            if g.order % k:
+                continue
+            killed = 0
+            for x in range(g.order):
+                y = 0
+                for _ in range(k):
+                    y = g.table[y][x]
+                killed += y == 0
+            assert killed == prod(gcd(k, d) for d in factors), (D, k)
+
+
+def test_unoriented_count_is_read_off_the_table():
+    for D in (-3, -4, -23, -47, -56, -84, -95, -120, -420):
+        g = class_group(D)
+        assert pic_counts(D) == (g.order, g.unoriented)
 
 
 def test_pic_counts_examples():

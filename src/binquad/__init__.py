@@ -70,7 +70,6 @@ from .pairs import (
     normalize_pair,
     pair_to_form,
     pairs_isomorphic,
-    pairs_isomorphic_search,
     wood_pair,
 )
 from .picard import (

@@ -105,13 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb("form2pair", "form", help="(algebra, action matrix) pair of a form")
     verb("pair2form", "pair", help="form read off a traceable pair")
     verb("traceable", "pair", help="traceability of a pair")
-    p = verb("similar", "form1", "form2", help="similarity verdict with witness")
-    p.add_argument(
-        "--bound",
-        type=int,
-        default=12,
-        help="witness search bound (square D over Z, even n, and D > 0 past the cycle limit)",
-    )
+    verb("similar", "form1", "form2", help="similarity verdict with witness")
     verb("reduce", "form", help="reduced representative and SL2 witness")
     p = verb("dual", "form", help="dual form on the dual module")
     p.add_argument("--trace", action="store_true", help="emit the five-stage trace")
@@ -168,7 +162,7 @@ def _dispatch(args) -> int:
     if verb == "similar":
         q1 = _form(args, args.form1)
         q2 = _form(args, args.form2)
-        v = similar(q1, q2, bound=args.bound)
+        v = similar(q1, q2)
         _emit(v.to_json(q1.ring))
         if v.verdict == "similar":
             return EXIT_OK

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import isqrt
 from typing import Optional
 
 from .errors import BudgetExceeded, NotDefinite, NotInvertible, UsageError
@@ -260,24 +258,21 @@ def _positive_reduction(q: BinaryQuadraticForm):
     return -1, r, M
 
 
-def _nonsquare_positive(d) -> bool:
-    return d > 0 and isqrt(d) ** 2 != d
-
-
 def properly_equivalent(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> bool:
-    """SL2-equivalence with scale +1, decided over Z for definite forms by
-    reduction and for non-square D > 0 by cycles of reduced forms
-    (binquad.indefinite; raises BudgetExceeded past its CYCLE_LIMIT)."""
+    """SL2-equivalence with scale +1, decided over Z: by reduction for
+    definite forms, and by binquad.indefinite for D >= 0 (cycles of reduced
+    forms for non-square D, raising BudgetExceeded past its CYCLE_LIMIT,
+    and a canonical split form for square D)."""
     d1 = q1.discriminant()[1]
     d2 = q2.discriminant()[1]
     if d1 != d2:
         return False
     if d1 >= 0:
-        if isinstance(q1.ring, IntegerRing) and _nonsquare_positive(d1):
+        if isinstance(q1.ring, IntegerRing):
             from .indefinite import properly_equivalent_indefinite
 
             return properly_equivalent_indefinite(q1, q2)
-        raise NotDefinite("proper equivalence is only decided for definite forms and non-square D > 0")
+        raise NotDefinite("proper equivalence is only decided over Z")
     if (q1.a > 0) != (q2.a > 0):
         return False
     _, r1, _ = _positive_reduction(q1)
@@ -295,20 +290,15 @@ def value_set_mod(q: BinaryQuadraticForm, m: int) -> frozenset:
 
 
 def _screen_not_similar(q1, q2) -> Optional[str]:
-    """Cheap exact invariants that certify non-similarity, or None."""
-    R = q1.ring
+    """Cheap exact invariants over Z and Q that certify non-similarity,
+    or None."""
     d1 = q1.discriminant()[1]
     d2 = q2.discriminant()[1]
-    if isinstance(R, IntegerRing):
+    if isinstance(q1.ring, IntegerRing):
         if d1 != d2:
             return "discriminant"
         if q1.content() != q2.content():
             return "content"
-        return None
-    if isinstance(R, ModularRing):
-        # only even n gets here; binquad.modular decides odd n
-        if not any(R.mul(R.mul(w, w), d1) == d2 for w in R.units()):
-            return "discriminant"
         return None
     # Rationals: disc scales by u^2 det(M)^2, so its vanishing and the
     # square class of d1*d2 survive.
@@ -318,84 +308,13 @@ def _screen_not_similar(q1, q2) -> Optional[str]:
 
 
 def _value_set_screen(q1, q2) -> Optional[str]:
-    """Value sets over Z (mod m <= 16, up to sign) and over Z/n (up to a
-    unit): exact invariants that cost O(m^2) and O(n^2)."""
-    R = q1.ring
-    if isinstance(R, IntegerRing):
-        for m in range(2, 17):
-            s1 = value_set_mod(q1, m)
-            s2 = value_set_mod(q2, m)
-            if s2 != s1 and s2 != frozenset((-v) % m for v in s1):
-                return f"value_set_mod_{m}"
-        return None
-    if isinstance(R, ModularRing):
-        vals1 = frozenset(
-            q1.evaluate(x, y) for x in range(R.n) for y in range(R.n)
-        )
-        vals2 = frozenset(
-            q2.evaluate(x, y) for x in range(R.n) for y in range(R.n)
-        )
-        if not any(frozenset(R.mul(u, v) for v in vals1) == vals2 for u in R.units()):
-            return "value_set"
-    return None
-
-
-def _spiral(bound: int):
-    """0, 1, -1, 2, -2, ...: small witnesses are found first."""
-    out = [0]
-    for k in range(1, bound + 1):
-        out.extend((k, -k))
-    return out
-
-
-def _iter_unit_matrices(ring: Ring, bound: int):
-    """Unit-determinant matrices to try in the bounded witness search."""
-    if isinstance(ring, ModularRing) and ring.n <= 2 * bound + 1:
-        rng = list(range(ring.n))
-    else:
-        rng = _spiral(bound)
-    for m00, m10 in product(rng, repeat=2):
-        for m01, m11 in product(rng, repeat=2):
-            M = mat(ring, ((m00, m01), (m10, m11)))
-            if ring.is_unit(mdet(ring, M)):
-                yield M
-
-
-def _bounded_witness_search(q1, q2, bound: int) -> Optional[SimilarityWitness]:
-    """Search M (entries up to the bound) and a unit u with q2(Mv) = u q1(v)."""
-    R = q1.ring
-    rational = isinstance(R, RationalRing)
-    units = None if rational else R.units()
-    for M in _iter_unit_matrices(ZZ if rational else R, bound):
-        if rational:
-            M = mat(R, M)
-            if not R.is_unit(mdet(R, M)):
-                continue
-        col1 = (M[0][0], M[1][0])
-        col2 = (M[0][1], M[1][1])
-        a2 = q2.evaluate(*col1)
-        b2 = q2.polar(col1, col2)
-        c2 = q2.evaluate(*col2)
-        if rational:
-            # u is forced by the first nonzero coefficient of q1.
-            pairs = ((q1.a, a2), (q1.b, b2), (q1.c, c2))
-            u = None
-            for lhs, rhs in pairs:
-                if lhs != 0:
-                    u = rhs / lhs
-                    break
-            if u is None or u == 0:
-                continue
-            if all(rhs == u * lhs for lhs, rhs in pairs):
-                return SimilarityWitness(M, u)
-        else:
-            for u in units:
-                if (
-                    a2 == R.mul(u, q1.a)
-                    and b2 == R.mul(u, q1.b)
-                    and c2 == R.mul(u, q1.c)
-                ):
-                    return SimilarityWitness(M, R.normalize(u))
+    """Value sets over Z mod m <= 16, up to sign: exact invariants that
+    cost O(m^2), named in a non-similar verdict over Z."""
+    for m in range(2, 17):
+        s1 = value_set_mod(q1, m)
+        s2 = value_set_mod(q2, m)
+        if s2 != s1 and s2 != frozenset((-v) % m for v in s1):
+            return f"value_set_mod_{m}"
     return None
 
 
@@ -461,55 +380,45 @@ def _rational_similarity(q1, q2) -> SimilarityVerdict:
     return SimilarityVerdict("similar", witness=w)
 
 
-def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm, bound: int = 12) -> SimilarityVerdict:
+def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdict:
     """Tri-state similarity decision.
 
     Decided completely: definite integral forms through reduction,
-    integral forms of non-square discriminant D > 0 through cycles of
-    reduced forms (binquad.indefinite, up to its CYCLE_LIMIT), forms over
-    Q through diagonalisation, and forms over Z/n with n odd through
-    Jordan splitting (binquad.modular).  Everything else (square D over Z,
-    even n, and D > 0 past the cycle limit) is screened by exact
-    invariants (discriminant up to squares, content, value sets mod
-    m <= 16) and then searched up to the bound; an exhausted search
-    returns an Unknown verdict carrying the bound.
+    integral forms of D >= 0 through binquad.indefinite (cycles of reduced
+    forms for non-square D, up to its CYCLE_LIMIT, and a canonical split
+    form for square D), forms over Q through diagonalisation, and forms
+    over Z/n through Jordan splitting at each prime power (binquad.modular).
+    Two cases answer Unknown and name the budget they used up: a non-square
+    D > 0 whose cycles outrun CYCLE_LIMIT (after the value-set screen), and
+    a modulus n that cannot be factored within binquad.modular.TRIAL_LIMIT.
     """
     if q1.ring != q2.ring:
         raise UsageError(f"forms live over different rings: {q1.ring!r} vs {q2.ring!r}")
     R = q1.ring
     if q1.is_zero() != q2.is_zero():
         return SimilarityVerdict("not_similar", reason="zero")
-    if isinstance(R, ModularRing) and R.n % 2 == 1:
+    if isinstance(R, ModularRing):
         # Imported on first use: Z and Q callers never compile it.
-        from .modular import similar_odd
+        from .modular import similar_mod
 
-        return similar_odd(q1, q2)
+        return similar_mod(q1, q2)
     reason = _screen_not_similar(q1, q2)
     if reason is not None:
         return SimilarityVerdict("not_similar", reason=reason)
     if q1.coeffs() == q2.coeffs():
         return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
-    if isinstance(R, IntegerRing):
-        d = q1.discriminant()[1]
-        if d < 0:
-            return _definite_similarity(q1, q2)
-        if _nonsquare_positive(d):
-            # Imported on first use, as binquad.modular is.
-            from .indefinite import similar_indefinite
-
-            try:
-                return similar_indefinite(q1, q2)
-            except BudgetExceeded:
-                pass  # past the cycle limit: the screens and the search decide
-    elif isinstance(R, RationalRing):
+    if isinstance(R, RationalRing):
         return _rational_similarity(q1, q2)
-    # value-set screens are only worth their cost ahead of the search
-    reason = _value_set_screen(q1, q2)
-    if reason is not None:
-        return SimilarityVerdict("not_similar", reason=reason)
-    w = _bounded_witness_search(q1, q2, bound)
-    if w is not None:
-        if not w.verify(q1, q2):
-            raise AssertionError("witness search produced a bad witness")
-        return SimilarityVerdict("similar", witness=w)
-    return SimilarityVerdict("unknown", bound=bound)
+    d = q1.discriminant()[1]
+    if d < 0:
+        return _definite_similarity(q1, q2)
+    # Imported on first use, as binquad.modular is.
+    from .indefinite import CYCLE_LIMIT, similar_indefinite
+
+    try:
+        return similar_indefinite(q1, q2)
+    except BudgetExceeded:
+        reason = _value_set_screen(q1, q2)
+        if reason is not None:
+            return SimilarityVerdict("not_similar", reason=reason)
+        return SimilarityVerdict("unknown", reason="cycle_limit", bound=CYCLE_LIMIT)

@@ -1,5 +1,6 @@
 """Proper equivalence and similarity of integral binary forms with
-non-square discriminant D > 0, decided by cycles of reduced forms.
+discriminant D >= 0: by cycles of reduced forms for non-square D, and by
+a canonical split form for square D.
 
 A form (a, b, c) of discriminant D is reduced when |sqrt(D) - 2|a|| < b <
 sqrt(D).  The reduction operator rho(a, b, c) = (c, b', (b'^2 - D)/4c)
@@ -11,14 +12,22 @@ equivalent iff they lie on one rho-cycle (Buchmann & Vollmer, *Binary
 Quadratic Forms*, 2007, ch. 6; Cohen, GTM 138, section 5.6).  The theory
 scales with the content, so primitivity is not required.
 
+A form of square discriminant D = s^2 > 0 has two isotropic lines, and
+moving a primitive vector of one to e1 in SL2(Z) gives (0, +-s, C): the
+sign of s belongs to the line.  Moving the line with +s, then e2 by
+multiples of e1, gives the canonical form (0, s, C mod s), which the
+stabiliser of that line, (( +-1, k), (0, +-1)), cannot change further
+(Buell, *Binary Quadratic Forms*, 1989).  For D = 0 the one
+isotropic line gives (0, 0, m), and the canonical form is m*x^2.
+
 Forms are plain int triples and matrices plain 2x2 int tuples.  sqrt(D) is
-irrational, so every comparison with it is exact against r = isqrt(D):
-x < sqrt(D) iff x <= r, and x > sqrt(D) iff x > r.
+irrational for non-square D, so every comparison with it is exact against
+r = isqrt(D): x < sqrt(D) iff x <= r, and x > sqrt(D) iff x > r.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import BudgetExceeded
 from .form import SimilarityVerdict, SimilarityWitness, _value_set_screen
@@ -87,37 +96,72 @@ def _walk(f, targets, D: int, r: int):
     raise _over_limit("cycle walk")
 
 
+def _split(f, s: int):
+    """(g, T): g = (0, s, c) with 0 <= c < s (s > 0) or g = (m, 0, 0)
+    (s = 0), and f.act(T, 1) == g, det T = 1, for an int triple f of
+    discriminant s^2."""
+    a, b, c = f
+    lines = [(1, 0), (-c, b)] if a == 0 else [(-b + s, 2 * a), (-b - s, 2 * a)]
+    for x, y in lines:
+        g = gcd(x, y)
+        x, y = x // g, y // g
+        # (z, w) completes (x, y) to det 1: x*w - y*z = 1
+        if y == 0:
+            z, w = 0, x
+        else:
+            w = pow(x, -1, abs(y))
+            z = (x * w - 1) // y
+        B = 2 * a * x * z + b * (x * w + y * z) + 2 * c * y * w
+        C = a * z * z + b * z * w + c * w * w
+        if not s:
+            return (C, 0, 0), ((z, -x), (w, -y))
+        if B == s:
+            k = C // s
+            return (0, s, C - k * s), ((x, z - k * x), (y, w - k * y))
+    raise AssertionError("no isotropic line carries +s")
+
+
 def properly_equivalent_indefinite(q1, q2) -> bool:
     """q2.act(M, 1) == q1 for some M in SL2(Z), for forms over Z of one
-    non-square discriminant D > 0.  Raises BudgetExceeded past
-    CYCLE_LIMIT."""
+    discriminant D >= 0.  Raises BudgetExceeded past CYCLE_LIMIT."""
     D = q1.discriminant()[1]
     r = isqrt(D)
+    if r * r == D:
+        return _split(q1.coeffs(), r)[0] == _split(q2.coeffs(), r)[0]
     g1, _ = _reduce(q1.coeffs(), D, r)
     g2, _ = _reduce(q2.coeffs(), D, r)
     return _walk(g2, {g1: None}, D, r) is not None
 
 
 def similar_indefinite(q1, q2) -> SimilarityVerdict:
-    """Similarity of forms over Z of one non-square discriminant D > 0.
+    """Similarity of nonzero forms over Z of one discriminant D >= 0.
 
     q2(M v) = u q1(v) with M in GL2(Z), u = +-1 iff q2 is properly
-    equivalent to u * q1(N v) for one of u = +-1 and N = diag(1, +-1), so
-    q2's reduced cycle is walked once against the reductions of these four
-    variants.  A non-similar verdict names a value-set invariant when one
-    differs.  Raises BudgetExceeded past CYCLE_LIMIT."""
+    equivalent to u * q1(N v) for one of u = +-1 and N = diag(1, +-1).
+    For square D the canonical split forms of q2 and of these four
+    variants are compared; otherwise q2's reduced cycle is walked once
+    against the reductions of the four variants.  A non-similar verdict
+    names a value-set invariant when one differs.  Raises BudgetExceeded
+    past CYCLE_LIMIT."""
     D = q1.discriminant()[1]
     r = isqrt(D)
+    square = r * r == D
     a, b, c = q1.coeffs()
     targets = {}
     for u in (1, -1):
         for n in (1, -1):
-            g, T = _reduce((u * a, u * n * b, u * c), D, r)
+            f = (u * a, u * n * b, u * c)
+            g, T = _split(f, r) if square else _reduce(f, D, r)
             targets.setdefault(g, (T, n, u))
-    g2, T2 = _reduce(q2.coeffs(), D, r)
-    hit = _walk(g2, targets, D, r)
+    if square:
+        g2, T2 = _split(q2.coeffs(), r)
+        hit = (_I, targets[g2]) if g2 in targets else None
+    else:
+        g2, T2 = _reduce(q2.coeffs(), D, r)
+        hit = _walk(g2, targets, D, r)
     if hit is None:
-        return SimilarityVerdict("not_similar", reason=_value_set_screen(q1, q2) or "indefinite_cycle")
+        reason = "split_form" if square else "indefinite_cycle"
+        return SimilarityVerdict("not_similar", reason=_value_set_screen(q1, q2) or reason)
     # q2.act(T2 T, 1) == q1.act(N T1, u), so M = T2 T T1^-1 N.
     T, (T1, n, u) = hit
     (t00, t01), (t10, t11) = T1

@@ -1,21 +1,32 @@
-"""Similarity of binary forms over Z/n for odd n, decided by invariants.
+"""Similarity of binary forms over Z/n, decided by invariants.
 
 Over Z/p^k with p odd every binary form diagonalises, and two diagonal
 forms <alpha1 p^e1, alpha2 p^e2> and <beta1 p^f1, beta2 p^f2> (e1 <= e2,
 f1 <= f2, valuations capped at k) are similar iff (e1, e2) = (f1, f2) and,
 when e2 < k, alpha1*alpha2 and beta1*beta2 have the same Legendre class:
 the Jordan invariants of Cassels, *Rational Quadratic Forms*, ch. 8 and
-O'Meara, *Introduction to Quadratic Forms*, sections 92-93.  Z/n is the
-product of its prime powers, so the verdict over Z/n is the conjunction
-of the local verdicts, and the witness is glued from the local witnesses
-by CRT.
+O'Meara, *Introduction to Quadratic Forms*, sections 92-93.
+
+Over Z/2^k a form is 2^e times a primitive form q mod 2^t, t = k - e,
+and q is one of three Jordan constituents (O'Meara section 93; Conway &
+Sloane, *SPLAG*, ch. 15 section 7).  With b odd, q is xy or x^2 + xy + y^2
+as ac is even or odd: Hensel's lemma lifts an isotropic vector, or a
+vector of value 1, from Z/2.  With b even, q diagonalises to
+u*<1, 2^f w>, and det q = ac - b^2/4 mod 2^t is a similarity invariant up
+to unit squares (the units = 1 mod 8), so (f, w mod 2^min(t - f, 3))
+names the class; at t = 1 every such q is the square of a linear form.
+Each class gets one canonical form, reached by an explicit (M, lam).
+
+Z/n is the product of its prime powers, so the verdict over Z/n is the
+conjunction of the local verdicts, and the witness is glued from the
+local witnesses by CRT.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from .form import SimilarityVerdict, SimilarityWitness
+from .form import BinaryQuadraticForm, SimilarityVerdict, SimilarityWitness
 from .mat2 import mat, mident, minv, mmul
 from .ring import ModularRing
 
@@ -25,6 +36,8 @@ TRIAL_LIMIT = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The bases above decide primality for every n below this bound.
 _MR_PROVEN = 318665857834031151167461
+
+_I = ((1, 0), (0, 1))
 
 
 def _is_prime(n: int) -> bool:
@@ -161,9 +174,91 @@ def _local_witness(q1, q2, p: int, k: int):
 
 
 def _disc_classes_match(d1: int, d2: int, p: int, k: int) -> bool:
-    """Whether d2 = w^2 * d1 mod p^k for some unit w."""
+    """Whether d2 = w^2 * d1 mod p^k for some unit w: the unit squares
+    are the Legendre residues for p odd, and the units = 1 mod 8 for
+    p = 2."""
     (e1, u1), (e2, u2) = _val(d1 % p**k, p, k), _val(d2 % p**k, p, k)
-    return e1 == e2 and (e1 == k or _legendre(u1 * u2, p) == 1)
+    if e1 != e2 or e1 == k:
+        return e1 == e2
+    if p == 2:
+        return (u1 - u2) % 2 ** min(k - e1, 3) == 0
+    return _legendre(u1 * u2, p) == 1
+
+
+def _hensel2(f2: int, f1: int, f0: int, m: int) -> int:
+    """A root mod m = 2^t of f2*x^2 + f1*x + f0, for f0 even and f1 odd:
+    0 is a root mod 2 with an odd derivative, and Newton's step doubles
+    the precision."""
+    x = 0
+    while v := (f2 * x * x + f1 * x + f0) % m:
+        x = (x - v * pow(2 * f2 * x + f1, -1, m)) % m
+    return x
+
+
+def _sqrt2(x: int, s: int) -> int:
+    """r with r^2 = x mod 2^s, for x = 1 mod 2^min(s, 3): a root mod 2^j
+    (j >= 3) or r + 2^(j-1) is a root mod 2^(j+1)."""
+    r = 1
+    for j in range(3, s):
+        if (r * r - x) >> j & 1:
+            r += 1 << (j - 1)
+    return r
+
+
+def _canonical2(q, k: int):
+    """(N, lam, M) with q.act(M, lam) == N over Z/2^k, and N one form per
+    similarity class: zero, or 2^e times (0, 1, 0), (1, 1, 1), or
+    (1, 0, 2^f w) with 0 < w < 2^min(t - f, 3)."""
+    e = min(_val(x, 2, k)[0] for x in q.coeffs())
+    if e == k:
+        return (0, 0, 0), 1, _I
+    t = k - e
+    R = ModularRing(2**t)
+    g, T, lam = BinaryQuadraticForm(R, *(x >> e for x in q.coeffs())), _I, 1
+
+    def move(M):
+        nonlocal g, T
+        g, T = g.act(M, 1), mmul(R, T, M)
+
+    swap = ((0, 1), (1, 0))
+    a, b, c = g.coeffs()
+    if b % 2 and a * c % 2 == 0:
+        # xy: an isotropic vector (x, 1) to e1, then clear c and scale b to 1
+        if c % 2:
+            move(swap)
+        move(((_hensel2(*g.coeffs(), R.n), 1), (1, 0)))
+        move(((1, -g.c * R.inv(g.b)), (0, 1)))
+        move(((R.inv(g.b), 0), (0, 1)))
+    elif b % 2:
+        # x^2 + xy + y^2: a vector (1, y) of value 1 to e1, then b = 1, c = 1
+        move(((1, 0), (_hensel2(c, b, a - 1, R.n), 1)))
+        move(((1, (1 - g.b) // 2), (0, 1)))
+        x = _hensel2(4 * g.c - 1, 1 - 4 * g.c, g.c - 1, R.n)
+        move(((1, x), (0, 1 - 2 * x)))
+    else:
+        # <1, h> after completing the square on an odd a and scaling by 1/a
+        if a % 2 == 0:
+            move(swap)
+        move(((1, -(g.b // 2) * R.inv(g.a)), (0, 1)))
+        lam = R.inv(g.a)
+        g = BinaryQuadraticForm(R, 1, 0, lam * g.c)
+        f, w = _val(g.c, 2, t)
+        if t == 1 and f == 0:
+            move(((1, 1), (0, 1)))  # x^2 + y^2 = (x + y)^2 mod 2
+        elif f < t:
+            j = min(t - f, 3)
+            move(((1, 0), (0, _sqrt2(w % 2**j * R.inv(w), t - f))))
+    return tuple(x << e for x in g.coeffs()), lam, T
+
+
+def _dyadic_witness(q1, q2, k: int):
+    """(lam, M) over Z/2^k with q2(M v) = lam * q1(v), or None when the
+    canonical forms differ."""
+    (N1, lam1, M1), (N2, lam2, M2) = _canonical2(q1, k), _canonical2(q2, k)
+    if N1 != N2:
+        return None
+    R = ModularRing(2**k)
+    return R.normalize(lam1 * R.inv(lam2)), mmul(R, M2, minv(R, M1))
 
 
 def _crt(residues, moduli) -> int:
@@ -174,9 +269,9 @@ def _crt(residues, moduli) -> int:
     return x % n
 
 
-def similar_odd(q1, q2) -> SimilarityVerdict:
-    """Similarity over Z/n with n odd, for forms that passed the zero
-    screen: decided unless n cannot be factored within TRIAL_LIMIT."""
+def similar_mod(q1, q2) -> SimilarityVerdict:
+    """Similarity over Z/n, for forms that passed the zero screen:
+    decided unless n cannot be factored within TRIAL_LIMIT."""
     R = q1.ring
     if q1.coeffs() == q2.coeffs():
         return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
@@ -186,7 +281,7 @@ def similar_odd(q1, q2) -> SimilarityVerdict:
     d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
     if not all(_disc_classes_match(d1, d2, p, k) for p, k in primes.items()):
         return SimilarityVerdict("not_similar", reason="discriminant")
-    local = [_local_witness(q1, q2, p, k) for p, k in primes.items()]
+    local = [_dyadic_witness(q1, q2, k) if p == 2 else _local_witness(q1, q2, p, k) for p, k in primes.items()]
     if None in local:
         return SimilarityVerdict("not_similar", reason="jordan_invariants")
     moduli = [p**k for p, k in primes.items()]

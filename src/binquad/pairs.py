@@ -7,21 +7,17 @@ The correspondence: a traceable pair normalizes (by shifting the
 generator) to an action matrix [[b, c], [-a, 0]], whose read-off is the
 form (a, b, c); conversely a form yields (even algebra, left action
 matrix).  Pair isomorphism is decided by one route: form similarity,
-whose witness is transported to a pair witness.  The bounded matrix
-search `pairs_isomorphic_search` is kept only as an independent oracle
-for tests.
+whose witness is transported to a pair witness; no search runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .clifford import (
     AlgebraWitness,
     QuadraticAlgebra,
-    _witness_for_eps,
     even_clifford,
     m_left,
     module_axiom_holds,
@@ -35,7 +31,7 @@ from .errors import (
 )
 from .form import BinaryQuadraticForm, similar
 from .mat2 import madd, mat, mat_from_json, mat_to_json, mdet, mident, mmul, mscale
-from .ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, fraction_sqrt, ring_from_json
+from .ring import IntegerRing, QQ, RationalRing, Ring, RingHom, fraction_sqrt, ring_from_json
 
 
 @dataclass(frozen=True)
@@ -163,25 +159,6 @@ class PairVerdict:
         return out
 
 
-def _algebra_map_candidates(p: CliffordPair, p2: CliffordPair):
-    """Witnesses for maps alg(p) -> alg(p2).
-
-    Over Z and Q the units that can appear are +-1; over a modular ring
-    every unit is a possible twist, so all of them are tried."""
-    out = []
-    if not p.ring.two_is_regular():
-        return out
-    if isinstance(p.ring, ModularRing):
-        units = p.ring.units()
-    else:
-        units = (1, -1)
-    for eps in units:
-        w = _witness_for_eps(p2.alg, p.alg, eps)
-        if w is not None:
-            out.append(w)
-    return out
-
-
 def _witness_from_similarity(p, p2, shift1, shift2, q2, simw) -> Optional[PairWitness]:
     """Pair witness transported from a form-similarity witness.
 
@@ -206,48 +183,15 @@ def _witness_from_similarity(p, p2, shift1, shift2, q2, simw) -> Optional[PairWi
     return witness if witness.verify(p, p2) else None
 
 
-def pairs_isomorphic_search(p: CliffordPair, p2: CliffordPair, bound: int = 12) -> Optional[PairWitness]:
-    """Brute-force oracle: enumerate psi with entries up to the bound."""
-    R = p.ring
-    candidates = _algebra_map_candidates(p, p2)
-    if not candidates:
-        return None
-    if isinstance(R, ModularRing) and R.n <= 2 * bound + 1:
-        rng = range(R.n)
-    else:
-        rng = range(-bound, bound + 1)
-    images = []
-    for phi in candidates:
-        images.append(
-            (
-                phi,
-                madd(
-                    R,
-                    mscale(R, phi.k, mident(R)),
-                    mscale(R, R.normalize(phi.eps), p2.m),
-                ),
-            )
-        )
-    M = p.m
-    for e00, e01, e10, e11 in product(rng, repeat=4):
-        psi = mat(R, ((e00, e01), (e10, e11)))
-        if not R.is_unit(mdet(R, psi)):
-            continue
-        lhs = mmul(R, psi, M)
-        for phi, N in images:
-            if lhs == mmul(R, N, psi):
-                return PairWitness(psi, phi)
-    return None
-
-
-def pairs_isomorphic(p: CliffordPair, p2: CliffordPair, bound: int = 12) -> PairVerdict:
+def pairs_isomorphic(p: CliffordPair, p2: CliffordPair) -> PairVerdict:
     """Decide pair isomorphism by converting to forms.
 
     Both pairs must be traceable.  The read-off forms are compared with
-    `similar`: a similarity witness is transported into an explicit
-    (psi, phi) witness, a non-similarity keeps its reason, and an
-    `unknown` keeps its reason and bound.  `pairs_isomorphic_search` is
-    the independent oracle and never runs here.
+    `similar`, which decides every case by invariants: a similarity
+    witness is transported into an explicit (psi, phi) witness and
+    verified, a non-similarity keeps its reason, and an `unknown` (a
+    modulus that cannot be factored, or cycles past the cycle limit)
+    keeps its reason and bound.  Nothing is searched.
     """
     if not p.is_traceable() or not p2.is_traceable():
         raise NotTraceable("pair isomorphism is defined for traceable pairs")
@@ -259,7 +203,7 @@ def pairs_isomorphic(p: CliffordPair, p2: CliffordPair, bound: int = 12) -> Pair
     _, shift1 = normalize_pair(p)
     _, shift2 = normalize_pair(p2)
     q2 = pair_to_form(p2)
-    verdict = similar(pair_to_form(p), q2, bound=bound)
+    verdict = similar(pair_to_form(p), q2)
     if verdict.verdict == "not_similar":
         return PairVerdict("not_isomorphic", reason=verdict.reason)
     if verdict.verdict == "unknown":

@@ -1,0 +1,183 @@
+"""Brute-force oracles for the similarity and pair-isomorphism tests.
+
+None of these runs when binquad answers a request: the library decides
+every case by invariants, and the tests compare it with the searches and
+orbit enumerations below.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from itertools import product
+from math import gcd
+from typing import Optional
+
+from binquad.clifford import _witness_for_eps
+from binquad.form import SimilarityWitness
+from binquad.mat2 import madd, mat, mdet, mident, mmul, mscale
+from binquad.pairs import CliffordPair, PairWitness
+from binquad.ring import ModularRing, RationalRing, Ring, ZZ
+
+
+def spiral(bound: int):
+    """0, 1, -1, 2, -2, ...: small witnesses are found first."""
+    out = [0]
+    for k in range(1, bound + 1):
+        out.extend((k, -k))
+    return out
+
+
+def iter_unit_matrices(ring: Ring, bound: int):
+    """Unit-determinant matrices with entries up to the bound (all of Z/n
+    when n <= 2 * bound + 1)."""
+    if isinstance(ring, ModularRing) and ring.n <= 2 * bound + 1:
+        rng = list(range(ring.n))
+    else:
+        rng = spiral(bound)
+    for m00, m10 in product(rng, repeat=2):
+        for m01, m11 in product(rng, repeat=2):
+            M = mat(ring, ((m00, m01), (m10, m11)))
+            if ring.is_unit(mdet(ring, M)):
+                yield M
+
+
+def bounded_witness_search(q1, q2, bound: int) -> Optional[SimilarityWitness]:
+    """M (entries up to the bound) and a unit u with q2(Mv) = u q1(v)."""
+    R = q1.ring
+    rational = isinstance(R, RationalRing)
+    units = None if rational else R.units()
+    for M in iter_unit_matrices(ZZ if rational else R, bound):
+        if rational:
+            M = mat(R, M)
+            if not R.is_unit(mdet(R, M)):
+                continue
+        col1 = (M[0][0], M[1][0])
+        col2 = (M[0][1], M[1][1])
+        a2 = q2.evaluate(*col1)
+        b2 = q2.polar(col1, col2)
+        c2 = q2.evaluate(*col2)
+        if rational:
+            # u is forced by the first nonzero coefficient of q1.
+            pairs = ((q1.a, a2), (q1.b, b2), (q1.c, c2))
+            u = None
+            for lhs, rhs in pairs:
+                if lhs != 0:
+                    u = rhs / lhs
+                    break
+            if u is None or u == 0:
+                continue
+            if all(rhs == u * lhs for lhs, rhs in pairs):
+                return SimilarityWitness(M, u)
+        else:
+            for u in units:
+                if a2 == R.mul(u, q1.a) and b2 == R.mul(u, q1.b) and c2 == R.mul(u, q1.c):
+                    return SimilarityWitness(M, R.normalize(u))
+    return None
+
+
+def column_search(q1, q2, bound: int) -> Optional[SimilarityWitness]:
+    """The same search over Z, column by column: the first column v of M
+    must have q2(v) = u*a1, so only those v are paired with second
+    columns.  O(bound^2) per column instead of O(bound^4)."""
+    box = list(product(range(-bound, bound + 1), repeat=2))
+    for u in (1, -1):
+        firsts = [v for v in box if q2.evaluate(*v) == u * q1.a]
+        seconds = [w for w in box if q2.evaluate(*w) == u * q1.c]
+        for (p, r), (s, t) in product(firsts, seconds):
+            if p * t - r * s in (1, -1) and q2.polar((p, r), (s, t)) == u * q1.b:
+                return SimilarityWitness(((p, s), (r, t)), u)
+    return None
+
+
+def value_set_screen_mod(q1, q2) -> bool:
+    """Whether the value sets over Z/n differ by every unit: an O(n^2)
+    invariant that certifies non-similarity."""
+    R = q1.ring
+    vals1 = frozenset(q1.evaluate(x, y) for x in range(R.n) for y in range(R.n))
+    vals2 = frozenset(q2.evaluate(x, y) for x in range(R.n) for y in range(R.n))
+    return not any(frozenset(R.mul(u, v) for v in vals1) == vals2 for u in R.units())
+
+
+def discriminant_screen_units(q1, q2) -> bool:
+    """Whether d2 = w^2 * d1 over Z/n fails for every unit w."""
+    R = q1.ring
+    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+    return not any(R.mul(R.mul(w, w), d1) == d2 for w in R.units())
+
+
+@cache
+def orbit_labels(n: int, units: Optional[tuple] = None):
+    """Similarity classes of all forms over Z/n by union-find under
+    generators of GL2(Z/n) x units: the two elementary matrices generate
+    SL2, and diag(u, 1) and the scale u add the units.  `units` may be a
+    generating set of the unit group (-1 and 5 generate it for n = 2^k);
+    by default every unit is used."""
+    idx = lambda f: (f[0] * n + f[1]) * n + f[2]
+    parent = list(range(n**3))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    if units is None:
+        units = tuple(u for u in range(1, n) if gcd(u, n) == 1)
+    moves = [lambda a, b, c: (a, 2 * a + b, a + b + c), lambda a, b, c: (a + b + c, b + 2 * c, c)]
+    moves += [lambda a, b, c, u=u: (u * u * a, u * b, c) for u in units]
+    moves += [lambda a, b, c, u=u: (u * a, u * b, u * c) for u in units]
+    for f in product(range(n), repeat=3):
+        i = find(idx(f))
+        for move in moves:
+            j = find(idx(tuple(x % n for x in move(*f))))
+            if i != j:
+                parent[j] = i
+    return {f: find(idx(f)) for f in product(range(n), repeat=3)}
+
+
+def dyadic_orbit_labels(k: int):
+    """orbit_labels over Z/2^k with the units generated by -1 and 5."""
+    n = 2**k
+    return orbit_labels(n, (n - 1, 5 % n))
+
+
+def algebra_map_candidates(p: CliffordPair, p2: CliffordPair):
+    """Witnesses for maps alg(p) -> alg(p2).
+
+    Over Z and Q the units that can appear are +-1; over a modular ring
+    every unit is a possible twist, so all of them are tried."""
+    out = []
+    if not p.ring.two_is_regular():
+        return out
+    units = p.ring.units() if isinstance(p.ring, ModularRing) else (1, -1)
+    for eps in units:
+        w = _witness_for_eps(p2.alg, p.alg, eps)
+        if w is not None:
+            out.append(w)
+    return out
+
+
+def pairs_isomorphic_search(p: CliffordPair, p2: CliffordPair, bound: int = 12) -> Optional[PairWitness]:
+    """Enumerate psi with entries up to the bound."""
+    R = p.ring
+    candidates = algebra_map_candidates(p, p2)
+    if not candidates:
+        return None
+    if isinstance(R, ModularRing) and R.n <= 2 * bound + 1:
+        rng = range(R.n)
+    else:
+        rng = range(-bound, bound + 1)
+    images = [
+        (phi, madd(R, mscale(R, phi.k, mident(R)), mscale(R, R.normalize(phi.eps), p2.m)))
+        for phi in candidates
+    ]
+    M = p.m
+    for e00, e01, e10, e11 in product(rng, repeat=4):
+        psi = mat(R, ((e00, e01), (e10, e11)))
+        if not R.is_unit(mdet(R, psi)):
+            continue
+        lhs = mmul(R, psi, M)
+        for phi, N in images:
+            if lhs == mmul(R, N, psi):
+                return PairWitness(psi, phi)
+    return None

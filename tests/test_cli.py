@@ -67,9 +67,22 @@ def test_similar_unknown_exit_code(capsys):
     code, out = run_json(capsys, ["similar", form_json(1, 0, -34), form_json(2, 0, -17)])
     assert code == 0 and out["verdict"] == "similar"
     assert SimilarityWitness.from_json(out["witness"], ZZ).verify(bqf(1, 0, -34), bqf(2, 0, -17))
+    # D = 49 is a square: the canonical split forms decide it
     code, out = run_json(capsys, ["similar", form_json(1, 7, 0), form_json(3, 7, 0)])
+    assert code == 2
+    assert out == {"verdict": "not_similar", "reason": "split_form"}
+    # a modulus whose least prime factor is past the trial bound
+    big = json.dumps({"ring": "mod", "n": 1000003 * 1000033})
+    code, out = run_json(capsys, ["similar", '{"a":1,"b":0,"c":1,"ring":%s}' % big, '{"a":1,"b":0,"c":3,"ring":%s}' % big])
     assert code == 3
-    assert out == {"verdict": "unknown", "bound": 12}
+    assert out == {"verdict": "unknown", "reason": "factoring", "bound": 1000000}
+
+
+def test_similar_has_no_bound_flag(capsys):
+    # no request path searches, so there is no search bound to set
+    code = run(["similar", form_json(1, 7, 0), form_json(3, 7, 0), "--bound", "3"])
+    assert code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_similar_rational_scaled_form(capsys):
@@ -287,7 +300,8 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
     q1, q2 = '{"a":0,"b":2,"c":0' + z4, '{"a":2,"b":0,"c":0' + z4
     calls = [
         ["similar", "--help"],
-        ["similar", q1, q2, "--bound", "3"],
+        ["dual", "--trace", q1],
+        ["dual", q1],
         ["similar", q1, q2],
         ["--ring", "mod:7", "disc", '{"a":1,"b":5,"c":9}'],
         ["disc", '{"a":1,"b":5,"c":9}'],
@@ -317,6 +331,26 @@ def test_similar_odd_modulus_is_decided_in_time(capsys):
     for n in (1009, 10007):
         R = ModularRing(n)
         q1, q2 = BinaryQuadraticForm(R, 1, 0, 1), BinaryQuadraticForm(R, 1, 0, 3)
+        start = time.perf_counter()
+        code, out = run_json(capsys, ["similar", json.dumps(q1.to_json()), json.dumps(q2.to_json())])
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out["verdict"] == "similar"
+        assert SimilarityWitness.from_json(out["witness"], R).verify(q1, q2)
+
+
+def test_similar_even_modulus_and_square_discriminant_in_time(capsys):
+    # Z/2018 = Z/2 x Z/1009 and Z/(2^20 * 1009) are decided prime power by
+    # prime power, and D = 49 by canonical split forms.
+    from binquad.form import BinaryQuadraticForm, SimilarityWitness
+    from binquad.ring import ModularRing, ZZ
+
+    cases = [
+        (ModularRing(2018), (1, 0, 1), (1, 0, 3)),
+        (ModularRing(2**20 * 1009), (1, 0, 1), (1, 0, 41)),
+        (ZZ, (1, 7, 0), BinaryQuadraticForm(ZZ, 1, 7, 0).act(((2, 3), (1, 2)), -1).coeffs()),
+    ]
+    for R, f, g in cases:
+        q1, q2 = BinaryQuadraticForm(R, *f), BinaryQuadraticForm(R, *g)
         start = time.perf_counter()
         code, out = run_json(capsys, ["similar", json.dumps(q1.to_json()), json.dumps(q2.to_json())])
         assert time.perf_counter() - start < 2

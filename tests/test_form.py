@@ -16,6 +16,7 @@ from binquad.form import (
 )
 from binquad.mat2 import mdet, mmul
 from binquad.ring import ModularRing, QQ, ZZ
+from oracles import bounded_witness_search
 
 small = st.integers(min_value=-8, max_value=8)
 
@@ -209,9 +210,11 @@ def test_similar_unknown_is_honest():
     v = similar(q1, q2)
     assert v.is_similar and v.witness.verify(q1, q2)
     assert SimilarityWitness(((-3, -17), (-1, -6)), 1).verify(q1, q2)
-    # D = 49 is a square: screened and searched, and left undecided.
+    # D = 49 is a square: x*(x + 7y) and x*(3x + 7y) have the canonical
+    # split forms (0, 7, 1) and (0, 7, 5), whose classes u = -1 and
+    # y -> -y do not join.  Over Z only the cycle limit leaves an unknown.
     v = similar(bqf(1, 7, 0), bqf(3, 7, 0))
-    assert v.verdict == "unknown" and v.bound == 12
+    assert v.to_json(ZZ) == {"verdict": "not_similar", "reason": "split_form"}
 
 
 def test_similar_content_screen():
@@ -265,8 +268,10 @@ def test_properly_equivalent():
     assert properly_equivalent(bqf(4, 5, 3), bqf(2, -1, 3))
     assert not properly_equivalent(bqf(2, 1, 3), bqf(2, -1, 3))
     assert not properly_equivalent(bqf(2, 1, 3), bqf(1, 1, 6))
+    # D = 4 is a square: decided by the canonical split form
+    assert properly_equivalent(bqf(1, 0, -1), bqf(0, 2, 1))
     with pytest.raises(NotDefinite):
-        properly_equivalent(bqf(1, 0, -1), bqf(1, 0, -1))
+        properly_equivalent(BinaryQuadraticForm(ModularRing(5), 1, 0, 1), BinaryQuadraticForm(ModularRing(5), 1, 0, 1))
 
 
 def test_value_set_is_a_class_invariant():
@@ -319,7 +324,7 @@ tiny = st.integers(min_value=-1, max_value=1)
     st.booleans(),
 )
 def test_rational_screen_never_contradicts_the_search(c1, c2, m, u, moved):
-    from binquad.form import _bounded_witness_search, _screen_not_similar
+    from binquad.form import _screen_not_similar
 
     q1 = BinaryQuadraticForm(QQ, *c1)
     M = ((m[0], m[1]), (m[2], m[3]))
@@ -329,7 +334,7 @@ def test_rational_screen_never_contradicts_the_search(c1, c2, m, u, moved):
         q2 = BinaryQuadraticForm(QQ, *c2)
     if q1.is_zero() != q2.is_zero():
         return
-    w = _bounded_witness_search(q1, q2, 1)
+    w = bounded_witness_search(q1, q2, 1)
     if w is not None:
         assert w.verify(q1, q2)
         assert _screen_not_similar(q1, q2) is None

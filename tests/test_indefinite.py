@@ -4,12 +4,14 @@ from itertools import product
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from binquad.errors import BudgetExceeded, DomainError, NotDefinite
-from binquad.form import _bounded_witness_search, _value_set_screen, bqf, properly_equivalent, similar
+from binquad.errors import BudgetExceeded, DomainError
+from binquad.form import _value_set_screen, bqf, properly_equivalent, similar
+from binquad.indefinite import CYCLE_LIMIT
 from binquad.mat2 import mmul
 from binquad.ring import ZZ
+from oracles import bounded_witness_search, column_search
 
 coef = st.integers(min_value=-9, max_value=9)
 
@@ -54,7 +56,7 @@ def test_cycle_finds_every_witness_the_search_finds(f, a2, b2):
         return
     q2 = bqf(a2, b2, (b2 * b2 - D) // (4 * a2))
     v = similar(q1, q2)
-    w = _bounded_witness_search(q1, q2, 3)
+    w = bounded_witness_search(q1, q2, 3)
     if v.is_similar:
         assert v.witness.verify(q1, q2)
     else:
@@ -87,10 +89,10 @@ def _brute_sl2_orbit(q, bound):
 def test_properly_equivalent_against_sl2_search():
     by_disc = {}
     for f in product(range(-3, 4), repeat=3):
-        if _nonsquare_positive(f):
+        if f[1] ** 2 - 4 * f[0] * f[2] >= 0:
             by_disc.setdefault(f[1] ** 2 - 4 * f[0] * f[2], []).append(bqf(*f))
-    checked = 0
-    for group in by_disc.values():
+    checked = square = 0
+    for D, group in by_disc.items():
         for q1 in group:
             orbit = _brute_sl2_orbit(q1, 3)
             for q2 in group:
@@ -99,10 +101,46 @@ def test_properly_equivalent_against_sl2_search():
                 if q2.coeffs() in orbit:
                     assert pe
                     checked += 1
-    assert checked > 100
+                    square += isqrt(D) ** 2 == D
+    assert checked > 100 and square > 100
     assert not properly_equivalent(bqf(-2, 2, 1), bqf(2, 2, -1))
-    with pytest.raises(NotDefinite):
-        properly_equivalent(bqf(1, 7, 0), bqf(1, 7, 0))
+    # square D: x*(x + 7y) is (0, 7, 1) and x*(3x + 7y) is (0, 7, 5)
+    assert properly_equivalent(bqf(1, 7, 0), bqf(0, 7, 1))
+    assert properly_equivalent(bqf(3, 7, 0), bqf(0, 7, 5))
+    assert not properly_equivalent(bqf(1, 7, 0), bqf(3, 7, 0))
+    # D = 0: m*x^2 keeps the sign of m
+    assert properly_equivalent(bqf(4, 4, 1), bqf(1, 0, 0))
+    assert not properly_equivalent(bqf(1, 0, 0), bqf(-1, 0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=29),
+    st.integers(min_value=0, max_value=29),
+    st.integers(min_value=1, max_value=3),
+    steps,
+    steps,
+    st.booleans(),
+    st.sampled_from((1, -1)),
+)
+def test_square_discriminants_agree_with_the_column_search(s, c1, c2, g, word1, word2, flip, u):
+    # Canonical forms (0, s, c) with 0 <= c < s, or +-x^2 for D = 0, times
+    # a content g, moved off their canonical place.  Between two canonical
+    # forms of content g every witness has entries at most s, so the column
+    # search at that bound is complete.
+    if s:
+        r1, r2 = bqf(0, g * s, g * (c1 % s)), bqf(0, g * s, g * (c2 % s))
+    else:
+        r1, r2 = bqf((-1) ** c1 * g, 0, 0), bqf((-1) ** c2 * g, 0, 0)
+    q1 = r1.act(_gl2(word1, False), 1)
+    q2 = r2.act(_gl2(word2, flip), u)
+    v = similar(q1, q2)
+    assert v.is_decided
+    assert v.is_similar == (column_search(r1, r2, max(s, 1)) is not None)
+    if v.is_similar:
+        assert v.witness.verify(q1, q2)
+    assert properly_equivalent(q1, r1) and properly_equivalent(q2, r2.act(_gl2([], flip), u))
 
 
 # Narrow class numbers h+(D), from the class number h(D) and the norm of
@@ -142,10 +180,10 @@ def test_large_coefficients_end_in_time():
     start = time.perf_counter()
     v = similar(q1, q1.act(((3, 7), (2, 5)), -1))
     assert v.is_similar and v.witness.verify(q1, q1.act(((3, 7), (2, 5)), -1))
-    # the cycle of D ~ 2^2050 is far longer than the limit: the verdict
-    # falls back to the screens and the bounded search
+    # the cycle of D ~ 2^2050 is far longer than the limit: after the
+    # value-set screen the verdict is an unknown that names the budget
     v = similar(q1, q2)
-    assert v.verdict != "similar" or v.witness.verify(q1, q2)
+    assert v.to_json(ZZ) == {"verdict": "unknown", "reason": "cycle_limit", "bound": CYCLE_LIMIT}
     assert time.perf_counter() - start < 10
     with pytest.raises(BudgetExceeded, match="CYCLE_LIMIT") as err:
         properly_equivalent(q1, q2)

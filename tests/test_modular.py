@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binquad.clifford import QuadraticAlgebra
-from binquad.form import BinaryQuadraticForm, _bounded_witness_search, similar
+from binquad.form import BinaryQuadraticForm, similar
 from binquad.modular import TRIAL_LIMIT, factor
 from binquad.pairs import CliffordPair, form_to_pair, pairs_isomorphic
 from binquad.ring import ModularRing
+from oracles import (
+    bounded_witness_search,
+    discriminant_screen_units,
+    dyadic_orbit_labels,
+    orbit_labels,
+    value_set_screen_mod,
+)
 
 # Odd moduli with their factorizations, written out so that the tests do
 # not lean on binquad.modular.factor: primes, prime powers and products,
@@ -70,7 +77,7 @@ def test_factor_budget_is_reported_not_exceeded():
     assert similar(BinaryQuadraticForm(R, 1, 2, 3), BinaryQuadraticForm(R, 1, 2, 3)).is_similar
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15])
 def test_agrees_with_exhaustive_search(n):
     # At bound 12 the search enumerates all of Z/n for n <= 25, so a miss
     # means the forms are not similar.  The search is O(n^4 phi(n)) per
@@ -85,47 +92,30 @@ def test_agrees_with_exhaustive_search(n):
             q2 = q1.act(_gl2(rng, n), _unit(rng, n))
         v = similar(q1, q2)
         assert v.is_decided
-        assert v.is_similar == (_bounded_witness_search(q1, q2, 12) is not None)
+        assert v.is_similar == (bounded_witness_search(q1, q2, 12) is not None)
         if v.is_similar:
             assert v.witness.verify(q1, q2)
+        # the screens over the units that similar used to run
+        if v.reason != "zero":
+            assert discriminant_screen_units(q1, q2) == (v.reason == "discriminant")
+        assert not (v.is_similar and value_set_screen_mod(q1, q2))
 
 
-def _orbit_labels(n):
-    """Similarity classes of all forms over Z/n by union-find under
-    generators of GL2(Z/n) x units: the two elementary matrices generate
-    SL2, and diag(u, 1) and the scale u add the units."""
-    idx = lambda f: (f[0] * n + f[1]) * n + f[2]
-    parent = list(range(n**3))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
-    moves = [lambda a, b, c: (a, 2 * a + b, a + b + c), lambda a, b, c: (a + b + c, b + 2 * c, c)]
-    moves += [lambda a, b, c, u=u: (u * u * a, u * b, c) for u in units]
-    moves += [lambda a, b, c, u=u: (u * a, u * b, u * c) for u in units]
-    for f in product(range(n), repeat=3):
-        i = find(idx(f))
-        for move in moves:
-            j = find(idx(tuple(x % n for x in move(*f))))
-            if i != j:
-                parent[j] = i
-    return {f: find(idx(f)) for f in product(range(n), repeat=3)}
+def _labels(n):
+    """Orbit labels over Z/n for n odd or a power of 2."""
+    return orbit_labels(n) if n % 2 else dyadic_orbit_labels(n.bit_length() - 1)
 
 
-@pytest.mark.parametrize("n", [9, 15, 25, 27])
+@pytest.mark.parametrize("n", [9, 15, 25, 27, 2, 4, 8, 16, 32, 64])
 def test_agrees_with_orbits(n):
     R = ModularRing(n)
-    label = _orbit_labels(n)
+    label = _labels(n)
     forms = list(label)
     reps = {}
     for f in forms:
         reps.setdefault(label[f], f)
     rng = random.Random(n)
-    pairs = [(r, f) for r in reps.values() for f in rng.sample(forms, 60)]
+    pairs = [(r, f) for r in reps.values() for f in rng.sample(forms, min(60, len(forms)))]
     pairs += [(rng.choice(forms), rng.choice(forms)) for _ in range(500)]
     for f, g in pairs:
         q1, q2 = BinaryQuadraticForm(R, *f), BinaryQuadraticForm(R, *g)
@@ -140,7 +130,7 @@ def test_unknown_cases_of_the_search_are_decided():
     # their scaled unimodular parts differ in square class.
     R = ModularRing(9)
     q1, q2 = BinaryQuadraticForm(R, 0, 3, 0), BinaryQuadraticForm(R, 3, 0, 3)
-    assert _bounded_witness_search(q1, q2, 12) is None
+    assert bounded_witness_search(q1, q2, 12) is None
     assert similar(q1, q2).to_json(R) == {"verdict": "not_similar", "reason": "jordan_invariants"}
 
 
@@ -208,3 +198,44 @@ def test_pairs_isomorphic_transports_the_witness(n):
         p1 = form_to_pair(q1)
         v = pairs_isomorphic(p1, shifted)
         assert v.is_isomorphic and v.witness is not None and v.witness.verify(p1, shifted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=19),
+    st.sampled_from((1, 3, 5, 9, 15, 1009, 4999)),
+    seeds,
+    st.sampled_from(("moved", "random", "dyadic_twist")),
+)
+def test_even_moduli_are_decided_with_verified_witnesses(k, m, seed, kind):
+    # n = 2^k * m: a moved form is similar; a random form, or a moved form
+    # changed by m * 2^j (which leaves the odd part alone), may not be.
+    # Where the orbit oracle runs, the verdict is the conjunction of the
+    # orbits mod 2^k and mod m.
+    n = 2**k * m
+    if n > 10**6:
+        k = (10**6 // m).bit_length() - 1
+        n = 2**k * m
+    R = ModularRing(n)
+    rng = random.Random(seed)
+    d = 2 ** rng.randint(0, k) * rng.choice([x for x in range(1, m + 1) if m % x == 0])
+    q1 = BinaryQuadraticForm(R, *(d * rng.randrange(n) for _ in range(3)))
+    q2 = q1.act(_gl2(rng, n), _unit(rng, n))
+    if kind == "random":
+        q2 = BinaryQuadraticForm(R, *(rng.randrange(n) * 2 ** rng.randint(0, k) for _ in range(3)))
+    elif kind == "dyadic_twist":
+        i, j = rng.randrange(3), rng.randrange(k)
+        c = list(q2.coeffs())
+        c[i] += m * 2**j * rng.choice((1, 3))
+        q2 = BinaryQuadraticForm(R, *c)
+    if q1.is_zero() or q2.is_zero():
+        return
+    v = similar(q1, q2)
+    assert v.is_decided
+    assert v.is_similar or kind != "moved"
+    if v.is_similar:
+        assert v.witness.verify(q1, q2)
+    if 2**k <= 64 and m <= 15:
+        f, g = q1.coeffs(), q2.coeffs()
+        same = lambda label, p: label[tuple(x % p for x in f)] == label[tuple(x % p for x in g)]
+        assert v.is_similar == (same(dyadic_orbit_labels(k), 2**k) and (m == 1 or same(orbit_labels(m), m)))

@@ -1,12 +1,13 @@
 import json
 import random
 import time
+from pathlib import Path
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from binquad import pairs
 from binquad.clifford import QuadraticAlgebra
@@ -22,10 +23,10 @@ from binquad.pairs import (
     normalize_pair,
     pair_to_form,
     pairs_isomorphic,
-    pairs_isomorphic_search,
     wood_pair,
 )
 from binquad.ring import ModularRing, QQ, ZZ
+from oracles import dyadic_orbit_labels, pairs_isomorphic_search
 
 small = st.integers(min_value=-7, max_value=7)
 
@@ -315,10 +316,6 @@ def similar_or_random_pairs(draw):
         q2 = q1.act(((e[0], e[1]), (e[2], e[3])), draw(unit))
     else:
         q2 = BinaryQuadraticForm(R, draw(elem), draw(elem), draw(elem))
-    if R is ZZ:
-        # square discriminants over Z are searched; they have their own
-        # test below
-        assume(not any(_is_square(q.b * q.b - 4 * q.a * q.c) for q in (q1, q2)))
     return shifted_pair(q1, draw(elem)), shifted_pair(q2, draw(elem))
 
 
@@ -337,77 +334,114 @@ def test_every_similarity_witness_transports_to_a_pair_witness(pq):
         assert (v.verdict, v.witness, v.reason) == (verdict, None, s.reason)
 
 
-def test_pair_search_finds_nothing_where_similarity_is_unknown():
-    # Over Z a pair witness psi is a similarity witness M = psi with
-    # u = det(psi)/eps = +-1 and the same entries, so at the same bound the
-    # pair search retraces the exhausted similarity search.  Over an even
-    # modulus 2 is not regular and the search has no algebra map to try.
+def test_pair_verdicts_agree_with_the_oracles_where_similarity_was_unknown():
+    # Square discriminants over Z and even moduli, where a search once
+    # answered unknown.  Over Z a pair witness psi is a similarity witness
+    # M = psi with u = det(psi)/eps = +-1, so the pair search at bound 3
+    # finds one only for isomorphic pairs.  Over an even modulus 2 is not
+    # regular and the pair search has no algebra map to try, so the orbits
+    # of the forms are the oracle.
     rng = random.Random(71)
     by_disc = {}
     for a, b, c in product(range(-9, 10), repeat=3):
         if b * b - 4 * a * c > 0 and _is_square(b * b - 4 * a * c):
             by_disc.setdefault(b * b - 4 * a * c, []).append(bqf(a, b, c))
     square = [fs for fs in by_disc.values() if len(fs) > 1]
-    cases = []
-    while len(cases) < 40:
-        q1, q2 = rng.sample(rng.choice(square), 2)
-        if similar(q1, q2, bound=3).verdict == "unknown":
-            cases.append((q1, q2, 3))
-    assert similar(bqf(1, 7, 0), bqf(3, 7, 0), bound=3).verdict == "unknown"
-    cases.append((bqf(1, 7, 0), bqf(3, 7, 0), 3))
-    for n, sample in ((2, None), (4, None), (8, 1500)):
-        R = ModularRing(n)
-        forms = [BinaryQuadraticForm(R, *c) for c in product(range(n), repeat=3)]
-        grid = [(q1, q2) for q1 in forms for q2 in forms]
-        found = [(q1, q2, 12) for q1, q2 in (rng.sample(grid, sample) if sample else grid) if similar(q1, q2).verdict == "unknown"]
-        assert found, n
-        cases += found
-    for q1, q2, bound in cases:
-        m1, m2 = rng.randint(-5, 5), rng.randint(-5, 5)
-        assert pairs_isomorphic_search(shifted_pair(q1, m1), shifted_pair(q2, m2), bound=bound) is None
+    cases = [tuple(rng.sample(rng.choice(square), 2)) for _ in range(40)]
+    cases.append((bqf(1, 7, 0), bqf(3, 7, 0)))
+    found = 0
+    for q1, q2 in cases:
+        p1, p2 = shifted_pair(q1, rng.randint(-5, 5)), shifted_pair(q2, rng.randint(-5, 5))
+        v = pairs_isomorphic(p1, p2)
+        assert v.verdict != "unknown"
+        w = pairs_isomorphic_search(p1, p2, bound=3)
+        if w is not None:
+            found += 1
+            assert v.is_isomorphic and w.verify(p1, p2)
+        if v.is_isomorphic:
+            assert v.witness.verify(p1, p2)
+    assert found and v.to_json(ZZ) == {"verdict": "not_isomorphic", "reason": "split_form"}
+    for k, sample in ((1, None), (2, None), (3, 1500)):
+        R, label = ModularRing(2**k), dyadic_orbit_labels(k)
+        grid = list(product(label, repeat=2))
+        for f, g in rng.sample(grid, sample) if sample else grid:
+            p1, p2 = shifted_pair(BinaryQuadraticForm(R, *f), 1), shifted_pair(BinaryQuadraticForm(R, *g), 0)
+            v = pairs_isomorphic(p1, p2)
+            assert v.is_isomorphic == (label[f] == label[g]), (f, g)
+            assert v.witness is None or v.witness.verify(p1, p2)
 
 
 def test_pair_search_is_off_the_request_path(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("pairs_isomorphic_search ran on the request path")
+    import oracles
 
-    monkeypatch.setattr(pairs, "pairs_isomorphic_search", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search ran on the request path")
+
+    monkeypatch.setattr(ModularRing, "units", refuse)
+    for name in (
+        "bounded_witness_search",
+        "iter_unit_matrices",
+        "spiral",
+        "column_search",
+        "value_set_screen_mod",
+        "discriminant_screen_units",
+        "algebra_map_candidates",
+        "pairs_isomorphic_search",
+    ):
+        monkeypatch.setattr(oracles, name, refuse)
     big = ModularRing(1000003 * 1000033)
-    # (q1, q2, bound, the verdict, or its JSON where it is unknown)
+    mod = lambda n, a, b, c: BinaryQuadraticForm(ModularRing(n), a, b, c)
+    # (q1, q2, the verdict, or its JSON where it names a reason)
     cases = [
-        (bqf(4, 5, 3), bqf(2, -1, 3), 12, "isomorphic"),
-        (bqf(1, 0, 1), bqf(1, 1, 1), 12, "not_isomorphic"),
-        (bqf(1, 0, -34), bqf(2, 0, -17), 12, "isomorphic"),
-        (bqf(1, 7, 0), bqf(3, 7, 0), 3, {"verdict": "unknown", "bound": 3}),
-        (BinaryQuadraticForm(QQ, 1, 0, 1), BinaryQuadraticForm(QQ, Fraction(1, 2), 0, Fraction(9, 2)), 12, "isomorphic"),
-        (BinaryQuadraticForm(ModularRing(7), 2, 1, 3), BinaryQuadraticForm(ModularRing(7), 3, 0, 1), 12, None),
-        (
-            BinaryQuadraticForm(ModularRing(4), 0, 2, 0),
-            BinaryQuadraticForm(ModularRing(4), 2, 0, 0),
-            4,
-            {"verdict": "unknown", "bound": 4},
-        ),
-        (BinaryQuadraticForm(ModularRing(12), 1, 1, 1), BinaryQuadraticForm(ModularRing(12), 1, 1, 7), 12, None),
-        (BinaryQuadraticForm(ModularRing(2), 1, 1, 0), BinaryQuadraticForm(ModularRing(2), 0, 1, 1), 12, None),
+        (bqf(4, 5, 3), bqf(2, -1, 3), "isomorphic"),
+        (bqf(1, 0, 1), bqf(1, 1, 1), "not_isomorphic"),
+        (bqf(1, 0, -34), bqf(2, 0, -17), "isomorphic"),
+        (bqf(1, 7, 0), bqf(3, 7, 0), {"verdict": "not_isomorphic", "reason": "split_form"}),
+        (bqf(1, 7, 0), bqf(1, 7, 0).act(((2, 3), (1, 2)), -1), "isomorphic"),
+        (BinaryQuadraticForm(QQ, 1, 0, 1), BinaryQuadraticForm(QQ, Fraction(1, 2), 0, Fraction(9, 2)), "isomorphic"),
+        (mod(7, 2, 1, 3), mod(7, 3, 0, 1), None),
+        (mod(2, 1, 1, 0), mod(2, 0, 1, 1), "isomorphic"),
+        (mod(4, 0, 2, 0), mod(4, 2, 0, 0), {"verdict": "not_isomorphic", "reason": "jordan_invariants"}),
+        (mod(8, 1, 0, 1), mod(8, 5, 0, 5), "isomorphic"),
+        (mod(8, 1, 0, 1), mod(8, 1, 0, 5), {"verdict": "not_isomorphic", "reason": "jordan_invariants"}),
+        (mod(12, 1, 1, 1), mod(12, 1, 1, 7), None),
+        (mod(2018, 1, 0, 1), mod(2018, 1, 0, 3), "isomorphic"),
+        (mod(2**20 * 1009, 1, 0, 1), mod(2**20 * 1009, 1, 0, 41), "isomorphic"),
+        (mod(2**20 * 1009, 1, 0, 1), mod(2**20 * 1009, 1, 0, 3), {"verdict": "not_isomorphic", "reason": "discriminant"}),
         (
             BinaryQuadraticForm(big, 1, 0, 1),
             BinaryQuadraticForm(big, 1, 0, 3),
-            12,
             {"verdict": "unknown", "reason": "factoring", "bound": 1000000},
         ),
     ]
-    for q1, q2, bound, expected in cases:
+    for q1, q2, expected in cases:
+        s = similar(q1, q2)
+        assert s.witness is None or s.witness.verify(q1, q2)
         for m1, m2 in ((0, 0), (2, -3)):
             p1, p2 = shifted_pair(q1, m1), shifted_pair(q2, m2)
-            v = pairs_isomorphic(p1, p2, bound=bound)
+            v = pairs_isomorphic(p1, p2)
             if isinstance(expected, dict):
                 assert v.to_json(q1.ring) == expected, (q1, q2)
             elif expected is not None:
                 assert v.verdict == expected, (q1, q2)
-            assert v.verdict == {"similar": "isomorphic", "not_similar": "not_isomorphic", "unknown": "unknown"}[
-                similar(q1, q2, bound=bound).verdict
-            ]
+            assert v.verdict == {"similar": "isomorphic", "not_similar": "not_isomorphic", "unknown": "unknown"}[s.verdict]
             assert v.witness is None or v.witness.verify(p1, p2)
+
+
+def test_no_search_is_left_in_the_library():
+    # the brute-force routes live in tests/oracles.py only
+    src = Path(pairs.__file__).parent
+    text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
+    for name in (
+        "_bounded_witness_search",
+        "_iter_unit_matrices",
+        "_spiral",
+        "pairs_isomorphic_search",
+        "_algebra_map_candidates",
+        ".units()",
+        '"value_set"',
+    ):
+        assert name not in text, name
 
 
 def test_pairs_over_an_unfactorable_modulus_answer_unknown_in_time():

@@ -25,7 +25,7 @@ from .clifford import (
 )
 from .compose import compose, dirichlet_compose, identity_form, inverse_form
 from .errors import UnsupportedRing
-from .form import BinaryQuadraticForm, properly_equivalent, reduce_definite, similar
+from .form import BinaryQuadraticForm, properly_equivalent, similar
 from .norm import (
     base_change_checks,
     even_clifford_of_ideal,
@@ -293,22 +293,13 @@ def criterion_class_numbers():
 
 
 def criterion_picard_bijections():
-    """Oriented count equals the class number and unoriented equals the
-    inversion orbit count, via both the form and the lattice route."""
+    """Oriented and unoriented counts from ideal lattices (`pic_counts`)
+    equal those read off the composition table (`class_group`)."""
     for D in _valid_discriminants(-100):
-        oriented, unoriented = pic_counts(D)  # asserts route agreement
-        forms = reduced_forms(D)
-        if oriented != len(forms):
-            return False, f"D={D}: oriented {oriented} != h {len(forms)}"
-        classes = {q.coeffs() for q in forms}
-        orbits = set()
-        for q in forms:
-            r, _ = reduce_definite(q.conjugate())
-            orbits.add(frozenset({q.coeffs(), r.coeffs()}))
-            if r.coeffs() not in classes:
-                return False, f"D={D}: conjugate left the class set"
-        if unoriented != len(orbits):
-            return False, f"D={D}: unoriented {unoriented} != orbits {len(orbits)}"
+        g = class_group(D)
+        lattice, table = pic_counts(D), (g.order, g.unoriented)
+        if lattice != table:
+            return False, f"D={D}: lattice counts {lattice} != table counts {table}"
     return True, "all valid D in [-100, -3], both routes"
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import BudgetExceeded, NotDefinite, NotInvertible, UsageError
@@ -83,8 +84,6 @@ class BinaryQuadraticForm:
         if isinstance(R, IntegerRing):
             return self.content() == 1
         if isinstance(R, ModularRing):
-            from math import gcd
-
             g = gcd(gcd(gcd(self.a, self.b), self.c), R.n)
             return g == 1
         if isinstance(R, RationalRing):

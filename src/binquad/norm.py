@@ -39,7 +39,7 @@ from .errors import (
     ZeroForm,
 )
 from .form import BinaryQuadraticForm, SimilarityWitness
-from .mat2 import mat, mat_from_json, mat_to_json, mdet, mmul
+from .mat2 import mat, mat_from_json, mat_to_json, mdet, minv, mmul
 from .modular import factor
 from .ring import IntegerRing, ModularRing, RationalRing, RingHom, ZZ
 
@@ -115,6 +115,11 @@ def _canonical_basis(alg: QuadraticAlgebra, p: int, s: int, r: int):
     return ((p, (-s) % p), (0, -r))
 
 
+def _canonical_lattice(alg: QuadraticAlgebra, cols) -> "IdealLattice":
+    """The lattice spanned by the columns, in canonical basis."""
+    return IdealLattice(alg, _canonical_basis(alg, *_hnf_cols(cols)))
+
+
 @dataclass(frozen=True, eq=False)
 class IdealLattice:
     """Full-rank sublattice of a quadratic Z-algebra, closed under tau.
@@ -157,19 +162,17 @@ class IdealLattice:
         return x_num % d == 0 and y_num % d == 0
 
     def canonical(self) -> "IdealLattice":
-        p, s, r = _hnf_cols(self.columns())
-        return IdealLattice(self.alg, _canonical_basis(self.alg, p, s, r))
+        return _canonical_lattice(self.alg, self.columns())
 
+    # The canonical basis is an injective function of the Hermite triple,
+    # so lattices compare by that triple without building canonical copies.
     def __eq__(self, other):
         if not isinstance(other, IdealLattice):
             return NotImplemented
-        return (
-            self.alg == other.alg
-            and self.canonical().basis == other.canonical().basis
-        )
+        return self.alg == other.alg and _hnf_cols(self.columns()) == _hnf_cols(other.columns())
 
     def __hash__(self):
-        return hash((self.alg, self.canonical().basis))
+        return hash((self.alg, _hnf_cols(self.columns())))
 
     def to_json(self) -> dict:
         return {"alg": self.alg.to_json(), "basis": mat_to_json(ZZ, self.basis)}
@@ -223,8 +226,10 @@ def _nonzero_leading(a: int, b: int, c: int):
 
 def naive_norm_form(I: IdealLattice) -> BinaryQuadraticForm:
     """N(x*alpha + y*beta) on the stored basis."""
-    alg = I.alg
-    alpha, beta = I.columns()
+    return _norm_form(I.alg, *I.columns())
+
+
+def _norm_form(alg: QuadraticAlgebra, alpha, beta) -> BinaryQuadraticForm:
     A = alg.norm(alpha)
     C = alg.norm(beta)
     B = alg.norm((alpha[0] + beta[0], alpha[1] + beta[1])) - A - C
@@ -253,20 +258,12 @@ def ideal_multiply(I: IdealLattice, J: IdealLattice) -> IdealLattice:
     if I.alg != J.alg:
         raise IncompatibleAlgebras(f"{I.alg} vs {J.alg}")
     alg = I.alg
-    prods = []
-    for x in I.columns():
-        for y in J.columns():
-            prods.append(alg.mul(x, y))
-    p, s, r = _hnf_cols(prods)
-    return IdealLattice(alg, _canonical_basis(alg, p, s, r))
+    return _canonical_lattice(alg, [alg.mul(x, y) for x in I.columns() for y in J.columns()])
 
 
 def ideal_conjugate(I: IdealLattice) -> IdealLattice:
     """Image under the standard involution, in canonical basis."""
-    alg = I.alg
-    cols = [alg.conj(c) for c in I.columns()]
-    p, s, r = _hnf_cols(cols)
-    return IdealLattice(alg, _canonical_basis(alg, p, s, r))
+    return _canonical_lattice(I.alg, [I.alg.conj(c) for c in I.columns()])
 
 
 def ideal_is_invertible(I: IdealLattice) -> bool:
@@ -298,19 +295,18 @@ def _represent(form: BinaryQuadraticForm, target: int):
 
 
 def ideal_is_principal(I: IdealLattice) -> bool:
-    """Whether I = gamma * C for some gamma; definite algebras only."""
+    """Whether I = gamma * O for some gamma; definite algebras only.
+
+    gamma in I gives gamma*O inside I, since I is closed under tau, and
+    gamma*O has index N(gamma) in O.  So gamma*O = I exactly when
+    N(gamma) = [O : I], and I is principal iff its norm form represents
+    its norm.  The form is read on the Hermite basis (p, s + r*tau), which
+    bounds the search by sqrt(4p / (r*|D|)) whatever basis I was given.
+    """
     if I.alg.disc() >= 0:
         raise NotDefinite("principality search needs a definite algebra")
-    Ic = I.canonical()
-    m = Ic.norm()
-    for x, y in _represent(naive_norm_form(Ic), m):
-        alpha, beta = Ic.columns()
-        gamma = (x * alpha[0] + y * beta[0], x * alpha[1] + y * beta[1])
-        gtau = _tau_times(I.alg, gamma)
-        gen = IdealLattice(I.alg, ((gamma[0], gtau[0]), (gamma[1], gtau[1])))
-        if gen == Ic:
-            return True
-    return False
+    p, s, r = _hnf_cols(I.columns())
+    return bool(_represent(_norm_form(I.alg, (p, 0), (s, r)), p * r))
 
 
 def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:
@@ -352,8 +348,6 @@ def _norm_form_check(q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> Optiona
     q3 = q2.act(M0, 1)
     ident = BinaryQuadraticForm(R, 1, q3.b, R.mul(q3.a, q3.c))
     # ident(a3*x, y) = a3 * q3(x, y), so W = diag(a3, 1) * M0^{-1}.
-    from .mat2 import minv
-
     W = mmul(R, mat(R, ((q3.a, 0), (0, 1))), minv(R, M0))
     witness = SimilarityWitness(W, q3.a)
     return witness.verify(q2, ident)

@@ -94,8 +94,12 @@ def normalize_pair(p: CliffordPair):
 
 def pair_to_form(p: CliffordPair) -> BinaryQuadraticForm:
     """Read (a, b, c) off the normalized action matrix [[b, c], [-a, 0]]."""
-    n, _ = normalize_pair(p)
-    R = p.ring
+    return _read_off(normalize_pair(p)[0])
+
+
+def _read_off(n: CliffordPair) -> BinaryQuadraticForm:
+    """The form of an already normalized pair."""
+    R = n.ring
     a = R.normalize(-n.m[1][0])
     b = n.m[0][0]
     c = n.m[0][1]
@@ -200,10 +204,10 @@ def pairs_isomorphic(p: CliffordPair, p2: CliffordPair) -> PairVerdict:
             "isomorphic",
             witness=PairWitness(mident(p.ring), AlgebraWitness(p.ring.zero, 1)),
         )
-    _, shift1 = normalize_pair(p)
-    _, shift2 = normalize_pair(p2)
-    q2 = pair_to_form(p2)
-    verdict = similar(pair_to_form(p), q2)
+    n1, shift1 = normalize_pair(p)
+    n2, shift2 = normalize_pair(p2)
+    q2 = _read_off(n2)
+    verdict = similar(_read_off(n1), q2)
     if verdict.verdict == "not_similar":
         return PairVerdict("not_isomorphic", reason=verdict.reason)
     if verdict.verdict == "unknown":

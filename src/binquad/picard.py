@@ -1,8 +1,8 @@
 """Class sets of negative discriminants: reduced-form enumeration, the
 composition group on int triples, and the two Picard-style counts
 (oriented classes and orbits under conjugation).  The counts are read
-off the group table; ``pic_counts`` recomputes them independently
-through forms and through ideal lattices, as an oracle.
+off the group table; ``pic_counts`` recomputes them from ideal lattices
+alone, as an oracle that ``verify`` checks against the table.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from math import gcd, isqrt
 from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
 from .compose import identity_form, shanks
 from .errors import BadDiscriminant
-from .form import BinaryQuadraticForm, reduce_definite, reduce_triple
+from .form import BinaryQuadraticForm, reduce_triple
 from .modular import factor
 from .norm import IdealLattice, ideal_conjugate, ideal_is_invertible, ideal_is_principal, ideal_multiply
 from .ring import ZZ
@@ -194,47 +194,22 @@ def _ideal_class_index(reps, I: IdealLattice) -> int:
 
 
 def pic_counts(D: int):
-    """(oriented, unoriented) class counts.
+    """(oriented, unoriented) class counts from ideal lattices alone.
 
-    oriented = number of proper form classes = number of ideal classes;
-    unoriented = orbits of either set under conjugation/inversion.  Both
-    numbers are computed through forms and through lattices and the two
-    routes are required to agree.
+    oriented = number of invertible ideal classes; unoriented = orbits
+    of those classes under conjugation.  No form is reduced or composed,
+    so the counts are independent of the table that ``ClassGroup`` reads
+    them from (Cohen, GTM 138, 5.2).
     """
-    forms = reduced_forms(D)
-    oriented_forms = len(forms)
-    index = {q.coeffs(): i for i, q in enumerate(forms)}
-    seen = set()
-    unoriented_forms = 0
-    for i, q in enumerate(forms):
-        if i in seen:
-            continue
-        r, _ = reduce_definite(q.conjugate())
-        seen.add(i)
-        seen.add(index[r.coeffs()])
-        unoriented_forms += 1
-
     reps = ideal_class_representatives(D)
-    oriented_ideals = len(reps)
     seen = set()
-    unoriented_ideals = 0
+    orbits = 0
     for i, I in enumerate(reps):
         if i in seen:
             continue
-        j = _ideal_class_index(reps, ideal_conjugate(I))
-        seen.add(i)
-        seen.add(j)
-        unoriented_ideals += 1
-
-    if oriented_forms != oriented_ideals:
-        raise AssertionError(
-            f"D={D}: {oriented_forms} form classes vs {oriented_ideals} ideal classes"
-        )
-    if unoriented_forms != unoriented_ideals:
-        raise AssertionError(
-            f"D={D}: {unoriented_forms} form orbits vs {unoriented_ideals} ideal orbits"
-        )
-    return oriented_forms, unoriented_forms
+        seen.update((i, _ideal_class_index(reps, ideal_conjugate(I))))
+        orbits += 1
+    return len(reps), orbits
 
 
 def form_for_algebra(C: QuadraticAlgebra) -> BinaryQuadraticForm:

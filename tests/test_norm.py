@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -180,6 +181,59 @@ def test_principality_search():
     assert ideal_is_principal(unit_ideal(C))
     assert ideal_is_principal(scalar_ideal(C, 3))
     assert not ideal_is_principal(form_to_ideal(bqf(2, 1, 3)))
+
+
+def test_principality_ignores_basis_skew():
+    # a skewed basis of the same lattice gives the same verdict, and the
+    # search is bounded by the lattice, not by the basis it was given in
+    C = QuadraticAlgebra(ZZ, 1, 6)
+    for I in (unit_ideal(C), form_to_ideal(bqf(2, 1, 3)), scalar_ideal(C, 3)):
+        (a0, a1), (b0, b1) = I.columns()
+        k = 10**12
+        J = IdealLattice(C, ((k * a0 + b0, a0), (k * a1 + b1, a1)))
+        assert J == I
+        assert ideal_is_principal(J) == ideal_is_principal(I)
+
+
+def _principal_by_generator(I):
+    """Principality as decided before the norm argument: some gamma in I
+    of norm [O : I] spans, together with gamma*tau, the lattice I."""
+    alg = I.alg
+    Ic = I.canonical()
+    (a0, a1), (b0, b1) = Ic.columns()
+    m = Ic.norm()
+    A, C = alg.norm((a0, a1)), alg.norm((b0, b1))
+    B = alg.norm((a0 + b0, a1 + b1)) - A - C
+    disc = B * B - 4 * A * C
+    # 4A*f(x, y) = (2Ax + By)^2 - disc*y^2 bounds y; 4C*f bounds x alike
+    xmax, ymax = isqrt(4 * C * m // -disc) + 1, isqrt(4 * A * m // -disc) + 1
+    for y in range(-ymax, ymax + 1):
+        for x in range(-xmax, xmax + 1):
+            g0, g1 = x * a0 + y * b0, x * a1 + y * b1
+            if alg.norm((g0, g1)) != m:
+                continue
+            gt0, gt1 = -alg.nm * g1, g0 + alg.t * g1
+            if IdealLattice(alg, ((g0, gt0), (g1, gt1))).canonical().basis == Ic.basis:
+                return True
+    return False
+
+
+def test_principality_matches_generator_check():
+    n = 0
+    for D in range(-400, -2):
+        if D % 4 not in (0, 1):
+            continue
+        t = D % 2
+        C = QuadraticAlgebra(ZZ, t, (t * t - D) // 4)
+        for a in range(1, isqrt(-D) + 1):
+            for s in range(a):
+                if (s * s - t * s + C.nm) % a:
+                    continue
+                for k in (1, 2, 3):
+                    I = IdealLattice(C, ((k * a, k * s), (0, -k)))
+                    assert ideal_is_principal(I) == _principal_by_generator(I), (D, a, s, k)
+                    n += 1
+    assert n == 7746
 
 
 def test_canonical_is_a_lattice_invariant():

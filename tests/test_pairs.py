@@ -111,6 +111,28 @@ def test_pairs_isomorphic_examples():
     assert v.is_isomorphic and v.witness.verify(p1, p1)
 
 
+def test_pairs_isomorphic_normalizes_each_pair_once(monkeypatch):
+    calls = []
+    original = pairs.normalize_pair
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(pairs, "normalize_pair", counted)
+    cases = [
+        (form_to_pair(bqf(4, 5, 3)), form_to_pair(bqf(2, -1, 3))),
+        (form_to_pair(bqf(1, 0, 1)), form_to_pair(bqf(1, 1, 1))),
+        (shifted_pair(bqf(2, 1, 3), 4), form_to_pair(bqf(3, -1, 2))),
+        (form_to_pair(BinaryQuadraticForm(ModularRing(15), 1, 0, 1)),
+         form_to_pair(BinaryQuadraticForm(ModularRing(15), 2, 0, 2))),
+    ]
+    for p1, p2 in cases:
+        calls.clear()
+        pairs_isomorphic(p1, p2)
+        assert len(calls) <= 2
+
+
 def test_pairs_oracle_agrees_with_fast_path():
     rng = random.Random(37)
     forms = []

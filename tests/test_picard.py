@@ -1,3 +1,4 @@
+import sys
 from math import gcd, prod
 
 import pytest
@@ -152,6 +153,31 @@ def test_pic_counts_examples():
     assert pic_counts(-23) == (3, 2)
     assert pic_counts(-20) == (2, 2)
     assert pic_counts(-4) == (1, 1)
+
+
+def test_pic_counts_reaches_no_form_route(monkeypatch):
+    # the table's counts come first; then every binding of the form route
+    # (enumeration, reduction, Shanks' composition) refuses to run
+    Ds = [D for D in range(-400, -2) if D % 4 in (0, 1)]
+    table = {}
+    for D in Ds:
+        g = class_group(D)
+        table[D] = (g.order, g.unoriented)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pic_counts reached the form route")
+
+    homes = {"picard": ("reduced_forms", "class_group"), "form": ("reduce_definite", "reduce_triple"),
+             "compose": ("shanks",)}
+    for home, names in homes.items():
+        for name in names:
+            fn = getattr(sys.modules[f"binquad.{home}"], name)
+            for mod in [m for key, m in sys.modules.items() if key == "binquad" or key.startswith("binquad.")]:
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, refuse)
+    assert pic_counts(-23) == (3, 2)
+    for D in Ds:
+        assert pic_counts(D) == table[D], D
 
 
 def test_pic_counts_match_class_numbers():

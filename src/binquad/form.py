@@ -1,6 +1,9 @@
 """Binary quadratic forms, invariants, the basis-change action, Gauss
-reduction of definite integral forms, and the similarity decision
-procedure.
+reduction of definite integral forms, and the similarity dispatcher.
+
+`similar` screens, then hands each ring to one decision procedure:
+binquad.modular for Z/n, diagonalisation here for Q, and binquad.integral
+for Z, which also decides `properly_equivalent`.
 
 A form is the map q(x, y) = a*x^2 + b*x*y + c*y^2 with coefficients in one
 of the supported rings.  Two forms are *similar* when q'(Mv) = u*q(v) for
@@ -15,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import BudgetExceeded, NotDefinite, NotInvertible, UsageError
+from .errors import NotDefinite, NotInvertible, UsageError
 from .mat2 import mapply, mat, mat_from_json, mat_to_json, mdet, mident, minv, mmul
 from .ring import (
     IntegerRing,
@@ -248,35 +251,23 @@ def reduce_definite(q: BinaryQuadraticForm):
     return BinaryQuadraticForm(R, *r), M
 
 
-def _positive_reduction(q: BinaryQuadraticForm):
-    """(sign, reduced, M) with q.act(M, sign) equal to the reduced form."""
-    if q.a > 0:
-        r, M = reduce_definite(q)
-        return 1, r, M
-    r, M = reduce_definite(q.neg())
-    return -1, r, M
+def _same_ring(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> Ring:
+    if q1.ring != q2.ring:
+        raise UsageError(f"forms live over different rings: {q1.ring!r} vs {q2.ring!r}")
+    return q1.ring
 
 
 def properly_equivalent(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> bool:
-    """SL2-equivalence with scale +1, decided over Z: by reduction for
-    definite forms, and by binquad.indefinite for D >= 0 (cycles of reduced
-    forms for non-square D, raising BudgetExceeded past its CYCLE_LIMIT,
-    and a canonical split form for square D)."""
-    d1 = q1.discriminant()[1]
-    d2 = q2.discriminant()[1]
-    if d1 != d2:
-        return False
-    if d1 >= 0:
-        if isinstance(q1.ring, IntegerRing):
-            from .indefinite import properly_equivalent_indefinite
-
-            return properly_equivalent_indefinite(q1, q2)
+    """SL2-equivalence with scale +1, decided over Z for every discriminant
+    by binquad.integral: canonical forms for D < 0 and square D, and cycles
+    of reduced forms for non-square D > 0 (raising BudgetExceeded past its
+    CYCLE_LIMIT).  Forms over other rings raise NotDefinite."""
+    if not isinstance(_same_ring(q1, q2), IntegerRing):
         raise NotDefinite("proper equivalence is only decided over Z")
-    if (q1.a > 0) != (q2.a > 0):
-        return False
-    _, r1, _ = _positive_reduction(q1)
-    _, r2, _ = _positive_reduction(q2)
-    return r1.coeffs() == r2.coeffs()
+    # Imported on first use: binquad.integral builds on this module.
+    from .integral import properly_equivalent_integral
+
+    return properly_equivalent_integral(q1, q2)
 
 
 def value_set_mod(q: BinaryQuadraticForm, m: int) -> frozenset:
@@ -315,30 +306,6 @@ def _value_set_screen(q1, q2) -> Optional[str]:
         if s2 != s1 and s2 != frozenset((-v) % m for v in s1):
             return f"value_set_mod_{m}"
     return None
-
-
-def _definite_similarity(q1, q2) -> SimilarityVerdict:
-    """Complete decision for definite integral forms via reduction.
-
-    Similarity allows det(M) = -1 and the scale u = -1, so the positive
-    reductions must coincide either directly or after conjugation.
-    """
-    R = q1.ring
-    s1, r1, M1 = _positive_reduction(q1)
-    s2, r2, M2 = _positive_reduction(q2)
-    J = mat(R, ((1, 0), (0, -1)))
-    candidates = [(r2, M2)]
-    rc, Mc = reduce_definite(r2.act(J, 1))
-    candidates.append((rc, mmul(R, mmul(R, M2, J), Mc)))
-    for r2x, M2x in candidates:
-        if r1.coeffs() == r2x.coeffs():
-            W = mmul(R, M2x, minv(R, M1))
-            u = R.normalize(s1 * s2)
-            w = SimilarityWitness(W, u)
-            if not w.verify(q1, q2):
-                raise AssertionError("definite similarity produced a bad witness")
-            return SimilarityVerdict("similar", witness=w)
-    return SimilarityVerdict("not_similar", reason="definite_reduction")
 
 
 def _diagonalize_rational(q):
@@ -382,42 +349,31 @@ def _rational_similarity(q1, q2) -> SimilarityVerdict:
 def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdict:
     """Tri-state similarity decision.
 
-    Decided completely: definite integral forms through reduction,
-    integral forms of D >= 0 through binquad.indefinite (cycles of reduced
-    forms for non-square D, up to its CYCLE_LIMIT, and a canonical split
-    form for square D), forms over Q through diagonalisation, and forms
-    over Z/n through Jordan splitting at each prime power (binquad.modular).
-    Two cases answer Unknown and name the budget they used up: a non-square
+    Decided completely: forms over Z through one canonical form per proper
+    class (binquad.integral: Gauss reduction for D < 0, a split form for
+    square D, cycles of reduced forms for non-square D > 0, up to its
+    CYCLE_LIMIT), forms over Q through diagonalisation, and forms over Z/n
+    through Jordan splitting at each prime power (binquad.modular).  Two
+    cases answer Unknown and name the budget they used up: a non-square
     D > 0 whose cycles outrun CYCLE_LIMIT (after the value-set screen), and
     a modulus n that cannot be factored within binquad.modular.TRIAL_LIMIT.
     """
-    if q1.ring != q2.ring:
-        raise UsageError(f"forms live over different rings: {q1.ring!r} vs {q2.ring!r}")
-    R = q1.ring
+    R = _same_ring(q1, q2)
     if q1.is_zero() != q2.is_zero():
         return SimilarityVerdict("not_similar", reason="zero")
+    if q1.coeffs() == q2.coeffs():
+        return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
+    # binquad.modular and binquad.integral are imported on first use: they
+    # build on this module, and callers of one ring never compile the other.
     if isinstance(R, ModularRing):
-        # Imported on first use: Z and Q callers never compile it.
         from .modular import similar_mod
 
         return similar_mod(q1, q2)
     reason = _screen_not_similar(q1, q2)
     if reason is not None:
         return SimilarityVerdict("not_similar", reason=reason)
-    if q1.coeffs() == q2.coeffs():
-        return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
     if isinstance(R, RationalRing):
         return _rational_similarity(q1, q2)
-    d = q1.discriminant()[1]
-    if d < 0:
-        return _definite_similarity(q1, q2)
-    # Imported on first use, as binquad.modular is.
-    from .indefinite import CYCLE_LIMIT, similar_indefinite
+    from .integral import similar_integral
 
-    try:
-        return similar_indefinite(q1, q2)
-    except BudgetExceeded:
-        reason = _value_set_screen(q1, q2)
-        if reason is not None:
-            return SimilarityVerdict("not_similar", reason=reason)
-        return SimilarityVerdict("unknown", reason="cycle_limit", bound=CYCLE_LIMIT)
+    return similar_integral(q1, q2)

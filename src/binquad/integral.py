@@ -1,8 +1,10 @@
-"""Proper equivalence and similarity of integral binary forms with
-discriminant D >= 0: by cycles of reduced forms for non-square D, and by
-a canonical split form for square D.
+"""Proper equivalence and similarity of integral binary forms, for every
+discriminant D, by one canonical form per proper class: the Gauss-reduced
+form s*reduce_triple(s*f), s = sign(a), for D < 0 (Cohen, GTM 138,
+section 5.2); a reduced form and its cycle for non-square D > 0; and a
+canonical split form for square D.
 
-A form (a, b, c) of discriminant D is reduced when |sqrt(D) - 2|a|| < b <
+A form (a, b, c) of discriminant D > 0 is reduced when |sqrt(D) - 2|a|| < b <
 sqrt(D).  The reduction operator rho(a, b, c) = (c, b', (b'^2 - D)/4c)
 takes b' = -b mod 2c in (-|c|, |c|] when |c| > sqrt(D) and in
 (sqrt(D) - 2|c|, sqrt(D)) otherwise; it is the action of the matrix
@@ -30,7 +32,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import BudgetExceeded
-from .form import SimilarityVerdict, SimilarityWitness, _value_set_screen
+from .form import SimilarityVerdict, SimilarityWitness, _value_set_screen, reduce_triple
 from .mat2 import mmul
 from .ring import ZZ
 
@@ -121,52 +123,75 @@ def _split(f, s: int):
     raise AssertionError("no isotropic line carries +s")
 
 
-def properly_equivalent_indefinite(q1, q2) -> bool:
-    """q2.act(M, 1) == q1 for some M in SL2(Z), for forms over Z of one
-    discriminant D >= 0.  Raises BudgetExceeded past CYCLE_LIMIT."""
-    D = q1.discriminant()[1]
-    r = isqrt(D)
+def _canonical(f, D: int, r: int):
+    """(g, T): g the canonical form of f, or for non-square D > 0 a reduced
+    form on its cycle, f.act(T, 1) == g, det T = 1; r = isqrt(max(D, 0))."""
+    if D < 0:
+        s = 1 if f[0] > 0 else -1
+        (a, b, c), T = reduce_triple(s * f[0], s * f[1], s * f[2])
+        return (s * a, s * b, s * c), T
     if r * r == D:
-        return _split(q1.coeffs(), r)[0] == _split(q2.coeffs(), r)[0]
-    g1, _ = _reduce(q1.coeffs(), D, r)
-    g2, _ = _reduce(q2.coeffs(), D, r)
-    return _walk(g2, {g1: None}, D, r) is not None
+        return _split(f, r)
+    return _reduce(f, D, r)
 
 
-def similar_indefinite(q1, q2) -> SimilarityVerdict:
-    """Similarity of nonzero forms over Z of one discriminant D >= 0.
+def _find(f, targets, D: int, r: int):
+    """(T, hit): hit = (T', targets[g]) with f.act(T T', 1) == g for the key
+    g of targets in the proper class of f, or None.  Raises BudgetExceeded
+    past CYCLE_LIMIT."""
+    g, T = _canonical(f, D, r)
+    if D > 0 and r * r != D:
+        return T, _walk(g, targets, D, r)
+    return T, ((_I, targets[g]) if g in targets else None)
+
+
+def properly_equivalent_integral(q1, q2) -> bool:
+    """q2.act(M, 1) == q1 for some M in SL2(Z), for forms over Z.  Raises
+    BudgetExceeded past CYCLE_LIMIT."""
+    D = q1.discriminant()[1]
+    if q2.discriminant()[1] != D:
+        return False
+    r = isqrt(max(D, 0))
+    g1, _ = _canonical(q1.coeffs(), D, r)
+    return _find(q2.coeffs(), {g1: None}, D, r)[1] is not None
+
+
+def similar_integral(q1, q2) -> SimilarityVerdict:
+    """Similarity of nonzero forms over Z of one discriminant D and one
+    content.
 
     q2(M v) = u q1(v) with M in GL2(Z), u = +-1 iff q2 is properly
-    equivalent to u * q1(N v) for one of u = +-1 and N = diag(1, +-1).
-    For square D the canonical split forms of q2 and of these four
-    variants are compared; otherwise q2's reduced cycle is walked once
-    against the reductions of the four variants.  A non-similar verdict
-    names a value-set invariant when one differs.  Raises BudgetExceeded
-    past CYCLE_LIMIT."""
+    equivalent to u * q1(N v) for one of u = +-1 and N = diag(1, +-1):
+    q2 is matched against the canonical forms of these four variants.  A
+    non-similar verdict names `definite_reduction` for D < 0; for D >= 0 it
+    names a differing value set mod m when there is one, and otherwise
+    `split_form` (square D) or `indefinite_cycle`.  Past CYCLE_LIMIT the
+    value sets are compared, and otherwise the verdict is unknown with
+    reason `cycle_limit`."""
     D = q1.discriminant()[1]
-    r = isqrt(D)
-    square = r * r == D
+    r = isqrt(max(D, 0))
     a, b, c = q1.coeffs()
-    targets = {}
-    for u in (1, -1):
-        for n in (1, -1):
-            f = (u * a, u * n * b, u * c)
-            g, T = _split(f, r) if square else _reduce(f, D, r)
-            targets.setdefault(g, (T, n, u))
-    if square:
-        g2, T2 = _split(q2.coeffs(), r)
-        hit = (_I, targets[g2]) if g2 in targets else None
-    else:
-        g2, T2 = _reduce(q2.coeffs(), D, r)
-        hit = _walk(g2, targets, D, r)
+    try:
+        targets = {}
+        for u in (1, -1):
+            for n in (1, -1):
+                g, T = _canonical((u * a, u * n * b, u * c), D, r)
+                targets.setdefault(g, (T, n, u))
+        T2, hit = _find(q2.coeffs(), targets, D, r)
+    except BudgetExceeded:
+        reason = _value_set_screen(q1, q2)
+        if reason is not None:
+            return SimilarityVerdict("not_similar", reason=reason)
+        return SimilarityVerdict("unknown", reason="cycle_limit", bound=CYCLE_LIMIT)
     if hit is None:
-        reason = "split_form" if square else "indefinite_cycle"
+        if D < 0:
+            return SimilarityVerdict("not_similar", reason="definite_reduction")
+        reason = "split_form" if r * r == D else "indefinite_cycle"
         return SimilarityVerdict("not_similar", reason=_value_set_screen(q1, q2) or reason)
     # q2.act(T2 T, 1) == q1.act(N T1, u), so M = T2 T T1^-1 N.
     T, (T1, n, u) = hit
     (t00, t01), (t10, t11) = T1
-    M = mmul(ZZ, mmul(ZZ, T2, T), ((t11, -t01 * n), (-t10, t00 * n)))
-    w = SimilarityWitness(M, u)
+    w = SimilarityWitness(mmul(ZZ, mmul(ZZ, T2, T), ((t11, -t01 * n), (-t10, t00 * n))), u)
     if not w.verify(q1, q2):
-        raise AssertionError("cycle transport produced a bad witness")
+        raise AssertionError("canonical-form transport produced a bad witness")
     return SimilarityVerdict("similar", witness=w)

@@ -270,11 +270,9 @@ def _crt(residues, moduli) -> int:
 
 
 def similar_mod(q1, q2) -> SimilarityVerdict:
-    """Similarity over Z/n, for forms that passed the zero screen:
-    decided unless n cannot be factored within TRIAL_LIMIT."""
+    """Similarity over Z/n, for distinct forms that passed the zero
+    screen: decided unless n cannot be factored within TRIAL_LIMIT."""
     R = q1.ring
-    if q1.coeffs() == q2.coeffs():
-        return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
     primes = factor(R.n)
     if primes is None:
         return SimilarityVerdict("unknown", reason="factoring", bound=TRIAL_LIMIT)

@@ -207,7 +207,10 @@ class RationalRing(Ring):
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, dict) and set(obj) == {"num", "den"}:
-            return Fraction(obj["num"], obj["den"])
+            num, den = obj["num"], obj["den"]
+            if not all(type(v) is int for v in (num, den)) or den == 0:
+                raise UsageError(f"expected integer num and nonzero integer den, got {obj!r}")
+            return Fraction(num, den)
         raise UsageError(f"expected an integer or {{num,den}} object, got {obj!r}")
 
     def to_json(self) -> dict:
@@ -236,9 +239,10 @@ def ring_from_json(obj) -> Ring:
     if kind == "rat":
         return QQ
     if kind == "mod":
-        if "n" not in obj:
-            raise UsageError("modular ring needs a modulus field 'n'")
-        return ModularRing(obj["n"])
+        n = obj.get("n")
+        if type(n) is not int:
+            raise UsageError(f"modular ring needs an integer modulus field 'n', got {n!r}")
+        return ModularRing(n)
     raise UsageError(f"unknown ring kind {kind!r}")
 
 

@@ -13,7 +13,9 @@ from math import gcd
 from typing import Optional
 
 from binquad.clifford import _witness_for_eps
-from binquad.form import SimilarityWitness
+# reduce_definite is bound here at import, so tests that patch the
+# library's bindings leave this oracle its own reference.
+from binquad.form import SimilarityWitness, reduce_definite
 from binquad.mat2 import madd, mat, mdet, mident, mmul, mscale
 from binquad.pairs import CliffordPair, PairWitness
 from binquad.ring import ModularRing, RationalRing, Ring, ZZ
@@ -87,6 +89,22 @@ def column_search(q1, q2, bound: int) -> Optional[SimilarityWitness]:
             if p * t - r * s in (1, -1) and q2.polar((p, r), (s, t)) == u * q1.b:
                 return SimilarityWitness(((p, s), (r, t)), u)
     return None
+
+
+def definite_reduction_oracle(q1, q2):
+    """(similar, properly equivalent) for definite forms over Z, from the
+    Gauss reductions of the positive definite one of q and -q: similar iff
+    the reductions of q1 and of q2 or of its conjugate agree, and properly
+    equivalent iff moreover the signs agree and no conjugation is needed."""
+
+    def positive(q):
+        s = 1 if q.a > 0 else -1
+        return s, reduce_definite(q if s == 1 else q.neg())[0]
+
+    s1, r1 = positive(q1)
+    s2, r2 = positive(q2)
+    proper = r1 == r2
+    return proper or r1 == reduce_definite(r2.conjugate())[0], proper and s1 == s2
 
 
 def value_set_screen_mod(q1, q2) -> bool:

@@ -273,6 +273,27 @@ def test_malformed_json_is_a_usage_error(capsys):
     assert json.loads(captured.err)["error"] == "usage"
 
 
+MALFORMED_RINGS_AND_RATIONALS = {
+    "zero denominator": '{"a":{"num":1,"den":0},"b":0,"c":1,"ring":{"ring":"rat"}}',
+    "string numerator": '{"a":{"num":"1","den":2},"b":0,"c":1,"ring":{"ring":"rat"}}',
+    "float denominator": '{"a":{"num":1,"den":2.5},"b":0,"c":1,"ring":{"ring":"rat"}}',
+    "bool numerator": '{"a":{"num":true,"den":2},"b":0,"c":1,"ring":{"ring":"rat"}}',
+    "bool denominator": '{"a":{"num":1,"den":true},"b":0,"c":1,"ring":{"ring":"rat"}}',
+    "string modulus": '{"a":1,"b":0,"c":1,"ring":{"ring":"mod","n":"7"}}',
+    "null modulus": '{"a":1,"b":0,"c":1,"ring":{"ring":"mod","n":null}}',
+    "float modulus": '{"a":1,"b":0,"c":1,"ring":{"ring":"mod","n":7.5}}',
+    "bool modulus": '{"a":1,"b":0,"c":1,"ring":{"ring":"mod","n":true}}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_RINGS_AND_RATIONALS.values(), ids=MALFORMED_RINGS_AND_RATIONALS)
+def test_malformed_rings_and_rationals_are_usage_errors(capsys, text):
+    code = run(["disc", text])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
 def test_domain_error_exit_code(capsys):
     code = run(["compose", form_json(1, 0, 1), form_json(1, 1, 1)])
     err = capsys.readouterr().err

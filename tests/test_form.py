@@ -1,10 +1,11 @@
 import random
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from binquad.errors import NotDefinite, NotInvertible
+from binquad.errors import NotDefinite, NotInvertible, UsageError
 from binquad.form import (
     BinaryQuadraticForm,
     SimilarityWitness,
@@ -16,7 +17,7 @@ from binquad.form import (
 )
 from binquad.mat2 import mdet, mmul
 from binquad.ring import ModularRing, QQ, ZZ
-from oracles import bounded_witness_search
+from oracles import bounded_witness_search, definite_reduction_oracle
 
 small = st.integers(min_value=-8, max_value=8)
 
@@ -272,6 +273,82 @@ def test_properly_equivalent():
     assert properly_equivalent(bqf(1, 0, -1), bqf(0, 2, 1))
     with pytest.raises(NotDefinite):
         properly_equivalent(BinaryQuadraticForm(ModularRing(5), 1, 0, 1), BinaryQuadraticForm(ModularRing(5), 1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "ring1, ring2, error",
+    [(QQ, QQ, NotDefinite), (ModularRing(5), ModularRing(5), NotDefinite), (ZZ, ModularRing(5), UsageError),
+     (ModularRing(5), ModularRing(7), UsageError)],
+    ids=["Q", "Z/5", "Z vs Z/5", "Z/5 vs Z/7"],
+)
+def test_properly_equivalent_checks_the_rings_first(ring1, ring2, error):
+    # discriminants -4 and -8 differ in every one of these rings
+    with pytest.raises(error):
+        properly_equivalent(BinaryQuadraticForm(ring1, 1, 0, 1), BinaryQuadraticForm(ring2, 1, 0, 2))
+
+
+positive_definite = st.tuples(
+    st.integers(min_value=1, max_value=9), st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+).filter(lambda f: f[1] * f[1] < 4 * f[0] * f[2])
+signs = st.sampled_from((1, -1))
+
+
+@given(
+    positive_definite,
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=1, max_value=3),
+    signs,
+    signs,
+    st.tuples(small, small, small),
+    signs,
+    signs,
+)
+def test_definite_arm_agrees_with_the_reduction_oracle(f, a2, i, g, s1, s2, ks, n, u):
+    # q2 is a form (a2, b2, c2) of q1's discriminant (or q1 itself), times a
+    # sign and q1's scale g, moved by M = T^k1 L^k2 ((1, k3), (0, n)) and u;
+    # the two contents differ when the second form's content differs from f's.
+    D = f[1] * f[1] - 4 * f[0] * f[2]
+    b2s = [b for b in range(-a2, a2 + 1) if (b * b - D) % (4 * a2) == 0]
+    b2 = b2s[i % len(b2s)] if b2s else None
+    second = f if b2 is None else (a2, b2, (b2 * b2 - D) // (4 * a2))
+    q1 = bqf(*(s1 * g * x for x in f))
+    k1, k2, k3 = ks
+    M = mmul(ZZ, mmul(ZZ, ((1, k1), (0, 1)), ((1, 0), (k2, 1))), ((1, k3), (0, n)))
+    q2 = bqf(*(s2 * g * x for x in second)).act(M, u)
+    is_similar, is_proper = definite_reduction_oracle(q1, q2)
+    v = similar(q1, q2)
+    assert v.is_similar == is_similar
+    if is_similar:
+        assert v.witness.verify(q1, q2)
+    else:
+        assert v.reason == ("content" if q1.content() != q2.content() else "definite_reduction")
+    assert properly_equivalent(q1, q2) == is_proper == properly_equivalent(q2, q1)
+
+
+def test_definite_decisions_call_no_reduce_definite(monkeypatch):
+    # Z decisions run on int triples in binquad.integral; reduce_definite
+    # serves the reduce verb and proper_reduce only
+    import binquad.cli
+    import binquad.integral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduce_definite ran on a Z decision")
+
+    patched = 0
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "binquad" and hasattr(mod, "reduce_definite"):
+            monkeypatch.setattr(mod, "reduce_definite", refuse)
+            patched += 1
+    assert patched >= 4
+    q1, q2 = bqf(4, 5, 3), bqf(-2, -1, -3)
+    v = similar(q1, q2)
+    assert v.is_similar and v.witness.u == -1 and v.witness.verify(q1, q2)
+    v = similar(bqf(2, 1, 3), bqf(1, 1, 6))
+    assert v.to_json(ZZ) == {"verdict": "not_similar", "reason": "definite_reduction"}
+    assert properly_equivalent(q1, bqf(2, -1, 3))
+    assert not properly_equivalent(bqf(2, 1, 3), bqf(2, -1, 3))
+    assert not properly_equivalent(q1, q2)
 
 
 def test_value_set_is_a_class_invariant():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from binquad.errors import BudgetExceeded, DomainError
 from binquad.form import _value_set_screen, bqf, properly_equivalent, similar
-from binquad.indefinite import CYCLE_LIMIT
+from binquad.integral import CYCLE_LIMIT
 from binquad.mat2 import mmul
 from binquad.ring import ZZ
 from oracles import bounded_witness_search, column_search

@@ -1,0 +1,14 @@
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_layout_lists_every_module_once():
+    # the Layout block of the README names each module of src/binquad
+    # exactly once, so that a rename cannot leave it stale
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\S+\.py)\s", block, flags=re.MULTILINE)
+    modules = sorted(p.name for p in (ROOT / "src" / "binquad").glob("*.py"))
+    assert sorted(listed) == modules

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .clifford import QuadraticAlgebra, _witness_for_eps
 from .errors import NotComposable, NotPrimitive, UsageError
 from .form import BinaryQuadraticForm, reduce_definite
-from .norm import IdealLattice, _nonzero_leading, _xgcd, form_to_ideal, ideal_conjugate, ideal_multiply, universal_norm_form
+from .norm import IdealLattice, _nonzero_leading, form_to_ideal, ideal_conjugate, ideal_multiply, universal_norm_form
 from .ring import IntegerRing, ZZ
 
 
@@ -72,6 +72,21 @@ def inverse_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     if not q.is_primitive():
         raise NotPrimitive(f"{q} is not primitive")
     return universal_norm_form(ideal_conjugate(form_to_ideal(q)))
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_s, s = s, old_s - qt * s
+        old_t, t = t, old_t - qt * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def shanks(f1, f2):

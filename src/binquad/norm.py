@@ -54,52 +54,21 @@ def _hnf_cols(cols):
     """Hermite form of the lattice spanned by integer columns (u, v).
 
     Returns (p, s, r) with the lattice equal to Z*(p, 0) + Z*(s, r),
-    p, r > 0 and 0 <= s < p.  Requires full rank.
+    p, r > 0 and 0 <= s < p.  Requires full rank.  One Euclid pass: w
+    keeps the gcd of the tau-coordinates seen so far, and each column
+    reduced to tau-coordinate 0 folds its first coordinate into p.
     """
-    vecs = [(int(u), int(v)) for (u, v) in cols if (u, v) != (0, 0)]
-    if not vecs:
-        raise UsageError("zero lattice")
-    w = None
-    upool = []
-    for vec in vecs:
-        if vec[1] == 0:
-            upool.append(vec[0])
-            continue
-        if w is None:
-            w = vec
-            continue
-        # combine so that w keeps tau-coordinate gcd(w1, v1)
-        a, b = w[1], vec[1]
-        g, x, y = _xgcd(a, b)
-        neww = (x * w[0] + y * vec[0], g)
-        # reduce vec to tau-coordinate 0
-        k1, k2 = b // g, a // g
-        upool.append(k2 * vec[0] - k1 * w[0])
-        w = neww
-    if w is None:
+    w, p = (0, 0), 0
+    for u, v in cols:
+        while v:
+            k = w[1] // v
+            w, (u, v) = (u, v), (w[0] - k * u, w[1] - k * v)
+        p = gcd(p, u)
+    if p == 0 or w[1] == 0:
         raise UsageError("lattice has rank < 2")
     if w[1] < 0:
         w = (-w[0], -w[1])
-    p = 0
-    for u in upool:
-        p = gcd(p, u)
-    if p == 0:
-        raise UsageError("lattice has rank < 2")
     return p, w[0] % p, w[1]
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _canonical_basis(alg: QuadraticAlgebra, p: int, s: int, r: int):

@@ -199,11 +199,6 @@ def pairs_isomorphic(p: CliffordPair, p2: CliffordPair) -> PairVerdict:
     """
     if not p.is_traceable() or not p2.is_traceable():
         raise NotTraceable("pair isomorphism is defined for traceable pairs")
-    if p == p2:
-        return PairVerdict(
-            "isomorphic",
-            witness=PairWitness(mident(p.ring), AlgebraWitness(p.ring.zero, 1)),
-        )
     n1, shift1 = normalize_pair(p)
     n2, shift2 = normalize_pair(p2)
     q2 = _read_off(n2)

@@ -28,7 +28,7 @@ def reduced_forms(D: int):
     """All primitive reduced positive definite forms of discriminant D.
 
     Reduced: -a < b <= a <= c with b >= 0 when a = c; enumeration runs
-    a up to sqrt(|D|/3).
+    a up to sqrt(|D|/3) and emits the forms in (a, b, c) order.
     """
     _check_disc(D)
     out = []
@@ -48,7 +48,6 @@ def reduced_forms(D: int):
             if gcd(gcd(a, b), c) != 1:
                 continue
             out.append(BinaryQuadraticForm(ZZ, a, b, c))
-    out.sort(key=lambda q: (q.a, q.b, q.c))
     return out
 
 
@@ -98,66 +97,32 @@ def class_group(D: int) -> ClassGroup:
 
 def _invariant_factors(table):
     """Invariant factors d1 | d2 | ... of the abelian group given by a
-    Cayley table with identity 0, via the element counts killed by each
-    prime power."""
-    n = len(table)
-    e = 0
-    if n == 1:
-        return ()
+    Cayley table with identity 0, from the element orders.
 
-    def power(i, k):
-        acc = e
-        base = i
-        while k:
-            if k & 1:
-                acc = table[acc][base]
-            base = table[base][base]
-            k >>= 1
-        return acc
-
-    partitions = {}
-    for p in factor(n):
-        # s_j = #{x : x^(p^j) = e}; the conjugate partition of the p-type
-        counts = [1]
-        j = 1
-        while True:
-            s = sum(1 for i in range(n) if power(i, p**j) == e)
-            counts.append(s)
-            if s == counts[-2]:
-                counts.pop()
-                break
-            j += 1
-        exps = []
-        for j in range(1, len(counts)):
-            ratio = counts[j] // counts[j - 1]
-            exps.append(_ilog(ratio, p))
-        # exps is the conjugate partition; transpose to cyclic exponents
-        parts = []
-        for j, width in enumerate(exps):
-            for i in range(width):
-                if len(parts) <= i:
-                    parts.append(0)
-                parts[i] += 1
-        partitions[p] = sorted(parts, reverse=True)
-
-    width = max(len(v) for v in partitions.values())
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, parts in partitions.items():
-            if i < len(parts):
-                d *= p ** parts[i]
-        factors.append(d)
-    factors.sort()
-    return tuple(factors)
-
-
-def _ilog(x, p):
-    k = 0
-    while x > 1:
-        x //= p
-        k += 1
-    return k
+    For each p^a exactly dividing the order, s_j = #{x : x^(p^j) = e}
+    is p^r times s_(j-1), where r counts the cyclic p-parts of order at
+    least p^j; so each step adds a factor p to the r largest invariant
+    factors, until s_j = p^a."""
+    orders = []
+    for i, row in enumerate(table):
+        k, x = 1, i
+        while x:
+            k, x = k + 1, row[x]
+        orders.append(k)
+    factors = []  # largest first
+    for p, a in factor(len(table)).items():
+        prev, q = 1, 1
+        while prev < p**a:
+            q *= p
+            count = sum(1 for k in orders if q % k == 0)
+            i, ratio = 0, count // prev
+            while ratio > 1:
+                if i == len(factors):
+                    factors.append(1)
+                factors[i] *= p
+                i, ratio = i + 1, ratio // p
+            prev = count
+    return tuple(reversed(factors))
 
 
 def _algebra_for_disc(D: int) -> QuadraticAlgebra:

@@ -120,9 +120,11 @@ class ModularRing(Ring):
     one = 1
 
     def __init__(self, n: int):
+        if type(n) is not int:
+            raise UsageError(f"modulus must be an int, got {n!r}")
         if n < 2:
             raise UsageError(f"modulus must be >= 2, got {n}")
-        self.n = int(n)
+        self.n = n
 
     def normalize(self, v):
         if type(v) is int:
@@ -239,10 +241,7 @@ def ring_from_json(obj) -> Ring:
     if kind == "rat":
         return QQ
     if kind == "mod":
-        n = obj.get("n")
-        if type(n) is not int:
-            raise UsageError(f"modular ring needs an integer modulus field 'n', got {n!r}")
-        return ModularRing(n)
+        return ModularRing(obj.get("n"))
     raise UsageError(f"unknown ring kind {kind!r}")
 
 

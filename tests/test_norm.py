@@ -1,7 +1,8 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binquad.clifford import QuadraticAlgebra, even_clifford, m_left
 from binquad.compose import identity_form
@@ -14,6 +15,7 @@ from binquad.errors import (
 from binquad.form import bqf, properly_equivalent
 from binquad.norm import (
     IdealLattice,
+    _hnf_cols,
     base_change_checks,
     even_clifford_of_ideal,
     form_to_ideal,
@@ -312,3 +314,43 @@ def test_base_change_norm_form_check_needs_a_proven_prime():
 def test_ideal_json_round_trip():
     I = form_to_ideal(bqf(2, 1, 3))
     assert IdealLattice.from_json(I.to_json()) == I
+
+
+_big = st.integers(min_value=-10**30, max_value=10**30)
+_column = st.one_of(
+    st.tuples(_big, _big),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    st.tuples(_big, st.just(0)),
+    st.just((0, 0)),
+)
+
+
+@st.composite
+def _column_lists(draw):
+    """2-5 columns: a few drawn ones, then repeats of them, each with a
+    random sign, in a random order."""
+    cols = draw(st.lists(_column, min_size=2, max_size=4))
+    cols += draw(st.lists(st.sampled_from(cols), max_size=5 - len(cols)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(cols), max_size=len(cols)))
+    return draw(st.permutations([(e * u, e * v) for (u, v), e in zip(cols, signs)]))
+
+
+@settings(max_examples=300)
+@given(_column_lists())
+def test_hnf_cols_spans_the_columns(cols):
+    # The Hermite triple must hold every column, and its determinant p*r
+    # must be the gcd of the 2x2 minors, i.e. the index of the span; so
+    # Z(p, 0) + Z(s, r) is the span itself.
+    index = 0
+    for i, (u1, v1) in enumerate(cols):
+        for u2, v2 in cols[i + 1:]:
+            index = gcd(index, u1 * v2 - u2 * v1)
+    if index == 0:
+        with pytest.raises(UsageError):
+            _hnf_cols(cols)
+        return
+    p, s, r = _hnf_cols(cols)
+    assert p > 0 and r > 0 and 0 <= s < p
+    for u, v in cols:
+        assert v % r == 0 and (u - (v // r) * s) % p == 0
+    assert p * r == index

@@ -110,6 +110,14 @@ def test_pairs_isomorphic_examples():
     v = pairs_isomorphic(p1, p1)
     assert v.is_isomorphic and v.witness.verify(p1, p1)
 
+    # a pair against itself goes through `similar`'s identity shortcut and
+    # transports to the identity witness over every ring, shifted or not
+    identity = {"verdict": "isomorphic", "witness": {"eps": 1, "k": 0, "psi": [[1, 0], [0, 1]]}}
+    for R, f in ((ZZ, (4, 5, 3)), (QQ, (Fraction(1, 2), 3, -5)), (ModularRing(5), (1, 2, 3)), (ModularRing(4), (2, 1, 3))):
+        q = BinaryQuadraticForm(R, *f)
+        for p in (form_to_pair(q), shifted_pair(q, 3)):
+            assert pairs_isomorphic(p, p).to_json(R) == identity
+
 
 def test_pairs_isomorphic_normalizes_each_pair_once(monkeypatch):
     calls = []

@@ -122,11 +122,17 @@ def _lattice_table(forms):
 
 
 def test_class_group_tables_match_the_lattice_route():
-    for D in range(-3, -2001, -1):
+    # groups of p-rank 2 for p >= 5 first occur past -2000; there the
+    # invariant factors are checked against known values and kill counts
+    extra = {-3299: (3, 9), -11199: (5, 20), -12451: (5, 5)}
+    for D in [*range(-3, -2001, -1), *extra]:
         if D % 4 not in (0, 1):
             continue
         g = class_group(D)
-        assert g.table == _lattice_table(g.forms), D
+        if D in extra:
+            assert g.invariant_factors == extra[D], D
+        else:
+            assert g.table == _lattice_table(g.forms), D
         # a finite abelian group is fixed by the counts #{x : x^k = e}, k | h;
         # for Z/d1 x ... x Z/dr they are prod(gcd(k, d_i))
         factors = g.invariant_factors

@@ -1,5 +1,8 @@
+import argparse
 import re
 from pathlib import Path
+
+from binquad.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -12,3 +15,11 @@ def test_layout_lists_every_module_once():
     listed = re.findall(r"^  (\S+\.py)\s", block, flags=re.MULTILINE)
     modules = sorted(p.name for p in (ROOT / "src" / "binquad").glob("*.py"))
     assert sorted(listed) == modules
+
+
+def test_verbs_list_every_subcommand_once():
+    # the README `Verbs:` list names each subcommand of the CLI parser once
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r"^Verbs: `([^`]*)`", readme, flags=re.MULTILINE).group(1).split()
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(sub.choices)

@@ -65,6 +65,12 @@ def test_modular_canonical_range():
         ModularRing(1)
 
 
+@pytest.mark.parametrize("n", [7.5, 2.9, "7", None, True], ids=repr)
+def test_modular_ring_rejects_non_int_moduli(n):
+    with pytest.raises(UsageError):
+        ModularRing(n)
+
+
 def test_inverse():
     assert ZZ.inv(-1) == -1
     with pytest.raises(NotInvertible):

@@ -294,12 +294,12 @@ def criterion_class_numbers():
 
 def criterion_picard_bijections():
     """Oriented and unoriented counts from ideal lattices (`pic_counts`)
-    equal those read off the composition table (`class_group`)."""
+    equal those read off the element orders (`class_group`)."""
     for D in _valid_discriminants(-100):
         g = class_group(D)
-        lattice, table = pic_counts(D), (g.order, g.unoriented)
-        if lattice != table:
-            return False, f"D={D}: lattice counts {lattice} != table counts {table}"
+        lattice, forms = pic_counts(D), (g.order, g.unoriented)
+        if lattice != forms:
+            return False, f"D={D}: lattice counts {lattice} != form counts {forms}"
     return True, "all valid D in [-100, -3], both routes"
 
 

@@ -11,7 +11,7 @@ Two routes are implemented and kept deliberately independent:
 * ``dirichlet_compose`` is the classical composition in Shanks' form
   (Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
   Alg. 5.4.7), run by ``shanks`` on plain int triples; it is the oracle
-  the lattice route is checked against, and class-group tables are built
+  the lattice route is checked against, and class groups are computed
   with it.
 """
 

@@ -38,8 +38,8 @@ from .errors import (
     UsageError,
     ZeroForm,
 )
-from .form import BinaryQuadraticForm, SimilarityWitness
-from .mat2 import mat, mat_from_json, mat_to_json, mdet, minv, mmul
+from .form import BinaryQuadraticForm, similar
+from .mat2 import mat, mat_from_json, mat_to_json, mdet
 from .modular import factor
 from .ring import IntegerRing, ModularRing, RationalRing, RingHom, ZZ
 
@@ -163,9 +163,9 @@ def unit_ideal(alg: QuadraticAlgebra) -> IdealLattice:
 
 
 def scalar_ideal(alg: QuadraticAlgebra, n: int) -> IdealLattice:
+    n = abs(ZZ.normalize(n))
     if n == 0:
         raise UsageError("scalar ideal needs a nonzero scalar")
-    n = abs(int(n))
     return IdealLattice(alg, ((n, 0), (0, n)))
 
 
@@ -284,7 +284,7 @@ def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:
     The even algebra and both action matrices must commute with the map
     exactly.  When the target is a field (Q or Z/p) and q is primitive,
     the mapped form is additionally checked to be similar to the norm
-    form of its even algebra, with an explicit verified witness.  Z/n
+    form of its even algebra, by `similar`, which verifies its witness.  Z/n
     counts as a field when `modular.factor` proves n prime; a modulus it
     cannot factor is skipped, as a non-field is.
     """
@@ -304,19 +304,4 @@ def _norm_form_check(q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> Optiona
     )
     if not field or not q.is_primitive():
         return None
-    # Move to a unit leading coefficient by a proper basis change; over a
-    # field a primitive form is nonzero, so one of a, c, b is a unit.
-    if R.is_unit(q2.a):
-        M0 = mat(R, ((1, 0), (0, 1)))
-    elif R.is_unit(q2.c):
-        M0 = mat(R, ((0, -1), (1, 0)))
-    elif R.is_unit(q2.b):
-        M0 = mat(R, ((1, 0), (1, 1)))
-    else:
-        return False
-    q3 = q2.act(M0, 1)
-    ident = BinaryQuadraticForm(R, 1, q3.b, R.mul(q3.a, q3.c))
-    # ident(a3*x, y) = a3 * q3(x, y), so W = diag(a3, 1) * M0^{-1}.
-    W = mmul(R, mat(R, ((q3.a, 0), (0, 1))), minv(R, M0))
-    witness = SimilarityWitness(W, q3.a)
-    return witness.verify(q2, ident)
+    return similar(q2, BinaryQuadraticForm(R, 1, q2.b, R.mul(q2.a, q2.c))).is_similar

@@ -1,8 +1,9 @@
 """Class sets of negative discriminants: reduced-form enumeration, the
-composition group on int triples, and the two Picard-style counts
-(oriented classes and orbits under conjugation).  The counts are read
-off the group table; ``pic_counts`` recomputes them from ideal lattices
-alone, as an oracle that ``verify`` checks against the table.
+orders of the classes under composition on int triples, and the two
+Picard-style counts (oriented classes and orbits under conjugation).
+The counts and the invariant factors are read off the element orders;
+``pic_counts`` recomputes the counts from ideal lattices alone, as an
+oracle that ``verify`` checks against them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class ClassGroup:
     discriminant: int
     # forms[0] is the principal form (1, D mod 2, .), the one reduced form with a = 1
     forms: tuple
-    table: tuple  # table[i][j] = index of the reduced composition of forms[i] and forms[j]
+    orders: tuple  # orders[i] = order of the class of forms[i]
     invariant_factors: tuple
 
     @property
@@ -72,45 +73,41 @@ class ClassGroup:
         """Classes up to conjugation.  The conjugate (a, -b, c) lies in the
         inverse class, so the orbits are the classes x with x^2 = e plus
         one per pair {x, x^-1} of the others."""
-        two_torsion = sum(1 for i, row in enumerate(self.table) if row[i] == 0)
-        return (self.order + two_torsion) // 2
-
-    def to_json(self) -> dict:
-        return {
-            "discriminant": self.discriminant,
-            "h": self.order,
-            "invariant_factors": list(self.invariant_factors),
-            "forms": [q.to_json() for q in self.forms],
-            "table": [list(row) for row in self.table],
-        }
+        return (self.order + sum(1 for k in self.orders if k <= 2)) // 2
 
 
 def class_group(D: int) -> ClassGroup:
-    """Reduced forms and their Cayley table, composed by Shanks' algorithm
-    and reduced on int triples."""
+    """Reduced forms and the order of each class.  Each cyclic subgroup
+    is walked once: the powers f, f^2, ..., f^n = e of the first form
+    whose order is not yet known are composed by Shanks' algorithm and
+    reduced on int triples, and f^j has order n/gcd(j, n)."""
     forms = reduced_forms(D)
     triples = [q.coeffs() for q in forms]
     index = {f: i for i, f in enumerate(triples)}
-    table = tuple(tuple(index[reduce_triple(*shanks(f1, f2))[0]] for f2 in triples) for f1 in triples)
-    return ClassGroup(D, tuple(forms), table, _invariant_factors(table))
+    orders = [0] * len(forms)
+    for i, f in enumerate(triples):
+        if orders[i]:
+            continue
+        powers, x = [i], f
+        while x != triples[0]:
+            x = reduce_triple(*shanks(x, f))[0]
+            powers.append(index[x])
+        n = len(powers)
+        for j, k in enumerate(powers, 1):
+            orders[k] = n // gcd(j, n)
+    return ClassGroup(D, tuple(forms), tuple(orders), _invariant_factors(orders))
 
 
-def _invariant_factors(table):
-    """Invariant factors d1 | d2 | ... of the abelian group given by a
-    Cayley table with identity 0, from the element orders.
+def _invariant_factors(orders):
+    """Invariant factors d1 | d2 | ... of a finite abelian group, from
+    the orders of its elements.
 
-    For each p^a exactly dividing the order, s_j = #{x : x^(p^j) = e}
+    For each p^a exactly dividing the group order, s_j = #{x : x^(p^j) = e}
     is p^r times s_(j-1), where r counts the cyclic p-parts of order at
     least p^j; so each step adds a factor p to the r largest invariant
     factors, until s_j = p^a."""
-    orders = []
-    for i, row in enumerate(table):
-        k, x = 1, i
-        while x:
-            k, x = k + 1, row[x]
-        orders.append(k)
     factors = []  # largest first
-    for p, a in factor(len(table)).items():
+    for p, a in factor(len(orders)).items():
         prev, q = 1, 1
         while prev < p**a:
             q *= p
@@ -163,8 +160,8 @@ def pic_counts(D: int):
 
     oriented = number of invertible ideal classes; unoriented = orbits
     of those classes under conjugation.  No form is reduced or composed,
-    so the counts are independent of the table that ``ClassGroup`` reads
-    them from (Cohen, GTM 138, 5.2).
+    so the counts are independent of the element orders that
+    ``ClassGroup`` reads them from (Cohen, GTM 138, 5.2).
     """
     reps = ideal_class_representatives(D)
     seen = set()

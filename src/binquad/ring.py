@@ -67,6 +67,14 @@ class Ring:
         raise NotImplementedError
 
 
+def _as_int(v) -> int:
+    """An int (bool included) or an integral Fraction as an int; floats,
+    strings and anything else are refused, not truncated."""
+    if isinstance(v, int) or isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
+    raise UsageError(f"{v if isinstance(v, Fraction) else repr(v)} is not an integer")
+
+
 class IntegerRing(Ring):
     kind = "int"
     zero = 0
@@ -74,14 +82,10 @@ class IntegerRing(Ring):
 
     def normalize(self, v):
         # Exact type first: isinstance(v, Fraction) goes through the ABC
-        # __instancecheck__.  bool and other int-likes still take int(v).
+        # __instancecheck__.
         if type(v) is int:
             return v
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise UsageError(f"{v} is not an integer")
-            return int(v)
-        return int(v)
+        return _as_int(v)
 
     def is_unit(self, v) -> bool:
         return v in (1, -1)
@@ -129,11 +133,7 @@ class ModularRing(Ring):
     def normalize(self, v):
         if type(v) is int:
             return v % self.n
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise UsageError(f"{v} is not an integer")
-            v = int(v)
-        return int(v) % self.n
+        return _as_int(v) % self.n
 
     def is_unit(self, v) -> bool:
         return gcd(self.normalize(v), self.n) == 1

@@ -13,9 +13,10 @@ from math import gcd
 from typing import Optional
 
 from binquad.clifford import _witness_for_eps
-# reduce_definite is bound here at import, so tests that patch the
-# library's bindings leave this oracle its own reference.
-from binquad.form import SimilarityWitness, reduce_definite
+from binquad.compose import shanks
+# reduce_definite, reduce_triple and shanks are bound here at import, so
+# tests that patch the library's bindings leave these oracles their own.
+from binquad.form import SimilarityWitness, reduce_definite, reduce_triple
 from binquad.mat2 import madd, mat, mdet, mident, mmul, mscale
 from binquad.pairs import CliffordPair, PairWitness
 from binquad.ring import ModularRing, RationalRing, Ring, ZZ
@@ -105,6 +106,16 @@ def definite_reduction_oracle(q1, q2):
     s2, r2 = positive(q2)
     proper = r1 == r2
     return proper or r1 == reduce_definite(r2.conjugate())[0], proper and s1 == s2
+
+
+def shanks_table(forms):
+    """Cayley table of the reduced forms of one discriminant, principal
+    form first: table[i][j] is the index of the reduced Shanks composition
+    of forms[i] and forms[j].  h^2 compositions, where class_group walks
+    each cyclic subgroup once."""
+    triples = [q.coeffs() for q in forms]
+    index = {f: i for i, f in enumerate(triples)}
+    return tuple(tuple(index[reduce_triple(*shanks(f1, f2))[0]] for f2 in triples) for f1 in triples)
 
 
 def value_set_screen_mod(q1, q2) -> bool:

@@ -195,12 +195,13 @@ CLASSGROUP_GOLDEN = {
     '{"a":3,"b":1,"c":4,"ring":{"ring":"int"}}],"h":5,"invariant_factors":[5],"oriented":5,"unoriented":3}\n',
     -3299: "83dfb559cb31b7326e4f8e3bcc10f746ad2a784483f5e63eba9857041037a0e6",
     -10007: "d8bd2774e7e1c9c49ec9248604f3b06aabe4edbcdb34edcb0b01bc96ac5c0db5",
+    -10000019: "27e3702dc6a6ba4efacf034d2c2481f105ecdb2316318335707ce80dcaea9430",
 }
 
 
 @pytest.mark.parametrize("D", sorted(CLASSGROUP_GOLDEN))
 def test_classgroup_golden_runs_no_lattice_code(monkeypatch, capsys, D):
-    # the counts are read off the composition table; the lattice route
+    # the counts are read off the element orders; the lattice route
     # (pic_counts and everything under it) is an oracle for verify and tests
     def refuse(*args, **kwargs):
         raise AssertionError("lattice code ran on a classgroup request")

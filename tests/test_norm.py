@@ -354,3 +354,13 @@ def test_hnf_cols_spans_the_columns(cols):
     for u, v in cols:
         assert v % r == 0 and (u - (v // r) * s) % p == 0
     assert p * r == index
+
+
+@pytest.mark.parametrize("v", [2.5, 2.0, "2", None], ids=repr)
+def test_lattices_reject_non_integers(v):
+    # int(v) would truncate 2.5 to a valid scalar and basis entry
+    C = QuadraticAlgebra(ZZ, 1, 6)
+    with pytest.raises(UsageError):
+        scalar_ideal(C, v)
+    with pytest.raises(UsageError):
+        IdealLattice(C, ((v, 0), (0, 2)))

@@ -3,8 +3,9 @@ from math import gcd, prod
 
 import pytest
 
+from binquad import picard
 from binquad.clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
-from binquad.compose import compose
+from binquad.compose import compose, shanks
 from binquad.errors import BadDiscriminant
 from binquad.form import bqf, reduce_definite
 from binquad.picard import (
@@ -16,6 +17,8 @@ from binquad.picard import (
     reduced_forms,
 )
 from binquad.ring import ZZ
+
+from oracles import shanks_table
 
 
 def test_reduced_forms_examples():
@@ -91,13 +94,14 @@ def test_class_group_structure():
 
 def test_class_group_table_is_a_latin_square_with_identity():
     g = class_group(-71)
+    table = shanks_table(g.forms)
     n = g.order
     ident = [q.coeffs() for q in g.forms].index((1, 1, 18))
     for i in range(n):
-        assert sorted(g.table[i]) == list(range(n))
-        assert sorted(row[i] for row in g.table) == list(range(n))
-        assert ident in g.table[i]
-        assert g.table[i][ident] == i
+        assert sorted(table[i]) == list(range(n))
+        assert sorted(row[i] for row in table) == list(range(n))
+        assert ident in table[i]
+        assert table[i][ident] == i
 
 
 def _lattice_table(forms):
@@ -129,10 +133,18 @@ def test_class_group_tables_match_the_lattice_route():
         if D % 4 not in (0, 1):
             continue
         g = class_group(D)
+        table = shanks_table(g.forms)
         if D in extra:
             assert g.invariant_factors == extra[D], D
         else:
-            assert g.table == _lattice_table(g.forms), D
+            assert table == _lattice_table(g.forms), D
+        orders = []
+        for x in range(g.order):
+            k, y = 1, x
+            while y:
+                k, y = k + 1, table[y][x]
+            orders.append(k)
+        assert g.orders == tuple(orders), D
         # a finite abelian group is fixed by the counts #{x : x^k = e}, k | h;
         # for Z/d1 x ... x Z/dr they are prod(gcd(k, d_i))
         factors = g.invariant_factors
@@ -144,9 +156,27 @@ def test_class_group_tables_match_the_lattice_route():
             for x in range(g.order):
                 y = 0
                 for _ in range(k):
-                    y = g.table[y][x]
+                    y = table[y][x]
                 killed += y == 0
             assert killed == prod(gcd(k, d) for d in factors), (D, k)
+
+
+def test_class_group_composes_at_most_3h_times(monkeypatch):
+    # one walk per cyclic subgroup, where the Cayley table takes h^2
+    calls = 0
+
+    def counting_shanks(f1, f2):
+        nonlocal calls
+        calls += 1
+        return shanks(f1, f2)
+
+    monkeypatch.setattr(picard, "shanks", counting_shanks)
+    for D in [*range(-3, -2001, -1), -10000019]:
+        if D % 4 not in (0, 1):
+            continue
+        calls = 0
+        h = class_group(D).order
+        assert calls <= 3 * h, (D, calls, h)
 
 
 def test_unoriented_count_is_read_off_the_table():
@@ -162,7 +192,7 @@ def test_pic_counts_examples():
 
 
 def test_pic_counts_reaches_no_form_route(monkeypatch):
-    # the table's counts come first; then every binding of the form route
+    # class_group's counts come first; then every binding of the form route
     # (enumeration, reduction, Shanks' composition) refuses to run
     Ds = [D for D in range(-400, -2) if D % 4 in (0, 1)]
     table = {}

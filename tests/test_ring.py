@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from binquad.errors import IncompatibleHom, NotInvertible, UnsupportedRing, UsageError
+from binquad.form import BinaryQuadraticForm
 from binquad.ring import (
     ModularRing,
     QQ,
@@ -69,6 +71,17 @@ def test_modular_canonical_range():
 def test_modular_ring_rejects_non_int_moduli(n):
     with pytest.raises(UsageError):
         ModularRing(n)
+
+
+@pytest.mark.parametrize("R", [ZZ, ModularRing(7)], ids=repr)
+@pytest.mark.parametrize("v", [1.5, 7.5, 7.0, "12", None], ids=repr)
+def test_integral_rings_reject_non_integers(R, v):
+    # int(v) would truncate the floats and parse the string
+    with pytest.raises(UsageError, match=re.escape(repr(v))):
+        R.normalize(v)
+    with pytest.raises(UsageError):
+        BinaryQuadraticForm(R, v, 0, 1)
+    assert R.normalize(True) == 1 and R.normalize(Fraction(-8, 2)) == R.normalize(-4)
 
 
 def test_inverse():

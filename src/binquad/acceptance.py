@@ -24,7 +24,7 @@ from .clifford import (
     quat_trace,
 )
 from .compose import compose, dirichlet_compose, identity_form, inverse_form
-from .errors import UnsupportedRing
+from .errors import UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm, properly_equivalent, similar
 from .norm import (
     base_change_checks,
@@ -440,10 +440,11 @@ def run(name_filter=None, out=None) -> bool:
         import sys
 
         out = sys.stdout.write
+    picked = [c for c in CRITERIA if not name_filter or name_filter in c[1] or name_filter == c[0]]
+    if not picked:
+        raise UsageError(f"no criterion matches the filter {name_filter!r}")
     all_ok = True
-    for key, name, fn in CRITERIA:
-        if name_filter and name_filter not in name and name_filter != key:
-            continue
+    for key, name, fn in picked:
         ok, detail = fn()
         all_ok = all_ok and ok
         out(f"{key} {name}: {'PASS' if ok else 'FAIL'} ({detail})\n")

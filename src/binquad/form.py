@@ -297,17 +297,6 @@ def _screen_not_similar(q1, q2) -> Optional[str]:
     return None
 
 
-def _value_set_screen(q1, q2) -> Optional[str]:
-    """Value sets over Z mod m <= 16, up to sign: exact invariants that
-    cost O(m^2), named in a non-similar verdict over Z."""
-    for m in range(2, 17):
-        s1 = value_set_mod(q1, m)
-        s2 = value_set_mod(q2, m)
-        if s2 != s1 and s2 != frozenset((-v) % m for v in s1):
-            return f"value_set_mod_{m}"
-    return None
-
-
 def _diagonalize_rational(q):
     """(P, alpha, beta) with q(P v) = alpha*x^2 + beta*y^2 and alpha != 0,
     for a nonzero form over Q: complete the square on a; on c after
@@ -355,7 +344,7 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdi
     CYCLE_LIMIT), forms over Q through diagonalisation, and forms over Z/n
     through Jordan splitting at each prime power (binquad.modular).  Two
     cases answer Unknown and name the budget they used up: a non-square
-    D > 0 whose cycles outrun CYCLE_LIMIT (after the value-set screen), and
+    D > 0 whose cycles outrun CYCLE_LIMIT (after the genus screen), and
     a modulus n that cannot be factored within binquad.modular.TRIAL_LIMIT.
     """
     R = _same_ring(q1, q2)

@@ -32,8 +32,9 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import BudgetExceeded
-from .form import SimilarityVerdict, SimilarityWitness, _value_set_screen, reduce_triple
+from .form import SimilarityVerdict, SimilarityWitness, reduce_triple
 from .mat2 import mmul
+from .modular import _genus
 from .ring import ZZ
 
 # Every reduction and every cycle walk stops after this many rho-steps.
@@ -164,10 +165,10 @@ def similar_integral(q1, q2) -> SimilarityVerdict:
     equivalent to u * q1(N v) for one of u = +-1 and N = diag(1, +-1):
     q2 is matched against the canonical forms of these four variants.  A
     non-similar verdict names `definite_reduction` for D < 0; for D >= 0 it
-    names a differing value set mod m when there is one, and otherwise
-    `split_form` (square D) or `indefinite_cycle`.  Past CYCLE_LIMIT the
-    value sets are compared, and otherwise the verdict is unknown with
-    reason `cycle_limit`."""
+    names `genus` when the genus characters of q2 are those of neither
+    u * q1, and otherwise `split_form` (square D) or `indefinite_cycle`.
+    Past CYCLE_LIMIT the genus characters are compared, and otherwise the
+    verdict is unknown with reason `cycle_limit`."""
     D = q1.discriminant()[1]
     r = isqrt(max(D, 0))
     a, b, c = q1.coeffs()
@@ -179,15 +180,15 @@ def similar_integral(q1, q2) -> SimilarityVerdict:
                 targets.setdefault(g, (T, n, u))
         T2, hit = _find(q2.coeffs(), targets, D, r)
     except BudgetExceeded:
-        reason = _value_set_screen(q1, q2)
-        if reason is not None:
-            return SimilarityVerdict("not_similar", reason=reason)
-        return SimilarityVerdict("unknown", reason="cycle_limit", bound=CYCLE_LIMIT)
+        T2 = hit = None  # T2 is None only past CYCLE_LIMIT
     if hit is None:
         if D < 0:
             return SimilarityVerdict("not_similar", reason="definite_reduction")
-        reason = "split_form" if r * r == D else "indefinite_cycle"
-        return SimilarityVerdict("not_similar", reason=_value_set_screen(q1, q2) or reason)
+        if _genus(q2.coeffs(), D, 1) not in (_genus(q1.coeffs(), D, u) for u in (1, -1)):
+            return SimilarityVerdict("not_similar", reason="genus")
+        if T2 is None:
+            return SimilarityVerdict("unknown", reason="cycle_limit", bound=CYCLE_LIMIT)
+        return SimilarityVerdict("not_similar", reason="split_form" if r * r == D else "indefinite_cycle")
     # q2.act(T2 T, 1) == q1.act(N T1, u), so M = T2 T T1^-1 N.
     T, (T1, n, u) = hit
     (t00, t01), (t10, t11) = T1

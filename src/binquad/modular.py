@@ -24,7 +24,7 @@ local witnesses by CRT.
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 
 from .form import BinaryQuadraticForm, SimilarityVerdict, SimilarityWitness
 from .mat2 import mat, mident, minv, mmul
@@ -84,6 +84,23 @@ def factor(n: int):
 def _legendre(x: int, p: int) -> int:
     """1 for a nonzero square mod p, p - 1 for a non-square, 0 for 0."""
     return pow(x, (p - 1) // 2, p)
+
+
+def _genus(f, D: int, u: int):
+    """The assigned characters of u*f, a nonzero int triple of discriminant
+    D (Cox, *Primes of the Form x^2 + ny^2*, Thm 3.15), on a coefficient m of
+    the primitive part prime to p: (m/p) for each odd p | D (p <= 13 when D
+    cannot be factored) and, if 4 | D, delta, epsilon or delta*epsilon."""
+    g = gcd(*f)
+    a, c, D = u * f[0] // g, u * f[2] // g, D // (g * g)
+    ps = factor(abs(D))
+    ps = (3, 5, 7, 11, 13) if ps is None else ps
+    chars = [_legendre(a if a % p else c, p) for p in ps if p > 2 and D % p == 0]
+    if D % 4:
+        return chars
+    m = a if a % 2 else c
+    d, e = m % 4 == 1, m % 8 in (1, 7)
+    return chars + {0: [d, e], 2: [e], 3: [d], 4: [d], 6: [d == e], 7: [d]}.get(D // 4 % 8, [])
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:

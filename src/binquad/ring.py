@@ -180,7 +180,9 @@ class RationalRing(Ring):
     def normalize(self, v):
         if type(v) is Fraction:
             return v
-        return Fraction(v)
+        if isinstance(v, int):
+            return Fraction(v)
+        raise UsageError(f"{v!r} is not an int or a Fraction")
 
     def is_unit(self, v) -> bool:
         return self.normalize(v) != 0

@@ -16,7 +16,7 @@ from binquad.clifford import _witness_for_eps
 from binquad.compose import shanks
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
-from binquad.form import SimilarityWitness, reduce_definite, reduce_triple
+from binquad.form import SimilarityWitness, reduce_definite, reduce_triple, value_set_mod
 from binquad.mat2 import madd, mat, mdet, mident, mmul, mscale
 from binquad.pairs import CliffordPair, PairWitness
 from binquad.ring import ModularRing, RationalRing, Ring, ZZ
@@ -116,6 +116,18 @@ def shanks_table(forms):
     triples = [q.coeffs() for q in forms]
     index = {f: i for i, f in enumerate(triples)}
     return tuple(tuple(index[reduce_triple(*shanks(f1, f2))[0]] for f2 in triples) for f1 in triples)
+
+
+def value_set_screen(q1, q2) -> Optional[str]:
+    """`value_set_mod_m` for the least m <= 16 where the value sets of
+    forms over Z mod m differ even up to sign, or None: exact invariants
+    of similarity that cost O(m^2), which the genus characters subsume."""
+    for m in range(2, 17):
+        s1 = value_set_mod(q1, m)
+        s2 = value_set_mod(q2, m)
+        if s2 != s1 and s2 != frozenset((-v) % m for v in s1):
+            return f"value_set_mod_{m}"
+    return None
 
 
 def value_set_screen_mod(q1, q2) -> bool:

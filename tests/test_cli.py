@@ -309,6 +309,15 @@ def test_verify_filter(capsys):
     assert "C07 class-numbers: PASS" in out
 
 
+def test_verify_filter_without_a_match_fails(capsys):
+    # a typo must not read as a pass
+    code = run(["verify", "--filter", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and "'nosuch'" in err["message"]
+
+
 def test_output_is_canonical_json(capsys):
     run(["disc", form_json(2, 1, 3)])
     out = capsys.readouterr().out

@@ -6,12 +6,15 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binquad.acceptance import _valid_discriminants
 from binquad.errors import BudgetExceeded, DomainError
-from binquad.form import _value_set_screen, bqf, properly_equivalent, similar
+from binquad.form import bqf, properly_equivalent, similar
 from binquad.integral import CYCLE_LIMIT
 from binquad.mat2 import mmul
+from binquad.modular import _genus, factor
+from binquad.picard import class_group, reduced_forms
 from binquad.ring import ZZ
-from oracles import bounded_witness_search, column_search
+from oracles import bounded_witness_search, column_search, value_set_screen
 
 coef = st.integers(min_value=-9, max_value=9)
 
@@ -24,6 +27,7 @@ def _nonsquare_positive(f):
 
 forms = st.tuples(coef, coef, coef).filter(_nonsquare_positive)
 steps = st.lists(st.tuples(st.booleans(), st.integers(min_value=-50, max_value=50)), max_size=6)
+signs = st.sampled_from((1, -1))
 
 
 def _gl2(word, flip):
@@ -65,16 +69,22 @@ def test_cycle_finds_every_witness_the_search_finds(f, a2, b2):
 
 def test_pair_that_every_value_set_passes():
     # D = 145 has narrow class number 4, and these two forms lie in
-    # classes that are not even similar; no value set mod m <= 16 sees it.
+    # classes that are not even similar; no value set mod m <= 16 sees it,
+    # and neither do the genus characters: both forms lie in one genus.
     q1, q2 = bqf(1, 11, -6), bqf(4, 7, -6)
-    assert _value_set_screen(q1, q2) is None
+    assert value_set_screen(q1, q2) is None
+    assert _genus(q2.coeffs(), 145, 1) == _genus(q1.coeffs(), 145, 1)
     v = similar(q1, q2)
     assert v.verdict == "not_similar" and v.reason == "indefinite_cycle"
 
 
 def test_value_set_reason_is_kept():
-    v = similar(bqf(1, 0, -10), bqf(2, 0, -5))
-    assert v.verdict == "not_similar" and v.reason == "value_set_mod_5"
+    # mod 5 the values are {0, 1, 4} and {0, 2, 3}, and -1 is a square mod
+    # 5, so no sign bridges them; the character (m/5) says the same
+    q1, q2 = bqf(1, 0, -10), bqf(2, 0, -5)
+    assert value_set_screen(q1, q2) == "value_set_mod_5"
+    v = similar(q1, q2)
+    assert v.verdict == "not_similar" and v.reason == "genus"
 
 
 def _brute_sl2_orbit(q, bound):
@@ -180,11 +190,76 @@ def test_large_coefficients_end_in_time():
     start = time.perf_counter()
     v = similar(q1, q1.act(((3, 7), (2, 5)), -1))
     assert v.is_similar and v.witness.verify(q1, q1.act(((3, 7), (2, 5)), -1))
-    # the cycle of D ~ 2^2050 is far longer than the limit: after the
-    # value-set screen the verdict is an unknown that names the budget
+    # the cycle of D ~ 2^2050 is far longer than the limit.  factor finds
+    # no prime of D up to TRIAL_LIMIT and no odd prime up to 13 divides it,
+    # so the genus characters are empty on both sides (D = 1 mod 4), and
+    # the verdict is an unknown that names the budget
+    D = q1.discriminant()[1]
+    assert factor(abs(D)) is None and D % 4 == 1
+    assert not [p for p in (3, 5, 7, 11, 13) if D % p == 0]
     v = similar(q1, q2)
     assert v.to_json(ZZ) == {"verdict": "unknown", "reason": "cycle_limit", "bound": CYCLE_LIMIT}
     assert time.perf_counter() - start < 10
     with pytest.raises(BudgetExceeded, match="CYCLE_LIMIT") as err:
         properly_equivalent(q1, q2)
     assert isinstance(err.value, DomainError)
+
+
+def _forms_of(D):
+    """The primitive forms (a, b, c) of discriminant D with 0 < |a| <= 12
+    and 0 <= b < 2|a|; a = 1 always gives one."""
+    return [
+        (a, b, (b * b - D) // (4 * a))
+        for a in range(-12, 13)
+        for b in range(2 * abs(a))
+        if a and (b * b - D) % (4 * a) == 0 and gcd(gcd(a, b), (b * b - D) // (4 * a)) == 1
+    ]
+
+
+@st.composite
+def pairs(draw):
+    """Two forms of one content g and one discriminant g^2 D in
+    [-10^4, 10^4], square and zero ones included: the second is another
+    primitive form of D or the first moved by GL2(Z) and u = +-1, and both
+    are scaled by g and moved off their place."""
+    g = draw(st.sampled_from((1, 1, 2, 3, 4, 6)))
+    bound = 10**4 // (g * g)
+    squares = st.integers(min_value=0, max_value=isqrt(bound)).map(lambda s: s * s)
+    D = draw(st.one_of(st.integers(min_value=-bound, max_value=bound), squares).filter(lambda D: D % 4 < 2))
+    of_d = _forms_of(D)
+    f1 = draw(st.sampled_from(of_d))
+    if draw(st.booleans()):
+        f2 = draw(st.sampled_from([f for f in of_d if f != f1] or of_d))
+    else:
+        f2 = bqf(*f1).act(_gl2(draw(steps), draw(st.booleans())), draw(signs)).coeffs()
+    move = lambda f: bqf(*(g * x for x in f)).act(_gl2(draw(steps), draw(st.booleans())), draw(signs)).coeffs()
+    return move(f1), move(f2)
+
+
+def _separates(f1, f2) -> bool:
+    D = f1[1] ** 2 - 4 * f1[0] * f1[2]
+    return _genus(f2, D, 1) not in (_genus(f1, D, 1), _genus(f1, D, -1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs())
+def test_genus_is_sound_and_subsumes_the_value_sets(pair):
+    f1, f2 = pair
+    q1, q2 = bqf(*f1), bqf(*f2)
+    separated = _separates(f1, f2)
+    v = similar(q1, q2)
+    assert v.is_decided
+    if v.is_similar:
+        assert not separated
+        assert v.witness.verify(q1, q2)
+    if value_set_screen(q1, q2) is not None:
+        assert separated
+    if q1.discriminant()[1] >= 0:
+        assert (v.reason == "genus") == separated
+
+
+def test_genus_count_is_the_two_rank_of_the_class_group():
+    for D in _valid_discriminants(-3000):
+        genera = {tuple(_genus(q.coeffs(), D, 1)) for q in reduced_forms(D)}
+        even = sum(1 for n in class_group(D).invariant_factors if n % 2 == 0)
+        assert len(genera) == 2**even, D

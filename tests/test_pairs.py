@@ -9,7 +9,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binquad import pairs
+from binquad import form, pairs
 from binquad.clifford import QuadraticAlgebra
 from binquad.errors import NotAModule, NotAPerfectSquare, NotTraceable
 from binquad.form import BinaryQuadraticForm, bqf, similar
@@ -408,11 +408,13 @@ def test_pair_search_is_off_the_request_path(monkeypatch):
         raise AssertionError("a search ran on the request path")
 
     monkeypatch.setattr(ModularRing, "units", refuse)
+    monkeypatch.setattr(form, "value_set_mod", refuse)
     for name in (
         "bounded_witness_search",
         "iter_unit_matrices",
         "spiral",
         "column_search",
+        "value_set_screen",
         "value_set_screen_mod",
         "discriminant_screen_units",
         "algebra_map_candidates",
@@ -427,6 +429,10 @@ def test_pair_search_is_off_the_request_path(monkeypatch):
         (bqf(1, 0, 1), bqf(1, 1, 1), "not_isomorphic"),
         (bqf(1, 0, -34), bqf(2, 0, -17), "isomorphic"),
         (bqf(1, 7, 0), bqf(3, 7, 0), {"verdict": "not_isomorphic", "reason": "split_form"}),
+        (bqf(1, 0, -10), bqf(2, 0, -5), {"verdict": "not_isomorphic", "reason": "genus"}),
+        (bqf(1, 11, -6), bqf(4, 7, -6), {"verdict": "not_isomorphic", "reason": "indefinite_cycle"}),
+        (bqf(2, 1, 3), bqf(1, 1, 6), {"verdict": "not_isomorphic", "reason": "definite_reduction"}),
+        (bqf(1, 2, 1), bqf(-4, 4, -1), "isomorphic"),
         (bqf(1, 7, 0), bqf(1, 7, 0).act(((2, 3), (1, 2)), -1), "isomorphic"),
         (BinaryQuadraticForm(QQ, 1, 0, 1), BinaryQuadraticForm(QQ, Fraction(1, 2), 0, Fraction(9, 2)), "isomorphic"),
         (mod(7, 2, 1, 3), mod(7, 3, 0, 1), None),
@@ -470,6 +476,7 @@ def test_no_search_is_left_in_the_library():
         "_algebra_map_candidates",
         ".units()",
         '"value_set"',
+        "_value_set_screen",
     ):
         assert name not in text, name
 

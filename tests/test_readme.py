@@ -23,3 +23,13 @@ def test_verbs_list_every_subcommand_once():
     listed = re.search(r"^Verbs: `([^`]*)`", readme, flags=re.MULTILINE).group(1).split()
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(listed) == sorted(sub.choices)
+
+
+def test_readme_names_every_reason():
+    # every reason="..." literal that a verdict can carry is explained in
+    # the README
+    readme = (ROOT / "README.md").read_text()
+    text = "\n".join(p.read_text() for p in sorted((ROOT / "src" / "binquad").glob("*.py")))
+    reasons = set(re.findall(r'reason="([^"]+)"', text))
+    assert "genus" in reasons
+    assert sorted(r for r in reasons if not re.search(f'[`"]{r}[`"]', readme)) == []

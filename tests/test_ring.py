@@ -84,6 +84,17 @@ def test_integral_rings_reject_non_integers(R, v):
     assert R.normalize(True) == 1 and R.normalize(Fraction(-8, 2)) == R.normalize(-4)
 
 
+@pytest.mark.parametrize("v", [0.1, "1/3", None, 1.5], ids=repr)
+def test_rationals_reject_floats_and_strings(v):
+    # Fraction(v) would take the binary value of 0.1 and parse "1/3"
+    with pytest.raises(UsageError, match=re.escape(repr(v))):
+        QQ.normalize(v)
+    with pytest.raises(UsageError):
+        BinaryQuadraticForm(QQ, v, 0, 1)
+    assert QQ.normalize(True) == 1 and QQ.normalize(-4) == Fraction(-4)
+    assert QQ.normalize(Fraction(1, 3)) == Fraction(1, 3)
+
+
 def test_inverse():
     assert ZZ.inv(-1) == -1
     with pytest.raises(NotInvertible):

@@ -10,26 +10,24 @@ tau acting on the left by [[b, c], [-a, 0]] and on the right by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NonScalarNorm, NotAModule, UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm
 from .mat2 import madd, mat, mident, mmul, mscale
-from .ring import Ring, RingHom, ring_from_json
+from .ring import Ring, RingHom, Value, ring_from_json
 
 
-@dataclass(frozen=True)
-class QuadraticAlgebra:
+class QuadraticAlgebra(Value):
     """Free rank-2 algebra <1, tau> with tau^2 = t*tau - nm."""
 
-    ring: Ring
-    t: object
-    nm: object
+    __slots__ = ("ring", "t", "nm")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", self.ring.normalize(self.t))
-        object.__setattr__(self, "nm", self.ring.normalize(self.nm))
+    def __init__(self, ring: Ring, t, nm):
+        n, s = ring.normalize, object.__setattr__
+        s(self, "ring", ring)
+        s(self, "t", n(t))
+        s(self, "nm", n(nm))
 
     def disc(self):
         return self.ring.normalize(self.t * self.t - 4 * self.nm)
@@ -107,11 +105,11 @@ def m_right(q: BinaryQuadraticForm):
     return mat(q.ring, ((0, -q.c), (q.a, q.b)))
 
 
-@dataclass(frozen=True)
-class CliffordModule:
-    alg: QuadraticAlgebra
-    left: tuple
-    right: Optional[tuple] = None
+class CliffordModule(Value):
+    __slots__ = ("alg", "left", "right")
+
+    def __init__(self, alg: QuadraticAlgebra, left: tuple, right: Optional[tuple] = None):
+        Value.__init__(self, alg, left, right)
 
 
 def clifford_bimodule(q: BinaryQuadraticForm) -> CliffordModule:
@@ -136,8 +134,7 @@ def is_traceable(C: QuadraticAlgebra, M) -> bool:
     return R.normalize(M[0][0] + M[1][1]) == C.t
 
 
-@dataclass(frozen=True)
-class AlgebraWitness:
+class AlgebraWitness(Value):
     """Isomorphism data tau' -> k + eps*tau for a unit eps.
 
     A witness returned by algebra_isomorphic(C, D) describes the map
@@ -146,8 +143,10 @@ class AlgebraWitness:
     over modular rings may carry other units.
     """
 
-    k: object
-    eps: object
+    __slots__ = ("k", "eps")
+
+    def __init__(self, k, eps):
+        Value.__init__(self, k, eps)
 
     def verify(self, C: QuadraticAlgebra, D: QuadraticAlgebra) -> bool:
         R = C.ring
@@ -227,34 +226,18 @@ def quat_elem(q: BinaryQuadraticForm, x0, x1=0, y1=0, y2=0):
     return (R.normalize(x0), R.normalize(x1), R.normalize(y1), R.normalize(y2))
 
 
-def _basis_table(q: BinaryQuadraticForm):
-    """table[i][j] = coordinates of e_i*e_j on the basis (1, tau, e1, e2),
-    unnormalized."""
-    a, b, c = q.coeffs()
-    unit, tau, e1, e2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
-    return (
-        (unit, tau, e1, e2),
-        (tau, (-a * c, b, 0, 0), (0, 0, b, -a), (0, 0, c, 0)),
-        (e1, (0, 0, 0, a), (a, 0, 0, 0), tau),
-        (e2, (0, 0, -c, b), (b, -1, 0, 0), (c, 0, 0, 0)),
-    )
-
-
 def quat_mul(q: BinaryQuadraticForm, z, w):
+    """The product on the basis (1, tau, e1, e2), by the table above."""
     n = q.ring.normalize
-    table = _basis_table(q)
-    out = [0] * 4
-    for i, zi in enumerate(z):
-        if zi == 0:
-            continue
-        for j, wj in enumerate(w):
-            if wj == 0:
-                continue
-            coeff = zi * wj
-            prod = table[i][j]
-            for k in range(4):
-                out[k] += coeff * prod[k]
-    return tuple(n(v) for v in out)
+    a, b, c = q.coeffs()
+    x0, x1, y1, y2 = z
+    u0, u1, v1, v2 = w
+    return (
+        n(x0 * u0 - a * c * x1 * u1 + a * y1 * v1 + b * y2 * v1 + c * y2 * v2),
+        n(x0 * u1 + x1 * u0 + b * x1 * u1 + y1 * v2 - y2 * v1),
+        n(x0 * v1 + y1 * u0 + b * x1 * v1 + c * x1 * v2 - c * y2 * u1),
+        n(x0 * v2 + y2 * u0 - a * x1 * v1 + a * y1 * u1 + b * y2 * u1),
+    )
 
 
 def quat_conj(q: BinaryQuadraticForm, z):

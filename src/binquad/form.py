@@ -13,7 +13,6 @@ det(M) = +1, u = +1 relation used by composition and class groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -26,6 +25,7 @@ from .ring import (
     RationalRing,
     Ring,
     RingHom,
+    Value,
     ZZ,
     content,
     fraction_sqrt,
@@ -36,17 +36,15 @@ from .ring import (
 _PROBES = ((1, 0), (0, 1), (1, 1))
 
 
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
-    ring: Ring
-    a: object
-    b: object
-    c: object
+class BinaryQuadraticForm(Value):
+    __slots__ = ("ring", "a", "b", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.ring.normalize(self.a))
-        object.__setattr__(self, "b", self.ring.normalize(self.b))
-        object.__setattr__(self, "c", self.ring.normalize(self.c))
+    def __init__(self, ring: Ring, a, b, c):
+        n, s = ring.normalize, object.__setattr__
+        s(self, "ring", ring)
+        s(self, "a", n(a))
+        s(self, "b", n(b))
+        s(self, "c", n(c))
 
     def coeffs(self):
         return (self.a, self.b, self.c)
@@ -164,12 +162,13 @@ def act(q: BinaryQuadraticForm, M, u) -> BinaryQuadraticForm:
     return q.act(M, u)
 
 
-@dataclass(frozen=True)
-class SimilarityWitness:
+class SimilarityWitness(Value):
     """Certifies q'(M v) = u * q(v) for all v."""
 
-    m: tuple
-    u: object
+    __slots__ = ("m", "u")
+
+    def __init__(self, m: tuple, u):
+        Value.__init__(self, m, u)
 
     def verify(self, q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> bool:
         R = q.ring
@@ -190,12 +189,11 @@ class SimilarityWitness:
         return SimilarityWitness(mat_from_json(ring, obj["m"]), ring.elem_from_json(obj["u"]))
 
 
-@dataclass(frozen=True)
-class SimilarityVerdict:
-    verdict: str  # "similar" | "not_similar" | "unknown"
-    witness: Optional[SimilarityWitness] = None
-    reason: Optional[str] = None
-    bound: Optional[int] = None
+class SimilarityVerdict(Value):
+    __slots__ = ("verdict", "witness", "reason", "bound")  # verdict: "similar" | "not_similar" | "unknown"
+
+    def __init__(self, verdict: str, witness: Optional[SimilarityWitness] = None, reason=None, bound=None):
+        Value.__init__(self, verdict, witness, reason, bound)
 
     @property
     def is_similar(self) -> bool:

@@ -86,15 +86,20 @@ def _legendre(x: int, p: int) -> int:
     return pow(x, (p - 1) // 2, p)
 
 
-def _genus(f, D: int, u: int):
+def _genus_primes(D: int):
+    """The primes _genus reads at: those of |D|, or 3, ..., 13 if D cannot be factored."""
+    ps = factor(abs(D))
+    return (3, 5, 7, 11, 13) if ps is None else ps
+
+
+def _genus(f, D: int, u: int, ps):
     """The assigned characters of u*f, a nonzero int triple of discriminant
-    D (Cox, *Primes of the Form x^2 + ny^2*, Thm 3.15), on a coefficient m of
-    the primitive part prime to p: (m/p) for each odd p | D (p <= 13 when D
-    cannot be factored) and, if 4 | D, delta, epsilon or delta*epsilon."""
+    D and content g (Cox, *Primes of the Form x^2 + ny^2*, Thm 3.15), on a
+    coefficient m of the primitive part prime to p: (m/p) for each odd p in
+    ps = _genus_primes(D/g^2) dividing D/g^2 and, if 4 | D/g^2, delta,
+    epsilon or delta*epsilon."""
     g = gcd(*f)
     a, c, D = u * f[0] // g, u * f[2] // g, D // (g * g)
-    ps = factor(abs(D))
-    ps = (3, 5, 7, 11, 13) if ps is None else ps
     chars = [_legendre(a if a % p else c, p) for p in ps if p > 2 and D % p == 0]
     if D % 4:
         return chars

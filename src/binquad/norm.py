@@ -19,7 +19,6 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional
 
@@ -41,7 +40,7 @@ from .errors import (
 from .form import BinaryQuadraticForm, similar
 from .mat2 import mat, mat_from_json, mat_to_json, mdet
 from .modular import factor
-from .ring import IntegerRing, ModularRing, RationalRing, RingHom, ZZ
+from .ring import IntegerRing, ModularRing, RationalRing, RingHom, Value, ZZ
 
 
 def _tau_times(alg: QuadraticAlgebra, z):
@@ -89,8 +88,7 @@ def _canonical_lattice(alg: QuadraticAlgebra, cols) -> "IdealLattice":
     return IdealLattice(alg, _canonical_basis(alg, *_hnf_cols(cols)))
 
 
-@dataclass(frozen=True, eq=False)
-class IdealLattice:
+class IdealLattice(Value):
     """Full-rank sublattice of a quadratic Z-algebra, closed under tau.
 
     ``basis`` columns are the coordinates of the ordered basis
@@ -98,13 +96,12 @@ class IdealLattice:
     normalization is explicit via ``canonical()``.
     """
 
-    alg: QuadraticAlgebra
-    basis: tuple
+    __slots__ = ("alg", "basis")
 
-    def __post_init__(self):
-        if not isinstance(self.alg.ring, IntegerRing):
-            raise UsageError(f"ideal lattices live over Z, not {self.alg.ring!r}")
-        object.__setattr__(self, "basis", mat(ZZ, self.basis))
+    def __init__(self, alg: QuadraticAlgebra, basis: tuple):
+        if not isinstance(alg.ring, IntegerRing):
+            raise UsageError(f"ideal lattices live over Z, not {alg.ring!r}")
+        Value.__init__(self, alg, mat(ZZ, basis))
         if mdet(ZZ, self.basis) == 0:
             raise UsageError(f"basis {self.basis} is not full rank")
         for col in self.columns():

@@ -12,7 +12,7 @@ whose witness is transported to a pair witness; no search runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .clifford import (
@@ -31,17 +31,15 @@ from .errors import (
 )
 from .form import BinaryQuadraticForm, similar
 from .mat2 import madd, mat, mat_from_json, mat_to_json, mdet, mident, mmul, mscale
-from .ring import IntegerRing, QQ, RationalRing, Ring, RingHom, fraction_sqrt, ring_from_json
+from .ring import IntegerRing, QQ, RationalRing, Ring, RingHom, Value, fraction_sqrt, ring_from_json
 
 
-@dataclass(frozen=True)
-class CliffordPair:
-    alg: QuadraticAlgebra
-    m: tuple
+class CliffordPair(Value):
+    __slots__ = ("alg", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", mat(self.alg.ring, self.m))
-        if not module_axiom_holds(self.alg, self.m):
+    def __init__(self, alg: QuadraticAlgebra, m: tuple):
+        Value.__init__(self, alg, mat(alg.ring, m))
+        if not module_axiom_holds(alg, self.m):
             raise NotAModule(f"action matrix {self.m} violates the relation of {self.alg}")
 
     @property
@@ -115,12 +113,13 @@ def form_to_pair(q: BinaryQuadraticForm) -> CliffordPair:
     return CliffordPair(even_clifford(q), m_left(q))
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(Value):
     """psi in GL2 and an algebra witness phi with psi*M = phi(tau)'*psi."""
 
-    psi: tuple
-    phi: AlgebraWitness
+    __slots__ = ("psi", "phi")
+
+    def __init__(self, psi: tuple, phi: AlgebraWitness):
+        Value.__init__(self, psi, phi)
 
     def verify(self, p: CliffordPair, p2: CliffordPair) -> bool:
         R = p.ring
@@ -137,12 +136,11 @@ class PairWitness:
         return lhs == mmul(R, image, self.psi)
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    verdict: str  # "isomorphic" | "not_isomorphic" | "unknown"
-    witness: Optional[PairWitness] = None
-    reason: Optional[str] = None
-    bound: Optional[int] = None
+class PairVerdict(Value):
+    __slots__ = ("verdict", "witness", "reason", "bound")  # verdict: "isomorphic" | "not_isomorphic" | "unknown"
+
+    def __init__(self, verdict: str, witness: Optional[PairWitness] = None, reason=None, bound=None):
+        Value.__init__(self, verdict, witness, reason, bound)
 
     @property
     def is_isomorphic(self) -> bool:
@@ -236,12 +234,11 @@ def dual_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(q.ring, q.c, -q.b, q.a)
 
 
-@dataclass(frozen=True)
-class TraceStage:
-    label: str
-    module: str  # "E" or "E_dual"
-    form: BinaryQuadraticForm
-    pair: Optional[CliffordPair] = None
+class TraceStage(Value):
+    __slots__ = ("label", "module", "form", "pair")  # module: "E" or "E_dual"
+
+    def __init__(self, label: str, module: str, form: BinaryQuadraticForm, pair: Optional[CliffordPair] = None):
+        Value.__init__(self, label, module, form, pair)
 
     def to_json(self) -> dict:
         out = {"stage": self.label, "module": self.module, "form": self.form.to_json()}
@@ -279,10 +276,15 @@ def dual_conic(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
 
     Nondegenerate case: (c, -b, a) scaled by 1/det with det = ac - b^2/4.
     Degenerate case q = (alpha*x + beta*y)^2: the exact limit of duals of
-    nearby nondegenerate forms, (beta*x - alpha*y)^2.
+    nearby nondegenerate forms, (beta*x - alpha*y)^2.  Over Z the
+    nondegenerate dual (4c, -4b, 4a)/(4ac - b^2) is computed on ints.
     """
     R = q.ring
     if isinstance(R, IntegerRing):
+        a, b, c = q.coeffs()
+        d4 = 4 * a * c - b * b
+        if d4 != 0:
+            return BinaryQuadraticForm(QQ, Fraction(4 * c, d4), Fraction(-4 * b, d4), Fraction(4 * a, d4))
         q = q.map(RingHom(R, QQ))
         R = QQ
     if not isinstance(R, RationalRing):

@@ -8,7 +8,6 @@ oracle that ``verify`` checks against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
@@ -17,7 +16,7 @@ from .errors import BadDiscriminant
 from .form import BinaryQuadraticForm, reduce_triple
 from .modular import factor
 from .norm import IdealLattice, ideal_conjugate, ideal_is_invertible, ideal_is_principal, ideal_multiply
-from .ring import ZZ
+from .ring import Value, ZZ
 
 
 def _check_disc(D: int) -> None:
@@ -56,13 +55,13 @@ def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
 
-@dataclass(frozen=True)
-class ClassGroup:
-    discriminant: int
-    # forms[0] is the principal form (1, D mod 2, .), the one reduced form with a = 1
-    forms: tuple
-    orders: tuple  # orders[i] = order of the class of forms[i]
-    invariant_factors: tuple
+class ClassGroup(Value):
+    # forms[0] is the principal form (1, D mod 2, .), the one reduced form with a = 1;
+    # orders[i] is the order of the class of forms[i]
+    __slots__ = ("discriminant", "forms", "orders", "invariant_factors")
+
+    def __init__(self, discriminant: int, forms: tuple, orders: tuple, invariant_factors: tuple):
+        Value.__init__(self, discriminant, forms, orders, invariant_factors)
 
     @property
     def order(self) -> int:

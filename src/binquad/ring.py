@@ -8,12 +8,53 @@ floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import attrgetter
 from typing import Optional
 
 from .errors import IncompatibleHom, NotInvertible, UnsupportedRing, UsageError
+
+
+class Value:
+    """An immutable value whose fields, two or more, are its ``__slots__``.
+
+    Values of one class are equal when their fields are; the hash is that
+    of the tuple of fields and ``repr`` is ``Name(field=value, ...)``.  Each
+    subclass's ``__init__`` takes the fields in ``__slots__`` order and sets
+    each once, so copy and pickle rebuild a value by calling its class on
+    its fields; setting or deleting a field later raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *fields):
+        for name, v in zip(self.__slots__, fields):
+            object.__setattr__(self, name, v)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 class Ring:
@@ -275,23 +316,21 @@ def is_unit(v, ring: Ring) -> bool:
     return ring.is_unit(ring.normalize(v))
 
 
-@dataclass(frozen=True)
-class RingHom:
+class RingHom(Value):
     """One of the supported canonical homomorphisms.
 
     Arrows: Z -> Z/n, Z -> Q, and Z/n -> Z/m with m | n.
     """
 
-    src: Ring
-    dst: Ring
+    __slots__ = ("src", "dst")
 
-    def __post_init__(self):
-        s, d = self.src, self.dst
-        if isinstance(s, IntegerRing) and isinstance(d, (ModularRing, RationalRing)):
+    def __init__(self, src: Ring, dst: Ring):
+        Value.__init__(self, src, dst)
+        if isinstance(src, IntegerRing) and isinstance(dst, (ModularRing, RationalRing)):
             return
-        if isinstance(s, ModularRing) and isinstance(d, ModularRing) and s.n % d.n == 0:
+        if isinstance(src, ModularRing) and isinstance(dst, ModularRing) and src.n % dst.n == 0:
             return
-        raise IncompatibleHom(f"no canonical homomorphism {s!r} -> {d!r}")
+        raise IncompatibleHom(f"no canonical homomorphism {src!r} -> {dst!r}")
 
     def __call__(self, v):
         return self.dst.normalize(self.src.normalize(v))

@@ -16,10 +16,10 @@ from binquad.clifford import _witness_for_eps
 from binquad.compose import shanks
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
-from binquad.form import SimilarityWitness, reduce_definite, reduce_triple, value_set_mod
+from binquad.form import BinaryQuadraticForm, SimilarityWitness, reduce_definite, reduce_triple, value_set_mod
 from binquad.mat2 import madd, mat, mdet, mident, mmul, mscale
-from binquad.pairs import CliffordPair, PairWitness
-from binquad.ring import ModularRing, RationalRing, Ring, ZZ
+from binquad.pairs import CliffordPair, PairWitness, dual_conic
+from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ
 
 
 def spiral(bound: int):
@@ -222,3 +222,17 @@ def pairs_isomorphic_search(p: CliffordPair, p2: CliffordPair, bound: int = 12) 
             if lhs == mmul(R, N, psi):
                 return PairWitness(psi, phi)
     return None
+
+
+def dual_conic_fractions(q):
+    """The dual conic by Fraction arithmetic over Q: a form over Z is mapped
+    to Q first, and a nondegenerate dual is (c, -b, a)/det with
+    det = ac - b^2/4.  A degenerate form goes on, over Q, to the library's
+    square branch."""
+    if isinstance(q.ring, IntegerRing):
+        q = q.map(RingHom(ZZ, QQ))
+    a, b, c = q.coeffs()
+    det = a * c - b * b / 4
+    if det == 0:
+        return dual_conic(q)
+    return BinaryQuadraticForm(QQ, c / det, -b / det, a / det)

@@ -355,6 +355,23 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+def test_import_pulls_in_no_dataclasses():
+    # the request path's modules import no dataclasses and no inspect (with
+    # ast, dis and tokenize behind it): their import cost is paid by every
+    # fresh process
+    code = (
+        "import binquad.cli, binquad.pairs, binquad.acceptance, sys\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(binquad.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_similar_odd_modulus_is_decided_in_time(capsys):
     # x^2 + y^2 and x^2 + 3y^2 are similar over Z/p when 3 is a square mod
     # p, as it is for p = 1009 and p = 10007; a witness search over the

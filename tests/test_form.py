@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from itertools import product
@@ -445,3 +447,66 @@ def test_rational_rank_one_forms_are_similar():
     for q1, q2 in product(forms, repeat=2):
         v = similar(q1, q2)
         assert v.is_similar and v.witness.verify(q1, q2)
+
+
+# -- value semantics of the library's immutable types --------------------
+
+
+def _values():
+    """One value of each immutable type: a form, its algebra and pair, an
+    ideal lattice, the witnesses and verdicts, a trace stage, a class group."""
+    from binquad.clifford import AlgebraWitness, QuadraticAlgebra, clifford_bimodule
+    from binquad.norm import form_to_ideal
+    from binquad.pairs import dual_form_trace, form_to_pair, pairs_isomorphic
+    from binquad.picard import class_group
+    from binquad.ring import RingHom
+
+    q, M = bqf(2, 1, 3), ((1, 1), (0, 1))
+    sv = similar(q, q.act(M, -1))
+    pv = pairs_isomorphic(form_to_pair(q), form_to_pair(q.act(M, 1)))
+    return [
+        q, QuadraticAlgebra(ZZ, 1, 6), RingHom(ZZ, ModularRing(5)), form_to_pair(q), form_to_ideal(q),
+        clifford_bimodule(q), AlgebraWitness(0, 1), sv.witness, sv, pv.witness, pv, dual_form_trace(q)[1],
+        class_group(-23),
+    ]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_values_copy_pickle_and_stay_frozen(value):
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert other == value and hash(other) == hash(value) and type(other) is type(value)
+    field = value.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    if type(value).__name__ != "IdealLattice":
+        assert hash(value) == hash(tuple(getattr(value, f) for f in value.__slots__))
+
+
+def test_value_equality_and_repr():
+    from binquad.clifford import AlgebraWitness
+    from binquad.form import SimilarityVerdict
+    from binquad.norm import IdealLattice, form_to_ideal
+    from binquad.pairs import PairVerdict
+
+    assert repr(bqf(1, 2, 3)) == "BinaryQuadraticForm(ring=Z, a=1, b=2, c=3)"
+    assert repr(SimilarityVerdict("not_similar", reason="genus")) == (
+        "SimilarityVerdict(verdict='not_similar', witness=None, reason='genus', bound=None)"
+    )
+    assert repr(form_to_ideal(bqf(2, 1, 3))) == (
+        "IdealLattice(alg=QuadraticAlgebra(ring=Z, t=1, nm=6), basis=((2, 1), (0, -1)))"
+    )
+    # values of different classes differ even with equal fields
+    assert SimilarityVerdict("unknown") != PairVerdict("unknown")
+    assert AlgebraWitness(1, 1) != SimilarityWitness(1, 1)
+    assert bqf(1, 2, 3) != (ZZ, 1, 2, 3)
+    assert bqf(1, 2, 3) == BinaryQuadraticForm(ZZ, 1, 2, 3) and bqf(1, 2, 3) != bqf(1, 2, 4)
+    # an ideal lattice keeps its own equality, as a lattice: another basis
+    # of the same lattice is equal to it and hashes alike
+    I = form_to_ideal(bqf(2, 1, 3))
+    (p, q), (r, s) = I.basis
+    J = IdealLattice(I.alg, ((p, p + q), (r, r + s)))
+    assert J.basis != I.basis and J == I and hash(J) == hash(I)

@@ -11,7 +11,8 @@ from binquad.errors import BudgetExceeded, DomainError
 from binquad.form import bqf, properly_equivalent, similar
 from binquad.integral import CYCLE_LIMIT
 from binquad.mat2 import mmul
-from binquad.modular import _genus, factor
+from binquad import modular
+from binquad.modular import _genus, _genus_primes, factor
 from binquad.picard import class_group, reduced_forms
 from binquad.ring import ZZ
 from oracles import bounded_witness_search, column_search, value_set_screen
@@ -73,7 +74,8 @@ def test_pair_that_every_value_set_passes():
     # and neither do the genus characters: both forms lie in one genus.
     q1, q2 = bqf(1, 11, -6), bqf(4, 7, -6)
     assert value_set_screen(q1, q2) is None
-    assert _genus(q2.coeffs(), 145, 1) == _genus(q1.coeffs(), 145, 1)
+    ps = _genus_primes(145)
+    assert _genus(q2.coeffs(), 145, 1, ps) == _genus(q1.coeffs(), 145, 1, ps)
     v = similar(q1, q2)
     assert v.verdict == "not_similar" and v.reason == "indefinite_cycle"
 
@@ -205,6 +207,24 @@ def test_large_coefficients_end_in_time():
     assert isinstance(err.value, DomainError)
 
 
+def test_one_factorization_per_verdict(monkeypatch):
+    # factor runs once for each verdict that reads genus characters:
+    # a genus verdict, and the cycle_limit unknown at a D that trial
+    # division cannot factor
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(modular, "factor", counted)
+    assert similar(bqf(1, 0, -58), bqf(2, 0, -29)).to_json(ZZ) == {"verdict": "not_similar", "reason": "genus"}
+    assert calls == [232]
+    q1, q2 = _big_pair(random.Random(1024), 1024)
+    assert similar(q1, q2).to_json(ZZ) == {"verdict": "unknown", "reason": "cycle_limit", "bound": CYCLE_LIMIT}
+    assert calls[1:] == [q1.discriminant()[1]]
+
+
 def _forms_of(D):
     """The primitive forms (a, b, c) of discriminant D with 0 < |a| <= 12
     and 0 <= b < 2|a|; a = 1 always gives one."""
@@ -238,7 +258,8 @@ def pairs(draw):
 
 def _separates(f1, f2) -> bool:
     D = f1[1] ** 2 - 4 * f1[0] * f1[2]
-    return _genus(f2, D, 1) not in (_genus(f1, D, 1), _genus(f1, D, -1))
+    ps = _genus_primes(D // gcd(*f1) ** 2)
+    return _genus(f2, D, 1, ps) not in (_genus(f1, D, 1, ps), _genus(f1, D, -1, ps))
 
 
 @settings(max_examples=400, deadline=None)
@@ -260,6 +281,7 @@ def test_genus_is_sound_and_subsumes_the_value_sets(pair):
 
 def test_genus_count_is_the_two_rank_of_the_class_group():
     for D in _valid_discriminants(-3000):
-        genera = {tuple(_genus(q.coeffs(), D, 1)) for q in reduced_forms(D)}
+        ps = _genus_primes(D)
+        genera = {tuple(_genus(q.coeffs(), D, 1, ps)) for q in reduced_forms(D)}
         even = sum(1 for n in class_group(D).invariant_factors if n % 2 == 0)
         assert len(genera) == 2**even, D

@@ -26,7 +26,7 @@ from binquad.pairs import (
     wood_pair,
 )
 from binquad.ring import ModularRing, QQ, ZZ
-from oracles import dyadic_orbit_labels, pairs_isomorphic_search
+from oracles import dual_conic_fractions, dyadic_orbit_labels, pairs_isomorphic_search
 
 small = st.integers(min_value=-7, max_value=7)
 
@@ -260,21 +260,36 @@ def test_dual_conic_examples():
 
 
 def test_dual_conic_against_matrix_inverse():
-    # oracle: invert the Gram matrix [[a, b/2], [b/2, c]] exactly
-    rng = random.Random(41)
-    n = 0
-    while n < 40:
-        a, b, c = rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5)
-        det = Fraction(a) * c - Fraction(b, 2) ** 2
-        if det == 0:
-            continue
-        got = dual_conic(bqf(a, b, c))
-        inv = (
-            (Fraction(c) / det, Fraction(-b, 2) / det),
-            (Fraction(-b, 2) / det, Fraction(a) / det),
-        )
-        assert got.coeffs() == (inv[0][0], 2 * inv[0][1], inv[1][1])
-        n += 1
+    # every form of the grid [-7, 7]^3 over Z and over Q: the dual, or the
+    # error and its text, is that of the Fraction route over Q; a
+    # nondegenerate dual inverts the Gram matrix [[a, b/2], [b/2, c]]
+    # exactly, and a square (alpha x + beta y)^2 goes to (beta x - alpha y)^2
+    squares = {}
+    for alpha, beta in product(range(-2, 3), range(-2, 3)):
+        squares[(alpha * alpha, 2 * alpha * beta, beta * beta)] = (beta * beta, -2 * alpha * beta, alpha * alpha)
+    refused = 0
+    for a, b, c in product(range(-7, 8), repeat=3):
+        for q in (bqf(a, b, c), BinaryQuadraticForm(QQ, a, b, c)):
+            try:
+                want = dual_conic_fractions(q)
+            except NotAPerfectSquare as e:
+                with pytest.raises(NotAPerfectSquare) as err:
+                    dual_conic(q)
+                assert str(err.value) == str(e) and " over Q " in str(e)
+                refused += 1
+                continue
+            got = dual_conic(q)
+            assert got == want and got.ring == QQ
+            det = Fraction(a) * c - Fraction(b, 2) ** 2
+            if det != 0:
+                inv = (
+                    (Fraction(c) / det, Fraction(-b, 2) / det),
+                    (Fraction(-b, 2) / det, Fraction(a) / det),
+                )
+                assert got.coeffs() == (inv[0][0], 2 * inv[0][1], inv[1][1])
+            else:
+                assert got.coeffs() == squares[(a, b, c)]
+    assert refused > 0
 
 
 def test_dual_conic_double_application_is_projectively_trivial():

@@ -34,7 +34,7 @@ from math import gcd, isqrt
 from .errors import BudgetExceeded
 from .form import SimilarityVerdict, SimilarityWitness, reduce_triple
 from .mat2 import mmul
-from .modular import _genus, _genus_primes
+from .modular import _genus_separates
 from .ring import ZZ
 
 # Every reduction and every cycle walk stops after this many rho-steps.
@@ -184,8 +184,7 @@ def similar_integral(q1, q2) -> SimilarityVerdict:
     if hit is None:
         if D < 0:
             return SimilarityVerdict("not_similar", reason="definite_reduction")
-        ps = _genus_primes(D // gcd(a, b, c) ** 2)
-        if _genus(q2.coeffs(), D, 1, ps) not in (_genus(q1.coeffs(), D, u, ps) for u in (1, -1)):
+        if _genus_separates((a, b, c), q2.coeffs(), D):
             return SimilarityVerdict("not_similar", reason="genus")
         if T2 is None:
             return SimilarityVerdict("unknown", reason="cycle_limit", bound=CYCLE_LIMIT)

@@ -86,18 +86,11 @@ def _legendre(x: int, p: int) -> int:
     return pow(x, (p - 1) // 2, p)
 
 
-def _genus_primes(D: int):
-    """The primes _genus reads at: those of |D|, or 3, ..., 13 if D cannot be factored."""
-    ps = factor(abs(D))
-    return (3, 5, 7, 11, 13) if ps is None else ps
-
-
 def _genus(f, D: int, u: int, ps):
     """The assigned characters of u*f, a nonzero int triple of discriminant
     D and content g (Cox, *Primes of the Form x^2 + ny^2*, Thm 3.15), on a
     coefficient m of the primitive part prime to p: (m/p) for each odd p in
-    ps = _genus_primes(D/g^2) dividing D/g^2 and, if 4 | D/g^2, delta,
-    epsilon or delta*epsilon."""
+    ps dividing D/g^2 and, if 4 | D/g^2, delta, epsilon or delta*epsilon."""
     g = gcd(*f)
     a, c, D = u * f[0] // g, u * f[2] // g, D // (g * g)
     chars = [_legendre(a if a % p else c, p) for p in ps if p > 2 and D % p == 0]
@@ -106,6 +99,15 @@ def _genus(f, D: int, u: int, ps):
     m = a if a % 2 else c
     d, e = m % 4 == 1, m % 8 in (1, 7)
     return chars + {0: [d, e], 2: [e], 3: [d], 4: [d], 6: [d == e], 7: [d]}.get(D // 4 % 8, [])
+
+
+def _genus_separates(f1, f2, D: int) -> bool:
+    """Whether the characters of f2 are those of neither f1 nor -f1, for
+    int triples of discriminant D and one content g.  D/g^2 is factored
+    once; when it cannot be, the odd primes 3, ..., 13 are read."""
+    ps = factor(abs(D // gcd(*f1) ** 2))
+    ps = (3, 5, 7, 11, 13) if ps is None else ps
+    return _genus(f2, D, 1, ps) not in (_genus(f1, D, u, ps) for u in (1, -1))
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:

@@ -274,25 +274,20 @@ def dual_form_trace(q: BinaryQuadraticForm):
 def dual_conic(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """The form cut out by the tangent lines of the conic q = 0.
 
-    Nondegenerate case: (c, -b, a) scaled by 1/det with det = ac - b^2/4.
+    Nondegenerate case: (4c, -4b, 4a) scaled by 1/(4ac - b^2), over Q.
     Degenerate case q = (alpha*x + beta*y)^2: the exact limit of duals of
-    nearby nondegenerate forms, (beta*x - alpha*y)^2.  Over Z the
-    nondegenerate dual (4c, -4b, 4a)/(4ac - b^2) is computed on ints.
+    nearby nondegenerate forms, (beta*x - alpha*y)^2.
     """
     R = q.ring
-    if isinstance(R, IntegerRing):
-        a, b, c = q.coeffs()
-        d4 = 4 * a * c - b * b
-        if d4 != 0:
-            return BinaryQuadraticForm(QQ, Fraction(4 * c, d4), Fraction(-4 * b, d4), Fraction(4 * a, d4))
-        q = q.map(RingHom(R, QQ))
-        R = QQ
-    if not isinstance(R, RationalRing):
+    if not isinstance(R, (IntegerRing, RationalRing)):
         raise UsageError("dual conics are computed over the rationals")
     a, b, c = q.coeffs()
-    det = a * c - b * b / 4
-    if det != 0:
-        return BinaryQuadraticForm(R, c / det, -b / det, a / det)
+    d4 = 4 * a * c - b * b
+    if d4 != 0:
+        return BinaryQuadraticForm(QQ, Fraction(4 * c, d4), Fraction(-4 * b, d4), Fraction(4 * a, d4))
+    if isinstance(R, IntegerRing):
+        q = q.map(RingHom(R, QQ))
+        a, b, c = q.coeffs()
     alpha = fraction_sqrt(a)
     if alpha is None:
         raise NotAPerfectSquare(f"{q} has zero determinant but {a} is not a square")
@@ -305,4 +300,4 @@ def dual_conic(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
         beta = fraction_sqrt(c)
         if beta is None:
             raise NotAPerfectSquare(f"{q} has zero determinant but {c} is not a square")
-    return BinaryQuadraticForm(R, beta * beta, -2 * alpha * beta, alpha * alpha)
+    return BinaryQuadraticForm(QQ, beta * beta, -2 * alpha * beta, alpha * alpha)

@@ -12,7 +12,7 @@ from binquad.form import bqf, properly_equivalent, similar
 from binquad.integral import CYCLE_LIMIT
 from binquad.mat2 import mmul
 from binquad import modular
-from binquad.modular import _genus, _genus_primes, factor
+from binquad.modular import _genus, _genus_separates, factor
 from binquad.picard import class_group, reduced_forms
 from binquad.ring import ZZ
 from oracles import bounded_witness_search, column_search, value_set_screen
@@ -74,8 +74,8 @@ def test_pair_that_every_value_set_passes():
     # and neither do the genus characters: both forms lie in one genus.
     q1, q2 = bqf(1, 11, -6), bqf(4, 7, -6)
     assert value_set_screen(q1, q2) is None
-    ps = _genus_primes(145)
-    assert _genus(q2.coeffs(), 145, 1, ps) == _genus(q1.coeffs(), 145, 1, ps)
+    assert _genus(q2.coeffs(), 145, 1, factor(145)) == _genus(q1.coeffs(), 145, 1, factor(145))
+    assert not _genus_separates(q1.coeffs(), q2.coeffs(), 145)
     v = similar(q1, q2)
     assert v.verdict == "not_similar" and v.reason == "indefinite_cycle"
 
@@ -256,18 +256,12 @@ def pairs(draw):
     return move(f1), move(f2)
 
 
-def _separates(f1, f2) -> bool:
-    D = f1[1] ** 2 - 4 * f1[0] * f1[2]
-    ps = _genus_primes(D // gcd(*f1) ** 2)
-    return _genus(f2, D, 1, ps) not in (_genus(f1, D, 1, ps), _genus(f1, D, -1, ps))
-
-
 @settings(max_examples=400, deadline=None)
 @given(pairs())
 def test_genus_is_sound_and_subsumes_the_value_sets(pair):
     f1, f2 = pair
     q1, q2 = bqf(*f1), bqf(*f2)
-    separated = _separates(f1, f2)
+    separated = _genus_separates(f1, f2, f1[1] ** 2 - 4 * f1[0] * f1[2])
     v = similar(q1, q2)
     assert v.is_decided
     if v.is_similar:
@@ -281,7 +275,7 @@ def test_genus_is_sound_and_subsumes_the_value_sets(pair):
 
 def test_genus_count_is_the_two_rank_of_the_class_group():
     for D in _valid_discriminants(-3000):
-        ps = _genus_primes(D)
+        ps = factor(-D)
         genera = {tuple(_genus(q.coeffs(), D, 1, ps)) for q in reduced_forms(D)}
         even = sum(1 for n in class_group(D).invariant_factors if n % 2 == 0)
         assert len(genera) == 2**even, D

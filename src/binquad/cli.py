@@ -47,7 +47,12 @@ EXIT_UNKNOWN = 3
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError as e:
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(f"answer has an integer past Python's {limit}-digit conversion limit") from e
+    sys.stdout.write(text + "\n")
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -62,7 +67,8 @@ def _load_json(arg: str):
         arg = sys.stdin.read()
     try:
         return json.loads(arg)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and integers past the digit limit
         raise UsageError(f"malformed JSON: {e}") from e
 
 

@@ -42,10 +42,6 @@ class NotAModule(DomainError):
     pass
 
 
-class InconsistentPair(DomainError):
-    pass
-
-
 class NonScalarNorm(DomainError):
     """Quaternion multiplication produced a non-scalar norm.
 

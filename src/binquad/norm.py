@@ -285,6 +285,8 @@ def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:
     counts as a field when `modular.factor` proves n prime; a modulus it
     cannot factor is skipped, as a non-field is.
     """
+    if hom.src != q.ring:
+        raise UsageError(f"hom starts at {hom.src!r} but the form lives over {q.ring!r}")
     checks = {}
     q2 = q.map(hom)
     checks["even_clifford"] = even_clifford(q2) == even_clifford(q).map(hom)

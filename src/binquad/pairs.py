@@ -3,11 +3,12 @@ correspondence with binary quadratic forms, plus the duality operations:
 Wood's alternative normalization, the dual form on the dual module, and
 dual conics over the rationals.
 
-The correspondence: a traceable pair normalizes (by shifting the
-generator) to an action matrix [[b, c], [-a, 0]], whose read-off is the
-form (a, b, c); conversely a form yields (even algebra, left action
-matrix).  Pair isomorphism is decided by one route: form similarity,
-whose witness is transported to a pair witness; no search runs.
+The correspondence is two inverse maps: `pair_to_form` reads the form
+straight off the action matrix of a traceable pair, and `form_to_pair`
+gives a form's (even algebra, left action matrix).  Normalization and
+the Wood pair are built from the two.  Pair isomorphism is decided by
+one route: form similarity, whose witness is transported to a pair
+witness; no search runs.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from .clifford import (
     m_left,
     module_axiom_holds,
 )
-from .errors import (
-    InconsistentPair,
-    NotAModule,
-    NotAPerfectSquare,
-    NotTraceable,
-    UsageError,
-)
+from .errors import NotAModule, NotAPerfectSquare, NotTraceable, UsageError
 from .form import BinaryQuadraticForm, similar
 from .mat2 import madd, mat, mat_from_json, mat_to_json, mdet, mident, mmul, mscale
 from .ring import IntegerRing, QQ, RationalRing, Ring, RingHom, Value, fraction_sqrt, ring_from_json
@@ -74,43 +69,27 @@ class CliffordPair(Value):
         return CliffordPair(alg, mat_from_json(ring, obj["m"]))
 
 
-def normalize_pair(p: CliffordPair):
-    """Shift the generator so the action matrix gets a zero lower-right entry.
+def pair_to_form(p: CliffordPair) -> BinaryQuadraticForm:
+    """Read (a, b, c) = (-m10, m00 - m11, m01) off the action matrix.
 
-    tau' = tau - m with m the lower-right entry; the algebra data moves to
-    t' = t - 2m, nm' = nm - t*m + m^2.  Returns (normalized pair, m).
+    Shifting tau by s = m11 leaves [[b, c], [-a, 0]] with t' = t - 2s
+    and nm' = nm - t*s + s^2; traceability gives b = t', and the (2,2)
+    entry of the module relation gives a*c = nm', over every ring.
     """
     if not p.is_traceable():
         raise NotTraceable(f"pair {p} is not traceable")
-    R = p.ring
-    shift = p.m[1][1]
-    M2 = madd(R, p.m, mscale(R, -shift, mident(R)))
-    t2 = p.alg.t - 2 * shift
-    nm2 = p.alg.nm - p.alg.t * shift + shift * shift
-    return CliffordPair(QuadraticAlgebra(R, t2, nm2), M2), shift
-
-
-def pair_to_form(p: CliffordPair) -> BinaryQuadraticForm:
-    """Read (a, b, c) off the normalized action matrix [[b, c], [-a, 0]]."""
-    return _read_off(normalize_pair(p)[0])
-
-
-def _read_off(n: CliffordPair) -> BinaryQuadraticForm:
-    """The form of an already normalized pair."""
-    R = n.ring
-    a = R.normalize(-n.m[1][0])
-    b = n.m[0][0]
-    c = n.m[0][1]
-    if b != n.alg.t or R.normalize(a * c) != n.alg.nm:
-        raise InconsistentPair(
-            f"normalized pair {n} does not arise from a form: "
-            f"read-off ({a}, {b}, {c}) vs algebra ({n.alg.t}, {n.alg.nm})"
-        )
-    return BinaryQuadraticForm(R, a, b, c)
+    (m00, m01), (m10, m11) = p.m
+    return BinaryQuadraticForm(p.ring, -m10, m00 - m11, m01)
 
 
 def form_to_pair(q: BinaryQuadraticForm) -> CliffordPair:
     return CliffordPair(even_clifford(q), m_left(q))
+
+
+def normalize_pair(p: CliffordPair):
+    """Shift the generator so the action matrix gets a zero lower-right
+    entry m: returns (form_to_pair(pair_to_form(p)), m)."""
+    return form_to_pair(pair_to_form(p)), p.m[1][1]
 
 
 class PairWitness(Value):
@@ -149,11 +128,7 @@ class PairVerdict(Value):
     def to_json(self, ring: Ring) -> dict:
         out = {"verdict": self.verdict}
         if self.witness is not None:
-            out["witness"] = {
-                "psi": mat_to_json(ring, self.witness.psi),
-                "k": ring.elem_to_json(self.witness.phi.k),
-                "eps": ring.elem_to_json(ring.normalize(self.witness.phi.eps)),
-            }
+            out["witness"] = {"psi": mat_to_json(ring, self.witness.psi), **self.witness.phi.to_json(ring)}
         if self.reason is not None:
             out["reason"] = self.reason
         if self.bound is not None:
@@ -197,15 +172,13 @@ def pairs_isomorphic(p: CliffordPair, p2: CliffordPair) -> PairVerdict:
     """
     if not p.is_traceable() or not p2.is_traceable():
         raise NotTraceable("pair isomorphism is defined for traceable pairs")
-    n1, shift1 = normalize_pair(p)
-    n2, shift2 = normalize_pair(p2)
-    q2 = _read_off(n2)
-    verdict = similar(_read_off(n1), q2)
+    q2 = pair_to_form(p2)
+    verdict = similar(pair_to_form(p), q2)
     if verdict.verdict == "not_similar":
         return PairVerdict("not_isomorphic", reason=verdict.reason)
     if verdict.verdict == "unknown":
         return PairVerdict("unknown", reason=verdict.reason, bound=verdict.bound)
-    w = _witness_from_similarity(p, p2, shift1, shift2, q2, verdict.witness)
+    w = _witness_from_similarity(p, p2, p.m[1][1], p2.m[1][1], q2, verdict.witness)
     if w is None:
         raise AssertionError("similarity transport produced a bad pair witness")
     return PairVerdict("isomorphic", witness=w)
@@ -222,11 +195,7 @@ def clifford_form_to_wood_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
 
 def wood_pair(w: BinaryQuadraticForm) -> CliffordPair:
     """The pair carved out of a form read as Wood data [A, B, C]."""
-    R = w.ring
-    A, B, C = w.coeffs()
-    alg = QuadraticAlgebra(R, -B, A * C)
-    m = mat(R, ((-B, A), (-C, 0)))
-    return CliffordPair(alg, m)
+    return form_to_pair(clifford_form_to_wood_form(w))
 
 
 def dual_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:

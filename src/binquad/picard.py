@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
+from .clifford import QuadraticAlgebra
 from .compose import identity_form, shanks
 from .errors import BadDiscriminant
 from .form import BinaryQuadraticForm, reduce_triple
@@ -174,9 +174,5 @@ def pic_counts(D: int):
 
 
 def form_for_algebra(C: QuadraticAlgebra) -> BinaryQuadraticForm:
-    """A form whose even Clifford algebra is the given algebra, witnessed."""
-    q = identity_form(C)
-    w = algebra_isomorphic(C, even_clifford(q)) if C.ring.two_is_regular() else None
-    if C.ring.two_is_regular() and w is None:
-        raise AssertionError(f"norm form of {C} lost its algebra")
-    return q
+    """The norm form (1, t, nm), whose even Clifford algebra is C itself."""
+    return identity_form(C)

@@ -20,7 +20,7 @@ from binquad.clifford import (
     quat_norm,
     quat_trace,
 )
-from binquad.errors import BinquadError, InconsistentPair, NonScalarNorm, NotAModule, NotInvertible, NotTraceable
+from binquad.errors import BinquadError, NonScalarNorm, NotAModule, NotInvertible, NotTraceable
 from binquad.form import BinaryQuadraticForm, SimilarityWitness
 from binquad.mat2 import madd, mapply, mat, mdet, mident, minv, mmul, mscale
 from binquad.pairs import (
@@ -299,7 +299,7 @@ def seed_pair_to_form(p):
     b = n.m[0][0]
     c = n.m[0][1]
     if b != n.alg.t or R.mul(a, c) != n.alg.nm:
-        raise InconsistentPair(
+        raise AssertionError(
             f"normalized pair {n} does not arise from a form: "
             f"read-off ({a}, {b}, {c}) vs algebra ({n.alg.t}, {n.alg.nm})"
         )

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -407,3 +408,41 @@ def test_similar_even_modulus_and_square_discriminant_in_time(capsys):
         assert time.perf_counter() - start < 2
         assert code == 0 and out["verdict"] == "similar"
         assert SimilarityWitness.from_json(out["witness"], R).verify(q1, q2)
+
+
+def test_oversized_integer_in_json_is_a_usage_error(capsys):
+    code = run(["disc", '{"a":' + "7" * 5000 + ',"b":0,"c":1}'])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and str(sys.get_int_max_str_digits()) in err["message"]
+
+
+def test_deeply_nested_json_on_stdin_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+    code = run(["disc", "-"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
+def test_answer_past_the_digit_limit_is_a_usage_error(capsys):
+    # the input is valid, but b^2 - 4ac has 6001 digits
+    code = run(["disc", form_json(10**3000, 0, 10**3000)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and f"{sys.get_int_max_str_digits()}-digit" in err["message"]
+
+
+@pytest.mark.parametrize("ring, n, shown", [({"ring": "rat"}, 5, "Q"), ({"ring": "mod", "n": 5}, 3, "Z/5")])
+def test_basechange_rejects_a_hom_from_another_ring(capsys, ring, n, shown):
+    # checked anyway, a Z/5 form under Z -> Z/3 would fail bimodule_left,
+    # which reads as base change not being functorial
+    form = json.dumps({"a": 1, "b": 3, "c": 1, "ring": ring})
+    hom = json.dumps({"src": {"ring": "int"}, "dst": {"ring": "mod", "n": n}})
+    code = run(["basechange", form, hom])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "usage", "message": f"hom starts at Z but the form lives over {shown}"}

@@ -120,25 +120,41 @@ def test_pairs_isomorphic_examples():
 
 
 def test_pairs_isomorphic_normalizes_each_pair_once(monkeypatch):
-    calls = []
-    original = pairs.normalize_pair
+    # each pair's form is read off its matrix once, and no pair or
+    # algebra is built on the way to the verdict
+    reads, built = [], []
+    original = pairs.pair_to_form
 
     def counted(p):
-        calls.append(p)
+        reads.append(p)
         return original(p)
 
-    monkeypatch.setattr(pairs, "normalize_pair", counted)
+    def counting_init(cls):
+        init = cls.__init__
+
+        def wrapped(self, *args):
+            built.append(cls.__name__)
+            init(self, *args)
+
+        return wrapped
+
     cases = [
         (form_to_pair(bqf(4, 5, 3)), form_to_pair(bqf(2, -1, 3))),
         (form_to_pair(bqf(1, 0, 1)), form_to_pair(bqf(1, 1, 1))),
         (shifted_pair(bqf(2, 1, 3), 4), form_to_pair(bqf(3, -1, 2))),
         (form_to_pair(BinaryQuadraticForm(ModularRing(15), 1, 0, 1)),
          form_to_pair(BinaryQuadraticForm(ModularRing(15), 2, 0, 2))),
+        (shifted_pair(BinaryQuadraticForm(QQ, Fraction(1, 2), 3, -5), 2),
+         form_to_pair(BinaryQuadraticForm(QQ, Fraction(1, 2), 3, -5))),
     ]
+    monkeypatch.setattr(pairs, "pair_to_form", counted)
+    for cls in (CliffordPair, QuadraticAlgebra):
+        monkeypatch.setattr(cls, "__init__", counting_init(cls))
     for p1, p2 in cases:
-        calls.clear()
+        reads.clear()
         pairs_isomorphic(p1, p2)
-        assert len(calls) <= 2
+        assert len(reads) == 2
+    assert built == []
 
 
 def test_pairs_oracle_agrees_with_fast_path():

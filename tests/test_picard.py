@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -16,7 +17,7 @@ from binquad.picard import (
     pic_counts,
     reduced_forms,
 )
-from binquad.ring import ZZ
+from binquad.ring import ModularRing, QQ, ZZ
 
 from oracles import shanks_table
 
@@ -236,3 +237,12 @@ def test_form_for_algebra_examples():
     assert form_for_algebra(QuadraticAlgebra(ZZ, 0, 2)) == bqf(1, 0, 2)
     # indefinite algebras are allowed
     assert form_for_algebra(QuadraticAlgebra(ZZ, 3, 1)) == bqf(1, 3, 1)
+
+
+def test_form_for_algebra_has_the_algebra_as_even_clifford():
+    # over Z/4 two is a zero divisor, so no algebra isomorphism can be
+    # asked for; the algebra itself comes back
+    for R, t, nm in ((ZZ, 1, 6), (ZZ, -3, -10), (QQ, Fraction(1, 2), Fraction(-7, 3)),
+                     (ModularRing(9), 4, 7), (ModularRing(4), 2, 3), (ModularRing(4), 1, 0)):
+        C = QuadraticAlgebra(R, t, nm)
+        assert even_clifford(form_for_algebra(C)) == C

@@ -47,12 +47,7 @@ EXIT_UNKNOWN = 3
 
 
 def _emit(obj) -> None:
-    try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    except ValueError as e:
-        limit = sys.get_int_max_str_digits()
-        raise UsageError(f"answer has an integer past Python's {limit}-digit conversion limit") from e
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -284,6 +279,11 @@ def run(argv) -> int:
         return _fail("usage", str(e), EXIT_USAGE)
     except DomainError as e:
         return _fail(type(e).__name__, str(e), EXIT_DOMAIN)
+    except ValueError as e:  # an int past Python's digit limit, in an answer or a message
+        if "integer string conversion" not in str(e):
+            raise
+        limit = sys.get_int_max_str_digits()
+        return _fail("usage", f"an integer is past Python's {limit}-digit conversion limit", EXIT_USAGE)
 
 
 def main() -> None:

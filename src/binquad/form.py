@@ -18,7 +18,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import NotDefinite, NotInvertible, UsageError
-from .mat2 import mapply, mat, mat_from_json, mat_to_json, mdet, mident, minv, mmul
+from .mat2 import mat, mat_from_json, mat_to_json, mdet, mident, mmul
 from .ring import (
     IntegerRing,
     ModularRing,
@@ -31,10 +31,6 @@ from .ring import (
     fraction_sqrt,
     ring_from_json,
 )
-
-# Probe vectors determining a binary form: values there pin a, c, and b.
-_PROBES = ((1, 0), (0, 1), (1, 1))
-
 
 class BinaryQuadraticForm(Value):
     __slots__ = ("ring", "a", "b", "c")
@@ -104,10 +100,17 @@ class BinaryQuadraticForm(Value):
             raise NotInvertible(f"determinant {mdet(R, M)} is not a unit")
         if not R.is_unit(u):
             raise NotInvertible(f"scale {u} is not a unit")
-        col1 = (M[0][0], M[1][0])
-        col2 = (M[0][1], M[1][1])
-        return BinaryQuadraticForm(
-            R, u * self.evaluate(*col1), u * self.polar(col1, col2), u * self.evaluate(*col2)
+        return BinaryQuadraticForm(R, *(u * x for x in self._coeffs_under(M)))
+
+    def _coeffs_under(self, M):
+        """(q(M e1), b_q(M e1, M e2), q(M e2)): the coefficients of q(M v)."""
+        (x1, x2), (y1, y2) = M
+        a, b, c = self.a, self.b, self.c
+        ax1, cy1, n = a * x1, c * y1, self.ring.normalize
+        return (
+            n(x1 * (ax1 + b * y1) + cy1 * y1),
+            n(2 * (ax1 * x2 + cy1 * y2) + b * (x1 * y2 + y1 * x2)),
+            n(x2 * (a * x2 + b * y2) + c * y2 * y2),
         )
 
     def map(self, hom: RingHom) -> "BinaryQuadraticForm":
@@ -171,15 +174,11 @@ class SimilarityWitness(Value):
         Value.__init__(self, m, u)
 
     def verify(self, q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> bool:
-        R = q.ring
-        if R != q2.ring:
+        """Compares coefficients, which pin a form over every commutative ring."""
+        R, u, n = q.ring, self.u, q.ring.normalize
+        if R != q2.ring or not R.is_unit(mdet(R, self.m)) or not R.is_unit(u):
             return False
-        if not R.is_unit(mdet(R, self.m)) or not R.is_unit(self.u):
-            return False
-        for v in _PROBES:
-            if q2.evaluate(*mapply(R, self.m, v)) != R.normalize(self.u * q.evaluate(*v)):
-                return False
-        return True
+        return q2._coeffs_under(self.m) == (n(u * q.a), n(u * q.b), n(u * q.c))
 
     def to_json(self, ring: Ring) -> dict:
         return {"m": mat_to_json(ring, self.m), "u": ring.elem_to_json(self.u)}
@@ -296,38 +295,40 @@ def _screen_not_similar(q1, q2) -> Optional[str]:
 
 
 def _diagonalize_rational(q):
-    """(P, alpha, beta) with q(P v) = alpha*x^2 + beta*y^2 and alpha != 0,
-    for a nonzero form over Q: complete the square on a; on c after
-    swapping x and y when a = 0; and on q(x, x + y) = b*x^2 + b*x*y when
-    a = c = 0."""
-    R = q.ring
+    """(P, P^-1, alpha) with q(P v) = alpha*x^2 + beta*y^2, alpha != 0 and
+    alpha*beta = -D/4, for a nonzero form over Q: complete the square on a;
+    on c after swapping x and y when a = 0; on q(x, x + y) when a = c = 0."""
     a, b, c = q.coeffs()
     if a != 0:
         t = b / (2 * a)
-        return mat(R, ((1, -t), (0, 1))), a, c - a * t * t
+        return ((1, -t), (0, 1)), ((1, t), (0, 1)), a
     if c != 0:
         t = b / (2 * c)
-        return mat(R, ((0, 1), (1, -t))), c, -c * t * t
+        return ((0, 1), (1, -t)), ((t, 1), (1, 0)), c
     # (x, y) -> (x, x + y), then x -> x - y/2
     h = Fraction(1, 2)
-    return mat(R, ((1, -h), (1, h))), b, -b / 4
+    return ((1, -h), (1, h)), ((h, h), (-1, 1)), b
 
 
 def _rational_similarity(q1, q2) -> SimilarityVerdict:
     """Complete decision over Q for nonzero forms that passed the screens.
 
     In characteristic 0 every binary form is alpha*<1, d>, so forms whose
-    discriminants agree up to squares (and in vanishing) are similar:
-    with q_i(P_i v) = <alpha_i, beta_i>, take u = alpha2/alpha1 and
-    M = P2 diag(1, s) P1^-1 with s^2 = alpha2*beta1 / (alpha1*beta2)
-    (s = 1 in rank 1), a square because d1*d2 is."""
+    discriminants agree up to squares (and in vanishing) are similar: with
+    q_i(P_i v) = <alpha_i, beta_i>, u = alpha2/alpha1, M = P2 diag(1, s) P1^-1
+    and s = |u| sqrt(D1/D2) (s = 1 in rank 1), since s^2 = alpha2*beta1 /
+    (alpha1*beta2).  When a1*a2 != 0, M = ((1, t1 - s*t2), (0, s)), t_i = b_i/(2a_i)."""
     R = q1.ring
-    P1, al1, be1 = _diagonalize_rational(q1)
-    P2, al2, be2 = _diagonalize_rational(q2)
-    s = fraction_sqrt(al2 * be1 / (al1 * be2)) if be2 != 0 else 1
-    (p00, p01), (p10, p11) = P2
-    M = mmul(R, ((p00, s * p01), (p10, s * p11)), minv(R, P1))
-    w = SimilarityWitness(M, R.normalize(al2 / al1))
+    _, P1i, al1 = _diagonalize_rational(q1)
+    P2, _, al2 = _diagonalize_rational(q2)
+    u = al2 / al1
+    d2 = q2.b * q2.b - 4 * q2.a * q2.c
+    s = abs(u) * fraction_sqrt((q1.b * q1.b - 4 * q1.a * q1.c) / d2) if d2 != 0 else R.one
+    if q1.a != 0 and q2.a != 0:
+        M = mat(R, ((1, P1i[0][1] + s * P2[0][1]), (0, s)))
+    else:
+        M = mmul(R, mmul(R, P2, ((1, 0), (0, s))), P1i)
+    w = SimilarityWitness(M, u)
     if not w.verify(q1, q2):
         raise AssertionError("rational diagonalisation produced a bad witness")
     return SimilarityVerdict("similar", witness=w)

@@ -187,20 +187,19 @@ def pairs_isomorphic(p: CliffordPair, p2: CliffordPair) -> PairVerdict:
 # -- Wood normalization and duality ---------------------------------------
 
 
-def clifford_form_to_wood_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """(a, b, c) -> (c, -b, a): the same pair read in the normalization
-    tau*x = -c'*y - b'*x, tau*y = a'*x, tau^2 = -b'*tau - a'*c'."""
+def dual_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """(a, b, c) -> (c, -b, a), an exact involution: the induced form on the
+    dual module, and, as clifford_form_to_wood_form, the same pair read in the
+    normalization tau*x = -c'*y - b'*x, tau*y = a'*x, tau^2 = -b'*tau - a'*c'."""
     return BinaryQuadraticForm(q.ring, q.c, -q.b, q.a)
+
+
+clifford_form_to_wood_form = dual_form
 
 
 def wood_pair(w: BinaryQuadraticForm) -> CliffordPair:
     """The pair carved out of a form read as Wood data [A, B, C]."""
     return form_to_pair(clifford_form_to_wood_form(w))
-
-
-def dual_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    """The induced form (c, -b, a) on the dual module; an exact involution."""
-    return BinaryQuadraticForm(q.ring, q.c, -q.b, q.a)
 
 
 class TraceStage(Value):

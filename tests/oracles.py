@@ -7,6 +7,7 @@ orbit enumerations below.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd
@@ -17,9 +18,9 @@ from binquad.compose import shanks
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
 from binquad.form import BinaryQuadraticForm, SimilarityWitness, reduce_definite, reduce_triple, value_set_mod
-from binquad.mat2 import madd, mat, mdet, mident, mmul, mscale
+from binquad.mat2 import madd, mat, mdet, mident, minv, mmul, mscale
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
-from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ
+from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
 
 
 def spiral(bound: int):
@@ -90,6 +91,33 @@ def column_search(q1, q2, bound: int) -> Optional[SimilarityWitness]:
             if p * t - r * s in (1, -1) and q2.polar((p, r), (s, t)) == u * q1.b:
                 return SimilarityWitness(((p, s), (r, t)), u)
     return None
+
+
+def rational_similarity_product(q1, q2) -> SimilarityWitness:
+    """The witness over Q as a product of matrices: complete squares to get
+    q_i(P_i v) = alpha_i*x^2 + beta_i*y^2 (on a; on c after swapping x and
+    y; on q(x, x + y) when a = c = 0), then u = alpha2/alpha1 and
+    M = P2 diag(1, s) P1^-1 with s^2 = alpha2*beta1/(alpha1*beta2), s = 1
+    in rank 1.  For nonzero forms that pass the discriminant screen."""
+    R = q1.ring
+
+    def diagonalize(q):
+        a, b, c = q.coeffs()
+        if a != 0:
+            t = b / (2 * a)
+            return mat(R, ((1, -t), (0, 1))), a, c - a * t * t
+        if c != 0:
+            t = b / (2 * c)
+            return mat(R, ((0, 1), (1, -t))), c, -c * t * t
+        h = Fraction(1, 2)
+        return mat(R, ((1, -h), (1, h))), b, -b / 4
+
+    P1, al1, be1 = diagonalize(q1)
+    P2, al2, be2 = diagonalize(q2)
+    s = fraction_sqrt(al2 * be1 / (al1 * be2)) if be2 != 0 else 1
+    (p00, p01), (p10, p11) = P2
+    M = mmul(R, ((p00, s * p01), (p10, s * p11)), minv(R, P1))
+    return SimilarityWitness(M, R.normalize(al2 / al1))
 
 
 def definite_reduction_oracle(q1, q2):

@@ -430,6 +430,21 @@ def test_form_matches_seed_definitions(R, data):
     same(BinaryQuadraticForm.act, seed_act, q, U, -1)
     for W, target in ((SimilarityWitness(U, -1), q.act(U, -1)), (SimilarityWitness(M, u), q2)):
         same(W.verify, lambda *a, W=W: seed_similarity_verify(W, *a), q, target)
+    # q.act(U, -1)(v) = -q(U v), so (U, -1) carries q.act(U, -1) to q; near
+    # misses move one entry of U, or u, by 1, and over Z/n with n even also
+    # by n/2, where the factor 2 in the middle coefficient decides
+    moved = q.act(U, -1)
+    assert SimilarityWitness(U, -1).verify(moved, q)
+    shifts = (1, R.n // 2) if isinstance(R, ModularRing) and R.n % 2 == 0 else (1,)
+    near = []
+    for k in shifts:
+        for i in range(4):
+            entries = [U[0][0], U[0][1], U[1][0], U[1][1]]
+            entries[i] = R.normalize(entries[i] + k)
+            near.append(SimilarityWitness(((entries[0], entries[1]), (entries[2], entries[3])), -1))
+        near.append(SimilarityWitness(U, R.normalize(k - 1)))
+    for W in near:
+        same(W.verify, lambda *a, W=W: seed_similarity_verify(W, *a), moved, q)
 
 
 @given(rings, st.data())

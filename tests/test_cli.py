@@ -435,6 +435,26 @@ def test_answer_past_the_digit_limit_is_a_usage_error(capsys):
     assert err["error"] == "usage" and f"{sys.get_int_max_str_digits()}-digit" in err["message"]
 
 
+def test_error_message_past_the_digit_limit_is_a_usage_error(capsys):
+    # the discriminants differ, and NotComposable's message would print one
+    # with 6001 digits
+    big = str(10**3000)
+    code = run(["compose", '{"a":' + big + ',"b":1,"c":' + big + "}", '{"a":1,"b":1,"c":1}'])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and f"{sys.get_int_max_str_digits()}-digit" in err["message"]
+
+
+def test_other_value_errors_are_not_caught(monkeypatch):
+    def broken(args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(cli, "_dispatch", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        run(["disc", form_json(1, 0, 1)])
+
+
 @pytest.mark.parametrize("ring, n, shown", [({"ring": "rat"}, 5, "Q"), ({"ring": "mod", "n": 5}, 3, "Z/5")])
 def test_basechange_rejects_a_hom_from_another_ring(capsys, ring, n, shown):
     # checked anyway, a Z/5 form under Z -> Z/3 would fail bimodule_left,

@@ -1,11 +1,13 @@
 import copy
+import json
 import pickle
 import random
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from binquad.errors import NotDefinite, NotInvertible, UsageError
 from binquad.form import (
@@ -19,7 +21,7 @@ from binquad.form import (
 )
 from binquad.mat2 import mdet, mmul
 from binquad.ring import ModularRing, QQ, ZZ
-from oracles import bounded_witness_search, definite_reduction_oracle
+from oracles import bounded_witness_search, definite_reduction_oracle, rational_similarity_product
 
 small = st.integers(min_value=-8, max_value=8)
 
@@ -447,6 +449,77 @@ def test_rational_rank_one_forms_are_similar():
     for q1, q2 in product(forms, repeat=2):
         v = similar(q1, q2)
         assert v.is_similar and v.witness.verify(q1, q2)
+
+
+def _split_form(r, l1, l2):
+    """r*(al*x + be*y)*(ga*x + de*y) over Q: a square discriminant, 0 when
+    the two linear forms are proportional."""
+    (al, be), (ga, de) = l1, l2
+    return BinaryQuadraticForm(QQ, r * al * ga, r * (al * de + be * ga), r * be * de)
+
+
+linear_q = st.tuples(rationals, rationals)
+
+
+@given(
+    st.one_of(st.tuples(rationals, rationals, rationals), st.tuples(units_q, linear_q, linear_q)),
+    st.one_of(st.tuples(units_q, linear_q, linear_q), st.tuples(st.tuples(tiny, tiny, tiny, tiny), units_q)),
+)
+# one example per arm of the diagonalisation on each side, and D = 0
+@example((1, (0, 1), (1, 0)), (1, (0, 1), (1, 0)))
+@example((1, (0, 1), (1, 0)), (2, (1, 1), (1, -1)))
+@example((1, (0, 1), (2, 3)), (2, (1, 1), (0, 1)))
+@example((3, 1, 0), (Fraction(1, 2), (0, 1), (1, 2)))
+@example((1, (1, 2), (1, 2)), (3, (0, 1), (0, 1)))
+@example((0, 0, Fraction(-3, 5)), (1, (1, 2), (2, 4)))
+def test_rational_witness_is_the_diagonalisation_product(f1, f2):
+    # the closed-form witness is the product P2 diag(1, s) P1^-1 of the
+    # oracle entry for entry, in each arm (a != 0; a = 0 and c != 0;
+    # a = c = 0) and in rank 1
+    from binquad.form import _rational_similarity, _screen_not_similar
+
+    q1 = _split_form(*f1) if isinstance(f1[1], tuple) else BinaryQuadraticForm(QQ, *f1)
+    if isinstance(f2[1], tuple):
+        q2 = _split_form(*f2)
+    else:
+        (m00, m01, m10, m11), u = f2
+        M = ((m00, m01), (m10, m11))
+        q2 = q1.act(M, u) if m00 * m11 != m01 * m10 else q1.neg()
+    if q1.is_zero() or q2.is_zero() or _screen_not_similar(q1, q2) is not None:
+        return
+    w = _rational_similarity(q1, q2).witness
+    assert w == rational_similarity_product(q1, q2)
+    assert {type(x) for x in (*w.m[0], *w.m[1], w.u)} == {Fraction}
+
+
+def test_rational_witness_needs_no_matrix_product(monkeypatch, capsys):
+    # with a1*a2 != 0 the Q witness is written out and checked by its
+    # coefficients: no matrix product, inverse or probe evaluation
+    import binquad.form as form
+    import binquad.mat2 as mat2
+    from binquad.cli import run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix product or probe ran on the Q path")
+
+    third = Fraction(1, 3)
+    q = BinaryQuadraticForm(QQ, third, -2, 5)
+    cases = [
+        (BinaryQuadraticForm(QQ, 1, 0, 1), BinaryQuadraticForm(QQ, Fraction(1, 2), 0, Fraction(9, 2))),
+        (q, q.act(((2, third), (1, -1)), Fraction(-7, 2))),
+        (BinaryQuadraticForm(QQ, 1, 2, 1), BinaryQuadraticForm(QQ, -4, 4, -1)),
+        (BinaryQuadraticForm(QQ, 2, 1, -3), BinaryQuadraticForm(QQ, 1, 1, -6).act(((1, 1), (0, 5)), 3)),
+    ]
+    assert not hasattr(form, "minv") and not hasattr(form, "mapply")
+    for mod, name in ((form, "mmul"), (mat2, "mmul"), (mat2, "minv"), (mat2, "mapply")):
+        monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(BinaryQuadraticForm, "evaluate", refuse)
+    for q1, q2 in cases:
+        assert q1.a * q2.a != 0
+        v = similar(q1, q2)
+        assert v.is_similar and v.witness.verify(q1, q2)
+        assert run(["similar", json.dumps(q1.to_json()), json.dumps(q2.to_json())]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "similar"
 
 
 # -- value semantics of the library's immutable types --------------------

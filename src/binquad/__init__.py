@@ -17,7 +17,6 @@ from .clifford import (
     m_left,
     m_right,
     quat_conj,
-    quat_elem,
     quat_mul,
     quat_norm,
     quat_trace,
@@ -33,12 +32,7 @@ from .form import (
     BinaryQuadraticForm,
     SimilarityVerdict,
     SimilarityWitness,
-    act,
     bqf,
-    discriminant,
-    evaluate,
-    is_primitive,
-    polar,
     properly_equivalent,
     reduce_definite,
     similar,

@@ -8,10 +8,11 @@ or malformed input, 2 domain error, 3 undecided (Unknown) verdict.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from itertools import takewhile
+from types import SimpleNamespace
 
 from .clifford import (
     QuadraticAlgebra,
@@ -51,9 +52,7 @@ def _emit(obj) -> None:
 
 
 def _fail(kind: str, message: str, code: int) -> int:
-    sys.stderr.write(
-        json.dumps({"error": kind, "message": message}, sort_keys=True) + "\n"
-    )
+    sys.stderr.write(json.dumps({"error": kind, "message": message}, sort_keys=True) + "\n")
     return code
 
 
@@ -68,13 +67,9 @@ def _load_json(arg: str):
 
 
 def _default_ring(args):
-    flag = getattr(args, "ring", None)
-    if flag is None:
-        return None
-    if flag == "int":
-        return ZZ
-    if flag == "rat":
-        return QQ
+    flag = args.ring
+    if flag in (None, "int", "rat"):
+        return {"int": ZZ, "rat": QQ}.get(flag)
     if flag.startswith("mod:"):
         try:
             return ModularRing(int(flag.split(":", 1)[1]))
@@ -87,55 +82,92 @@ def _form(args, text: str) -> BinaryQuadraticForm:
     return BinaryQuadraticForm.from_json(_load_json(text), default_ring=_default_ring(args) or ZZ)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="binquad",
-        description="binary quadratic forms and their Clifford invariants, exactly",
-    )
-    ap.add_argument("--ring", help="default ring for inputs without one: int, mod:N, rat")
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    def verb(name, *positional, **kw):
-        p = sub.add_parser(name, **kw)
-        for pos in positional:
-            p.add_argument(pos)
-        return p
-
-    verb("disc", "form", help="both sign conventions of the discriminant")
-    verb("clifford", "form", help="even Clifford algebra of a form")
-    verb("form2pair", "form", help="(algebra, action matrix) pair of a form")
-    verb("pair2form", "pair", help="form read off a traceable pair")
-    verb("traceable", "pair", help="traceability of a pair")
-    verb("similar", "form1", "form2", help="similarity verdict with witness")
-    verb("reduce", "form", help="reduced representative and SL2 witness")
-    p = verb("dual", "form", help="dual form on the dual module")
-    p.add_argument("--trace", action="store_true", help="emit the five-stage trace")
-    verb("dualconic", "form", help="dual conic over the rationals")
-    verb("wood", "form", help="the form in the opposite-sign normalization")
-    verb("normform", "ideal", help="naive and universal norm forms of a lattice")
-    verb("ideal", "form", help="ideal lattice of a primitive form")
-    p = verb("compose", "form1", "form2", help="Gauss composition")
-    p.add_argument("--proper-reduce", action="store_true")
-    p.add_argument("--twist", action="store_true", help="transport along the conjugated witness")
-    p = verb("inverse", "form", help="inverse class representative")
-    p.add_argument("--proper-reduce", action="store_true")
-    verb("identity", "algebra", help="norm form of an algebra")
-    verb("classgroup", "D", help="reduced forms and group structure")
-    verb("picard", "D", help="oriented and unoriented class counts")
-    p = sub.add_parser("quat", help="quaternion algebra operations")
-    p.add_argument("form")
-    p.add_argument("z")
-    p.add_argument("w", nargs="?")
-    verb("basechange", "form", "hom", help="base-change compatibility report")
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--filter", default=None, help="run only criteria whose name matches")
-    return ap
+# verb: (positionals, flags, help).  A positional "w?" may be left out; a flag
+# maps to its default, False for a switch or None for a value.  All take -h.
+VERBS = {
+    "disc": (("form",), {}, "both sign conventions of the discriminant"),
+    "clifford": (("form",), {}, "even Clifford algebra of a form"),
+    "form2pair": (("form",), {}, "(algebra, action matrix) pair of a form"),
+    "pair2form": (("pair",), {}, "form read off a traceable pair"),
+    "traceable": (("pair",), {}, "traceability of a pair"),
+    "similar": (("form1", "form2"), {}, "similarity verdict with witness"),
+    "reduce": (("form",), {}, "reduced representative and SL2 witness"),
+    "dual": (("form",), {"trace": False}, "dual form on the dual module, or its five-stage trace"),
+    "dualconic": (("form",), {}, "dual conic over the rationals"),
+    "wood": (("form",), {}, "the form in the opposite-sign normalization"),
+    "normform": (("ideal",), {}, "naive and universal norm forms of a lattice"),
+    "ideal": (("form",), {}, "ideal lattice of a primitive form"),
+    "compose": (("form1", "form2"), {"proper_reduce": False, "twist": False}, "Gauss composition"),
+    "inverse": (("form",), {"proper_reduce": False}, "inverse class representative"),
+    "identity": (("algebra",), {}, "norm form of an algebra"),
+    "classgroup": (("D",), {}, "reduced forms and group structure"),
+    "picard": (("D",), {}, "oriented and unoriented class counts"),
+    "quat": (("form", "z", "w?"), {}, "quaternion algebra operations"),
+    "basechange": (("form", "hom"), {}, "base-change compatibility report"),
+    "verify": ((), {"filter": None}, "run the acceptance suite, or the criteria whose key or name FILTER matches"),
+}
 
 
-# The verb tree does not depend on the request: build it on the first run
-# and reuse it.  parse_args leaves the parser unchanged and returns a fresh
-# Namespace on every call.
-_parser = functools.cache(build_parser)
+def _help(verb) -> str:
+    rows = "\n".join(f"  {v:<12}{h}" for v, (_, _, h) in VERBS.items())
+    names, flags, text = VERBS[verb] if verb else (("VERB ...",), {"ring": None}, rows)
+    words = [f"[--{f.replace('_', '-')}{'' if v is False else ' ' + f.upper()}]" for f, v in flags.items()]
+    words += [f"[{n[:-1]}]" if n[-1] == "?" else n for n in names]
+    return f"usage: binquad {' '.join(filter(None, [verb, *words]))}\n\n{text}\n"
+
+
+def _match(tok: str, flags):
+    """How argparse reads tok among flags and help: None for a positional,
+    else (flag, the value after "=" or None), flag "" for an unknown option."""
+    if tok[:1] != "-" or tok in ("-", "--"):
+        return None
+    name, eq, value = tok.partition("=")
+    hits = [f for f in (*flags, "help") if f"--{f}".replace("_", "-").startswith(name)] if tok[1] == "-" else ()
+    if len(hits) > 1:  # only "--=..." is a prefix of two flags
+        raise UsageError(f"ambiguous option {tok}")
+    if hits:
+        return hits[0], value if eq else None
+    if tok[:2] == "-h":  # argparse reads -hh and -h=h as -h too
+        return "help", None if re.fullmatch(r"-h(=?h+)?", tok) else tok
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok else ("", None)  # negative numbers
+
+
+def _parse(argv):
+    """The namespace _dispatch reads, or the help text if -h comes first: argv is read as
+    the argparse parser in tests/oracles.py read it, and raises UsageError where it failed."""
+    args, names, flags, pos, extra, after_pos, it = {"ring": None}, (), {"ring": None}, [], [], False, iter(argv)
+    for tok in it:
+        if tok == "--" and "verb" in args:
+            rest = list(it)  # argparse leaves a last "--" over unless a positional precedes it
+            pos, extra = pos + rest, extra + ([] if rest or after_pos else [tok])
+            break
+        hit = _match(tok, flags)
+        after_pos = hit is None and "verb" in args
+        if after_pos or hit and not hit[0]:
+            (pos if after_pos else extra).append(tok)
+        elif hit is None:
+            if tok not in VERBS:
+                raise UsageError(f"unknown verb {tok!r}")
+            names, flags, _ = VERBS[tok]
+            args.update(flags, verb=tok)
+        elif hit[0] != "help" and flags[hit[0]] is None:
+            value = next(it, "--") if hit[1] is None else hit[1]
+            if hit[1] is None and (value == "--" or _match(value, flags)):
+                raise UsageError(f"{tok} needs a value")
+            args[hit[0]] = value
+        elif hit[1] is not None:
+            raise UsageError(f"{tok} takes no value")
+        elif hit[0] != "help":
+            args[hit[0]] = True
+        elif any(t[:3] == "--=" for t in takewhile("--".__ne__, it)):
+            raise UsageError("ambiguous option --=")  # argparse reads every flag before it acts on one
+        else:
+            return _help(args.get("verb"))
+    if "verb" not in args or len(pos) < len([n for n in names if n[-1] != "?"]):
+        raise UsageError(_help(args.get("verb")).split("\n")[0])
+    if extra or len(pos) > len(names):
+        raise UsageError(f"unrecognized arguments: {' '.join(extra + pos[len(names):])}")
+    return SimpleNamespace(**args, **dict(zip([n.rstrip("?") for n in names], pos + [None])))
 
 
 def _dispatch(args) -> int:
@@ -270,10 +302,10 @@ def _dispatch(args) -> int:
 
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    try:
+        args = _parse(argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
         return _dispatch(args)
     except UsageError as e:
         return _fail("usage", str(e), EXIT_USAGE)

@@ -221,11 +221,6 @@ def automorphisms(C: QuadraticAlgebra, oriented: bool = False):
 #   e1*tau = a*e2           e2*tau = b*e2 - c*e1
 
 
-def quat_elem(q: BinaryQuadraticForm, x0, x1=0, y1=0, y2=0):
-    R = q.ring
-    return (R.normalize(x0), R.normalize(x1), R.normalize(y1), R.normalize(y2))
-
-
 def quat_mul(q: BinaryQuadraticForm, z, w):
     """The product on the basis (1, tau, e1, e2), by the table above."""
     n = q.ring.normalize

@@ -145,26 +145,6 @@ def bqf(a, b, c, ring: Ring = ZZ) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(ring, a, b, c)
 
 
-def evaluate(q: BinaryQuadraticForm, x, y):
-    return q.evaluate(x, y)
-
-
-def polar(q: BinaryQuadraticForm, v, w):
-    return q.polar(v, w)
-
-
-def discriminant(q: BinaryQuadraticForm):
-    return q.discriminant()
-
-
-def is_primitive(q: BinaryQuadraticForm) -> bool:
-    return q.is_primitive()
-
-
-def act(q: BinaryQuadraticForm, M, u) -> BinaryQuadraticForm:
-    return q.act(M, u)
-
-
 class SimilarityWitness(Value):
     """Certifies q'(M v) = u * q(v) for all v."""
 
@@ -276,11 +256,9 @@ def value_set_mod(q: BinaryQuadraticForm, m: int) -> frozenset:
     return frozenset(vals)
 
 
-def _screen_not_similar(q1, q2) -> Optional[str]:
+def _screen_not_similar(q1, q2, d1, d2) -> Optional[str]:
     """Cheap exact invariants over Z and Q that certify non-similarity,
-    or None."""
-    d1 = q1.discriminant()[1]
-    d2 = q2.discriminant()[1]
+    or None; d1 and d2 are the discriminants b^2 - 4ac."""
     if isinstance(q1.ring, IntegerRing):
         if d1 != d2:
             return "discriminant"
@@ -310,20 +288,20 @@ def _diagonalize_rational(q):
     return ((1, -h), (1, h)), ((h, h), (-1, 1)), b
 
 
-def _rational_similarity(q1, q2) -> SimilarityVerdict:
+def _rational_similarity(q1, q2, d1, d2) -> SimilarityVerdict:
     """Complete decision over Q for nonzero forms that passed the screens.
 
     In characteristic 0 every binary form is alpha*<1, d>, so forms whose
     discriminants agree up to squares (and in vanishing) are similar: with
     q_i(P_i v) = <alpha_i, beta_i>, u = alpha2/alpha1, M = P2 diag(1, s) P1^-1
     and s = |u| sqrt(D1/D2) (s = 1 in rank 1), since s^2 = alpha2*beta1 /
-    (alpha1*beta2).  When a1*a2 != 0, M = ((1, t1 - s*t2), (0, s)), t_i = b_i/(2a_i)."""
+    (alpha1*beta2).  When a1*a2 != 0, M = ((1, t1 - s*t2), (0, s)), t_i = b_i/(2a_i).
+    d1 and d2 are the discriminants b^2 - 4ac, as the screen took them."""
     R = q1.ring
     _, P1i, al1 = _diagonalize_rational(q1)
     P2, _, al2 = _diagonalize_rational(q2)
     u = al2 / al1
-    d2 = q2.b * q2.b - 4 * q2.a * q2.c
-    s = abs(u) * fraction_sqrt((q1.b * q1.b - 4 * q1.a * q1.c) / d2) if d2 != 0 else R.one
+    s = abs(u) * fraction_sqrt(d1 / d2) if d2 != 0 else R.one
     if q1.a != 0 and q2.a != 0:
         M = mat(R, ((1, P1i[0][1] + s * P2[0][1]), (0, s)))
     else:
@@ -357,11 +335,12 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdi
         from .modular import similar_mod
 
         return similar_mod(q1, q2)
-    reason = _screen_not_similar(q1, q2)
+    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+    reason = _screen_not_similar(q1, q2, d1, d2)
     if reason is not None:
         return SimilarityVerdict("not_similar", reason=reason)
     if isinstance(R, RationalRing):
-        return _rational_similarity(q1, q2)
+        return _rational_similarity(q1, q2, d1, d2)
     from .integral import similar_integral
 
     return similar_integral(q1, q2)

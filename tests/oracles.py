@@ -1,4 +1,5 @@
-"""Brute-force oracles for the similarity and pair-isomorphism tests.
+"""Brute-force oracles for the similarity and pair-isomorphism tests, and
+the argparse parser that the CLI's verb table replaced.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -7,6 +8,7 @@ orbit enumerations below.
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -264,3 +266,48 @@ def dual_conic_fractions(q):
     if det == 0:
         return dual_conic(q)
     return BinaryQuadraticForm(QQ, c / det, -b / det, a / det)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="binquad",
+        description="binary quadratic forms and their Clifford invariants, exactly",
+    )
+    ap.add_argument("--ring", help="default ring for inputs without one: int, mod:N, rat")
+    sub = ap.add_subparsers(dest="verb", required=True)
+
+    def verb(name, *positional, **kw):
+        p = sub.add_parser(name, **kw)
+        for pos in positional:
+            p.add_argument(pos)
+        return p
+
+    verb("disc", "form", help="both sign conventions of the discriminant")
+    verb("clifford", "form", help="even Clifford algebra of a form")
+    verb("form2pair", "form", help="(algebra, action matrix) pair of a form")
+    verb("pair2form", "pair", help="form read off a traceable pair")
+    verb("traceable", "pair", help="traceability of a pair")
+    verb("similar", "form1", "form2", help="similarity verdict with witness")
+    verb("reduce", "form", help="reduced representative and SL2 witness")
+    p = verb("dual", "form", help="dual form on the dual module")
+    p.add_argument("--trace", action="store_true", help="emit the five-stage trace")
+    verb("dualconic", "form", help="dual conic over the rationals")
+    verb("wood", "form", help="the form in the opposite-sign normalization")
+    verb("normform", "ideal", help="naive and universal norm forms of a lattice")
+    verb("ideal", "form", help="ideal lattice of a primitive form")
+    p = verb("compose", "form1", "form2", help="Gauss composition")
+    p.add_argument("--proper-reduce", action="store_true")
+    p.add_argument("--twist", action="store_true", help="transport along the conjugated witness")
+    p = verb("inverse", "form", help="inverse class representative")
+    p.add_argument("--proper-reduce", action="store_true")
+    verb("identity", "algebra", help="norm form of an algebra")
+    verb("classgroup", "D", help="reduced forms and group structure")
+    verb("picard", "D", help="oriented and unoriented class counts")
+    p = sub.add_parser("quat", help="quaternion algebra operations")
+    p.add_argument("form")
+    p.add_argument("z")
+    p.add_argument("w", nargs="?")
+    verb("basechange", "form", "hom", help="base-change compatibility report")
+    p = sub.add_parser("verify", help="run the acceptance suite")
+    p.add_argument("--filter", default=None, help="run only criteria whose name matches")
+    return ap

@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import binquad
 from binquad import cli, norm, picard
-from binquad.cli import run
+from binquad.cli import VERBS, run
+from oracles import build_parser
 
 # binquad.compose names the function re-exported by the package, so the
 # module is taken from sys.modules
@@ -28,6 +31,14 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def assert_usage_error(code, out, err):
+    # exit 1, nothing on stdout, and exactly one JSON object on stderr
+    assert code == 1 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    obj = json.loads(err)
+    assert obj["error"] == "usage" and isinstance(obj["message"], str)
 
 
 def test_disc_golden(capsys):
@@ -48,7 +59,8 @@ def test_compose_has_no_oracle_flag(capsys):
     # and the tests, not offered on the command line
     code = run(["compose", form_json(2, 1, 3), form_json(2, 1, 3), "--oracle"])
     assert code == 1
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert_usage_error(code, captured.out, captured.err)
 
 
 def test_similar_not_similar_exit_code(capsys):
@@ -86,7 +98,8 @@ def test_similar_has_no_bound_flag(capsys):
     # no request path searches, so there is no search bound to set
     code = run(["similar", form_json(1, 7, 0), form_json(3, 7, 0), "--bound", "3"])
     assert code == 1
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert_usage_error(code, captured.out, captured.err)
 
 
 def test_similar_rational_scaled_form(capsys):
@@ -326,11 +339,10 @@ def test_output_is_canonical_json(capsys):
     assert json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
-def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
-    # One process serves every call below with the same parser; options of
-    # one call must not leak into the next, and each call must print and
+def test_parser_reuse_matches_fresh_processes(capsys):
+    # One process serves every call below from the same verb table; options
+    # of one call must not leak into the next, and each call must print and
     # return exactly what a fresh `binquad` process does.
-    monkeypatch.setenv("COLUMNS", "80")
     z4 = ',"ring":{"ring":"mod","n":4}}'
     q1, q2 = '{"a":0,"b":2,"c":0' + z4, '{"a":2,"b":0,"c":0' + z4
     calls = [
@@ -358,11 +370,11 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
 
 def test_import_pulls_in_no_dataclasses():
     # the request path's modules import no dataclasses and no inspect (with
-    # ast, dis and tokenize behind it): their import cost is paid by every
-    # fresh process
+    # ast, dis and tokenize behind it), and no argparse or the gettext it
+    # imports: their import cost is paid by every fresh process
     code = (
         "import binquad.cli, binquad.pairs, binquad.acceptance, sys\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules)))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -371,6 +383,109 @@ def test_import_pulls_in_no_dataclasses():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+Q = form_json(1, 0, 1)
+BAD_COMMAND_LINES = {
+    "no verb": [],
+    "unknown verb": ["nosuch"],
+    "missing positional": ["similar", Q],
+    "global flag after the verb": ["disc", Q, "--ring", "int"],
+    "flag without its value": ["verify", "--filter"],
+    "last -- after a flag": ["dual", Q, "--trace", "--"],
+    "switch with a value": ["dual", Q, "--trace=yes"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES)
+def test_bad_command_lines_are_json_usage_errors(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert_usage_error(code, captured.out, captured.err)
+
+
+def test_help_is_read_off_the_verb_table(capsys):
+    assert run(["-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: binquad [--ring RING] VERB ...\n") and captured.err == ""
+    for verb, (_, _, text) in VERBS.items():
+        assert f"  {verb:<12}{text}\n" in captured.out
+    assert run(["compose", Q, "--help", "--nosuch"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "usage: binquad compose [--proper-reduce] [--twist] form1 form2\n\nGauss composition\n"
+    assert captured.err == ""
+
+
+_ARGPARSE = build_parser()
+
+
+def _oracle(argv):
+    # ("ok", attributes), ("help",) or ("error",) from the argparse parser
+    # the verb table replaced
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return "ok", vars(_ARGPARSE.parse_args(argv))
+    except SystemExit as e:
+        return ("help",) if e.code == 0 else ("error",)
+
+
+_OTHER_FLAGS = ["--ring", "--ring=int", "--trace", "--proper-reduce", "--twist", "--filter", "--oracle", "--bound"]
+_HELP = ["-h", "--help", "--h", "-hh", "-h=h", "-hx", "--help=1"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv built from the verb table: global flags, a verb, its
+    positionals (one short or one over at times), its flags spelled out,
+    abbreviated or with "=", flags of other verbs, help, "--" anywhere."""
+    head = draw(st.lists(st.sampled_from(["--ring", "mod:7", "--ring=rat", "--r", "--ri=int", "--bogus", "-5"]
+                                         + _HELP + ["--", "--=x"]), max_size=3))
+    verb = draw(st.sampled_from([*VERBS, "nosuch"]))
+    names, flags, _ = VERBS.get(verb, ((), {}, ""))
+    count = max(0, len(names) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    tail = [draw(st.sampled_from([Q, "-23", "-1.5", "-.5", "-", "", "x y", "-x y", "--"])) for _ in range(count)]
+    for f in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)) if flags else []:
+        spelled = "--" + f.replace("_", "-")
+        spelled = spelled[: draw(st.integers(3, len(spelled)))]
+        if flags[f] is None:
+            tail += draw(st.sampled_from([[spelled, "C07"], [spelled + "=C0"], [spelled + "="], [spelled, "-7"],
+                                          [spelled], [spelled, "--"], [spelled, "-h"]]))
+        else:
+            tail += draw(st.sampled_from([[spelled], [spelled + "=1"], [spelled + "="]]))
+    tail += draw(st.lists(st.sampled_from(_OTHER_FLAGS + _HELP + ["-x", "-1e5", "---", "--=x", "--", "3"]), max_size=2))
+    tail = draw(st.permutations(tail))
+    if draw(st.booleans()):
+        tail.insert(draw(st.integers(0, len(tail))), "--")
+    return head + [verb] + tail
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+@example(["--ring=mod:7", "disc", Q])
+@example(["--r", "rat", "compose", "--twist", Q, "--proper", Q])
+@example(["verify", "--fil=C07"])
+@example(["classgroup", "-23"])
+@example(["dual", "--", "--trace"])
+@example(["quat", Q, "[1,0,0,0]"])
+@example(["similar", Q, "--", "--"])
+def test_parser_reads_command_lines_as_argparse_did(argv):
+    # Python 3.11's argparse drops a literal "--" that follows the first
+    # "--" from the positional it lands on: a required one then read [],
+    # on which the verb crashed with a TypeError, and quat's w read as
+    # absent.  The table parser keeps it as the operand "--", so the oracle
+    # is asked with those operands renamed.
+    cut = argv.index("--") + 1 if "--" in argv else len(argv)
+    want = _oracle(argv[:cut] + ["<dashes>" if t == "--" else t for t in argv[cut:]])
+    if want[0] == "ok":
+        assert vars(cli._parse(argv)) == {k: "--" if v == "<dashes>" else v for k, v in want[1].items()}
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    if want[0] == "error":
+        assert_usage_error(code, out.getvalue(), err.getvalue())
+    else:
+        assert code == 0 and out.getvalue().startswith("usage: binquad") and err.getvalue() == ""
 
 
 def test_similar_odd_modulus_is_decided_in_time(capsys):

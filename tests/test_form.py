@@ -419,7 +419,7 @@ def test_rational_screen_never_contradicts_the_search(c1, c2, m, u, moved):
     w = bounded_witness_search(q1, q2, 1)
     if w is not None:
         assert w.verify(q1, q2)
-        assert _screen_not_similar(q1, q2) is None
+        assert _screen_not_similar(q1, q2, q1.discriminant()[1], q2.discriminant()[1]) is None
 
 
 @given(
@@ -485,9 +485,12 @@ def test_rational_witness_is_the_diagonalisation_product(f1, f2):
         (m00, m01, m10, m11), u = f2
         M = ((m00, m01), (m10, m11))
         q2 = q1.act(M, u) if m00 * m11 != m01 * m10 else q1.neg()
-    if q1.is_zero() or q2.is_zero() or _screen_not_similar(q1, q2) is not None:
+    if q1.is_zero() or q2.is_zero():
         return
-    w = _rational_similarity(q1, q2).witness
+    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+    if _screen_not_similar(q1, q2, d1, d2) is not None:
+        return
+    w = _rational_similarity(q1, q2, d1, d2).witness
     assert w == rational_similarity_product(q1, q2)
     assert {type(x) for x in (*w.m[0], *w.m[1], w.u)} == {Fraction}
 

@@ -1,8 +1,7 @@
-import argparse
 import re
 from pathlib import Path
 
-from binquad.cli import build_parser
+from binquad.cli import VERBS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,11 +17,10 @@ def test_layout_lists_every_module_once():
 
 
 def test_verbs_list_every_subcommand_once():
-    # the README `Verbs:` list names each subcommand of the CLI parser once
+    # the README `Verbs:` list names each verb of the CLI's verb table once
     readme = (ROOT / "README.md").read_text()
     listed = re.search(r"^Verbs: `([^`]*)`", readme, flags=re.MULTILINE).group(1).split()
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert sorted(listed) == sorted(sub.choices)
+    assert sorted(listed) == sorted(VERBS)
 
 
 def test_readme_names_every_reason():

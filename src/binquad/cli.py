@@ -67,19 +67,22 @@ def _load_json(arg: str):
 
 
 def _default_ring(args):
+    """The --ring ring (Z by default), read at its first use in a request and kept on args."""
     flag = args.ring
     if flag in (None, "int", "rat"):
-        return {"int": ZZ, "rat": QQ}.get(flag)
-    if flag.startswith("mod:"):
+        args.ring = QQ if flag == "rat" else ZZ
+    elif isinstance(flag, str):
+        if not flag.startswith("mod:"):
+            raise UsageError(f"bad --ring value {flag!r} (want int, mod:N, or rat)")
         try:
-            return ModularRing(int(flag.split(":", 1)[1]))
+            args.ring = ModularRing(int(flag.split(":", 1)[1]))
         except ValueError as e:
             raise UsageError(f"bad modulus in --ring {flag!r}") from e
-    raise UsageError(f"bad --ring value {flag!r} (want int, mod:N, or rat)")
+    return args.ring
 
 
 def _form(args, text: str) -> BinaryQuadraticForm:
-    return BinaryQuadraticForm.from_json(_load_json(text), default_ring=_default_ring(args) or ZZ)
+    return BinaryQuadraticForm.from_json(_load_json(text), default_ring=_default_ring(args))
 
 
 # verb: (positionals, flags, help).  A positional "w?" may be left out; a flag
@@ -185,11 +188,11 @@ def _dispatch(args) -> int:
         _emit(form_to_pair(_form(args, args.form)).to_json())
         return EXIT_OK
     if verb == "pair2form":
-        pair = CliffordPair.from_json(_load_json(args.pair), default_ring=_default_ring(args) or ZZ)
+        pair = CliffordPair.from_json(_load_json(args.pair), default_ring=_default_ring(args))
         _emit(pair_to_form(pair).to_json())
         return EXIT_OK
     if verb == "traceable":
-        pair = CliffordPair.from_json(_load_json(args.pair), default_ring=_default_ring(args) or ZZ)
+        pair = CliffordPair.from_json(_load_json(args.pair), default_ring=_default_ring(args))
         _emit({"traceable": pair.is_traceable()})
         return EXIT_OK
     if verb == "similar":
@@ -245,7 +248,7 @@ def _dispatch(args) -> int:
         _emit(out.to_json())
         return EXIT_OK
     if verb == "identity":
-        alg = QuadraticAlgebra.from_json(_load_json(args.algebra), default_ring=_default_ring(args) or ZZ)
+        alg = QuadraticAlgebra.from_json(_load_json(args.algebra), default_ring=_default_ring(args))
         _emit(identity_form(alg).to_json())
         return EXIT_OK
     if verb in ("classgroup", "picard"):

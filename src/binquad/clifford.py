@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import NonScalarNorm, NotAModule, UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm
-from .mat2 import madd, mat, mident, mmul, mscale
+from .mat2 import mat
 from .ring import Ring, RingHom, Value, ring_from_json
 
 
@@ -117,12 +117,11 @@ def clifford_bimodule(q: BinaryQuadraticForm) -> CliffordModule:
 
 
 def module_axiom_holds(C: QuadraticAlgebra, M) -> bool:
-    """M^2 == t*M - nm*I, i.e. M extends to an action of the algebra."""
-    R = C.ring
-    M = mat(R, M)
-    lhs = mmul(R, M, M)
-    rhs = madd(R, mscale(R, C.t, M), mscale(R, -C.nm, mident(R)))
-    return lhs == rhs
+    """M^2 - t*M + nm*I == 0 entry by entry, i.e. M extends to an action of the algebra."""
+    (a, b), (c, d) = M
+    t, nm, n = C.t, C.nm, C.ring.normalize
+    s, r = a + d - t, b * c + nm
+    return n(b * s) == 0 and n(c * s) == 0 and n(a * (a - t) + r) == 0 and n(d * (d - t) + r) == 0
 
 
 def is_traceable(C: QuadraticAlgebra, M) -> bool:

@@ -14,7 +14,7 @@ det(M) = +1, u = +1 relation used by composition and class groups.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 from .errors import NotDefinite, NotInvertible, UsageError
@@ -154,8 +154,15 @@ class SimilarityWitness(Value):
         Value.__init__(self, m, u)
 
     def verify(self, q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> bool:
-        """Compares coefficients, which pin a form over every commutative ring."""
+        """Compares coefficients, which pin a form over every commutative ring; over Q on
+        integers, with M = M'/d and q_i = Q_i/L_i: Q2(M'v)*den(u)*L1 == num(u)*Q1*L2*d^2."""
         R, u, n = q.ring, self.u, q.ring.normalize
+        if isinstance(R, RationalRing) and q2.ring == R:
+            (e, f, g, h), d = _cleared(*self.m[0], *self.m[1])
+            (Q1, L1), (Q2, L2) = _cleared(*q.coeffs()), _cleared(*q2.coeffs())
+            X = BinaryQuadraticForm(ZZ, *Q2)._coeffs_under(((e, f), (g, h)))
+            lhs, rhs = u.denominator * L1, u.numerator * L2 * d * d
+            return e * h != f * g and rhs != 0 and all(x * lhs == y * rhs for x, y in zip(X, Q1))
         if R != q2.ring or not R.is_unit(mdet(R, self.m)) or not R.is_unit(u):
             return False
         return q2._coeffs_under(self.m) == (n(u * q.a), n(u * q.b), n(u * q.c))
@@ -288,23 +295,32 @@ def _diagonalize_rational(q):
     return ((1, -h), (1, h)), ((h, h), (-1, 1)), b
 
 
+def _cleared(*xs):
+    """(integers X, L) with xs = X/L, L the lcm of the denominators."""
+    L = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (L // x.denominator) for x in xs], L
+
+
 def _rational_similarity(q1, q2, d1, d2) -> SimilarityVerdict:
     """Complete decision over Q for nonzero forms that passed the screens.
 
     In characteristic 0 every binary form is alpha*<1, d>, so forms whose
     discriminants agree up to squares (and in vanishing) are similar: with
-    q_i(P_i v) = <alpha_i, beta_i>, u = alpha2/alpha1, M = P2 diag(1, s) P1^-1
-    and s = |u| sqrt(D1/D2) (s = 1 in rank 1), since s^2 = alpha2*beta1 /
-    (alpha1*beta2).  When a1*a2 != 0, M = ((1, t1 - s*t2), (0, s)), t_i = b_i/(2a_i).
-    d1 and d2 are the discriminants b^2 - 4ac, as the screen took them."""
+    q_i(P_i v) = <alpha_i, beta_i>, u = alpha2/alpha1, M = P2 diag(1, s) P1^-1 and
+    s = |u| sqrt(D1/D2) (1 in rank 1), as s^2 = alpha2*beta1/(alpha1*beta2).  When
+    a1*a2 != 0, M = ((1, t1 - s*t2), (0, s)), t_i = b_i/(2a_i), s = |A2|*sqrt(D1*D2)/(|A1|*|D2|)
+    on the cleared forms L_i*q_i = (A_i, B_i, C_i); d1, d2 are b^2 - 4ac from the screen."""
     R = q1.ring
-    _, P1i, al1 = _diagonalize_rational(q1)
-    P2, _, al2 = _diagonalize_rational(q2)
-    u = al2 / al1
-    s = abs(u) * fraction_sqrt(d1 / d2) if d2 != 0 else R.one
     if q1.a != 0 and q2.a != 0:
-        M = mat(R, ((1, P1i[0][1] + s * P2[0][1]), (0, s)))
+        ((A1, B1, C1), L1), ((A2, B2, C2), L2) = _cleared(*q1.coeffs()), _cleared(*q2.coeffs())
+        D2 = B2 * B2 - 4 * A2 * C2
+        sn, sd = (abs(A2) * isqrt((B1 * B1 - 4 * A1 * C1) * D2), abs(A1 * D2)) if D2 else (1, 1)
+        t = Fraction(B1 * A2 * sd - B2 * A1 * sn, 2 * A1 * A2 * sd)
+        u, M = Fraction(A2 * L1, A1 * L2), ((R.one, t), (R.zero, Fraction(sn, sd)))
     else:
+        (_, P1i, al1), (P2, _, al2) = _diagonalize_rational(q1), _diagonalize_rational(q2)
+        u = al2 / al1
+        s = abs(u) * fraction_sqrt(d1 / d2) if d2 != 0 else R.one
         M = mmul(R, mmul(R, P2, ((1, 0), (0, s))), P1i)
     w = SimilarityWitness(M, u)
     if not w.verify(q1, q2):

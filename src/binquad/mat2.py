@@ -1,9 +1,10 @@
 """2x2 matrices over a coefficient ring, stored as tuples of rows.
 
 Column convention throughout the package: the columns of an action matrix
-are the images of the basis vectors e1, e2.  Entries are computed with
-plain Python operators and normalized once per result, which is exact:
-Z -> Z/n is a ring map and Q is closed under Fraction arithmetic.
+are the images of the basis vectors e1, e2.  Each operation unpacks its
+operands and writes out each entry with plain Python operators, normalized
+once, which is exact: Z -> Z/n is a ring map and Q is closed under Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,21 +24,19 @@ def mident(ring: Ring):
 
 
 def madd(ring: Ring, A, B):
-    n = ring.normalize
-    return tuple(tuple(n(A[i][j] + B[i][j]) for j in range(2)) for i in range(2))
+    ((a, b), (c, d)), ((e, f), (g, h)), n = A, B, ring.normalize
+    return ((n(a + e), n(b + f)), (n(c + g), n(d + h)))
 
 
 def mscale(ring: Ring, k, A):
-    n = ring.normalize
+    ((a, b), (c, d)), n = A, ring.normalize
     k = n(k)
-    return tuple(tuple(n(k * A[i][j]) for j in range(2)) for i in range(2))
+    return ((n(k * a), n(k * b)), (n(k * c), n(k * d)))
 
 
 def mmul(ring: Ring, A, B):
-    n = ring.normalize
-    return tuple(
-        tuple(n(A[i][0] * B[0][j] + A[i][1] * B[1][j]) for j in range(2)) for i in range(2)
-    )
+    ((a, b), (c, d)), ((e, f), (g, h)), n = A, B, ring.normalize
+    return ((n(a * e + b * g), n(a * f + b * h)), (n(c * e + d * g), n(c * f + d * h)))
 
 
 def mdet(ring: Ring, A):

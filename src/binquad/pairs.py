@@ -24,8 +24,8 @@ from .clifford import (
     module_axiom_holds,
 )
 from .errors import NotAModule, NotAPerfectSquare, NotTraceable, UsageError
-from .form import BinaryQuadraticForm, similar
-from .mat2 import madd, mat, mat_from_json, mat_to_json, mdet, mident, mmul, mscale
+from .form import BinaryQuadraticForm, _cleared, similar
+from .mat2 import mat, mat_from_json, mat_to_json, mdet
 from .ring import IntegerRing, QQ, RationalRing, Ring, RingHom, Value, fraction_sqrt, ring_from_json
 
 
@@ -101,18 +101,18 @@ class PairWitness(Value):
         Value.__init__(self, psi, phi)
 
     def verify(self, p: CliffordPair, p2: CliffordPair) -> bool:
+        """psi*M == (k + eps*M2)*psi, compared entry by entry."""
         R = p.ring
-        if not R.is_unit(mdet(R, self.psi)):
+        if not R.is_unit(mdet(R, self.psi)) or not self.phi.verify(p2.alg, p.alg):
             return False
-        if not self.phi.verify(p2.alg, p.alg):
-            return False
-        lhs = mmul(R, self.psi, p.m)
-        image = madd(
-            R,
-            mscale(R, self.phi.k, mident(R)),
-            mscale(R, R.normalize(self.phi.eps), p2.m),
+        ((e, f), (g, h)), ((m00, m01), (m10, m11)), ((n00, n01), (n10, n11)) = self.psi, p.m, p2.m
+        k, eps, n = self.phi.k, self.phi.eps, R.normalize
+        return (
+            n(e * m00 + f * m10 - k * e - eps * (n00 * e + n01 * g)) == 0
+            and n(e * m01 + f * m11 - k * f - eps * (n00 * f + n01 * h)) == 0
+            and n(g * m00 + h * m10 - k * g - eps * (n10 * e + n11 * g)) == 0
+            and n(g * m01 + h * m11 - k * h - eps * (n10 * f + n11 * h)) == 0
         )
-        return lhs == mmul(R, image, self.psi)
 
 
 class PairVerdict(Value):
@@ -242,27 +242,25 @@ def dual_form_trace(q: BinaryQuadraticForm):
 def dual_conic(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """The form cut out by the tangent lines of the conic q = 0.
 
-    Nondegenerate case: (4c, -4b, 4a) scaled by 1/(4ac - b^2), over Q.
+    Nondegenerate case: (4c, -4b, 4a)/(4ac - b^2) = (4CL, -4BL, 4AL)/(4AC - B^2) over Q, q = (A, B, C)/L.
     Degenerate case q = (alpha*x + beta*y)^2: the exact limit of duals of
     nearby nondegenerate forms, (beta*x - alpha*y)^2.
     """
     R = q.ring
     if not isinstance(R, (IntegerRing, RationalRing)):
         raise UsageError("dual conics are computed over the rationals")
-    a, b, c = q.coeffs()
-    d4 = 4 * a * c - b * b
+    (A, B, C), L = _cleared(*q.coeffs())
+    d4 = 4 * A * C - B * B
     if d4 != 0:
-        return BinaryQuadraticForm(QQ, Fraction(4 * c, d4), Fraction(-4 * b, d4), Fraction(4 * a, d4))
+        return BinaryQuadraticForm(QQ, Fraction(4 * L * C, d4), Fraction(-4 * L * B, d4), Fraction(4 * L * A, d4))
     if isinstance(R, IntegerRing):
         q = q.map(RingHom(R, QQ))
-        a, b, c = q.coeffs()
+    a, b, c = q.coeffs()
     alpha = fraction_sqrt(a)
     if alpha is None:
         raise NotAPerfectSquare(f"{q} has zero determinant but {a} is not a square")
     if alpha != 0:
-        beta = b / (2 * alpha)
-        if beta * beta != c:
-            raise NotAPerfectSquare(f"{q} is not the square of a linear form")
+        beta = b / (2 * alpha)  # beta^2 = b^2/4a = c, as b^2 = 4ac
     else:
         # a = 0 and det = 0 force b = 0
         beta = fraction_sqrt(c)

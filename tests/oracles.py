@@ -1,5 +1,6 @@
-"""Brute-force oracles for the similarity and pair-isomorphism tests, and
-the argparse parser that the CLI's verb table replaced.
+"""Brute-force oracles for the similarity and pair-isomorphism tests, the
+argparse parser that the CLI's verb table replaced, and the matrix-product
+and Fraction routes that the straight-line integer kernels replaced.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -19,7 +20,15 @@ from binquad.clifford import _witness_for_eps
 from binquad.compose import shanks
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
-from binquad.form import BinaryQuadraticForm, SimilarityWitness, reduce_definite, reduce_triple, value_set_mod
+from binquad.form import (
+    BinaryQuadraticForm,
+    SimilarityVerdict,
+    SimilarityWitness,
+    _diagonalize_rational,
+    reduce_definite,
+    reduce_triple,
+    value_set_mod,
+)
 from binquad.mat2 import madd, mat, mdet, mident, minv, mmul, mscale
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
 from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
@@ -266,6 +275,64 @@ def dual_conic_fractions(q):
     if det == 0:
         return dual_conic(q)
     return BinaryQuadraticForm(QQ, c / det, -b / det, a / det)
+
+
+# -- the routes the straight-line kernels replaced --------------------------
+
+
+def madd_genexpr(ring: Ring, A, B):
+    n = ring.normalize
+    return tuple(tuple(n(A[i][j] + B[i][j]) for j in range(2)) for i in range(2))
+
+
+def mscale_genexpr(ring: Ring, k, A):
+    n = ring.normalize
+    k = n(k)
+    return tuple(tuple(n(k * A[i][j]) for j in range(2)) for i in range(2))
+
+
+def mmul_genexpr(ring: Ring, A, B):
+    n = ring.normalize
+    return tuple(
+        tuple(n(A[i][0] * B[0][j] + A[i][1] * B[1][j]) for j in range(2)) for i in range(2)
+    )
+
+
+def module_axiom_by_products(C, M) -> bool:
+    """M^2 == t*M - nm*I, through matrix products and sums."""
+    R = C.ring
+    M = mat(R, M)
+    lhs = mmul_genexpr(R, M, M)
+    rhs = madd_genexpr(R, mscale_genexpr(R, C.t, M), mscale_genexpr(R, -C.nm, mident(R)))
+    return lhs == rhs
+
+
+def similarity_verify_fractions(w: SimilarityWitness, q, q2) -> bool:
+    """q2(Mv) == u*q(v), compared coefficient by coefficient in the ring's
+    own arithmetic (Fractions over Q)."""
+    R, u, n = q.ring, w.u, q.ring.normalize
+    if R != q2.ring or not R.is_unit(mdet(R, w.m)) or not R.is_unit(u):
+        return False
+    return q2._coeffs_under(w.m) == (n(u * q.a), n(u * q.b), n(u * q.c))
+
+
+def rational_similarity_fractions(q1, q2, d1, d2) -> SimilarityVerdict:
+    """The decision over Q in Fraction arithmetic: u = alpha2/alpha1,
+    s = |u| sqrt(d1/d2) (1 when d2 = 0), and M = ((1, t1 - s*t2), (0, s))
+    when a1*a2 != 0, else P2 diag(1, s) P1^-1."""
+    R = q1.ring
+    _, P1i, al1 = _diagonalize_rational(q1)
+    P2, _, al2 = _diagonalize_rational(q2)
+    u = al2 / al1
+    s = abs(u) * fraction_sqrt(d1 / d2) if d2 != 0 else R.one
+    if q1.a != 0 and q2.a != 0:
+        M = mat(R, ((1, P1i[0][1] + s * P2[0][1]), (0, s)))
+    else:
+        M = mmul_genexpr(R, mmul_genexpr(R, P2, ((1, 0), (0, s))), P1i)
+    w = SimilarityWitness(M, u)
+    if not similarity_verify_fractions(w, q1, q2):
+        raise AssertionError("rational diagonalisation produced a bad witness")
+    return SimilarityVerdict("similar", witness=w)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -281,6 +281,30 @@ def test_ring_flag(capsys):
     assert out == {"classical": 5, "paper": 2}
 
 
+def test_ring_flag_is_read_once_per_request(capsys, monkeypatch):
+    from binquad.ring import ModularRing
+
+    built = []
+    init = ModularRing.__init__
+    monkeypatch.setattr(ModularRing, "__init__", lambda self, n: built.append(n) or init(self, n))
+    # equal forms, and a zero form against a nonzero one, are decided
+    # before binquad.modular builds rings of its own
+    code, out = run_json(capsys, ["--ring", "mod:7", "similar", '{"a":1,"b":0,"c":3}', '{"a":1,"b":0,"c":3}'])
+    assert code == 0 and out["verdict"] == "similar"
+    assert built == [7]
+    # each request reads its own flag
+    code, out = run_json(capsys, ["--ring", "mod:5", "similar", '{"a":1,"b":0,"c":1}', '{"a":0,"b":0,"c":0}'])
+    assert code == 2 and out == {"verdict": "not_similar", "reason": "zero"}
+    assert built == [7, 5]
+    # a bad flag is still refused at its first use, after the input is read
+    for argv, message in (
+        (["--ring", "mod:x", "similar", "{", "{}"], "malformed JSON"),
+        (["--ring", "mod:x", "similar", '{"a":1,"b":0,"c":1}', "{"], "bad modulus"),
+    ):
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err)["message"].startswith(message)
+
+
 def test_malformed_json_is_a_usage_error(capsys):
     code = run(["disc", "not json"])
     captured = capsys.readouterr()

@@ -1,0 +1,157 @@
+"""The straight-line integer kernels against the routes they replaced, which
+live in tests/oracles.py: unrolled 2x2 products, sums and scalings; the
+module relation checked entry by entry; and the similarity witness over Q
+checked on cleared integers, with the closed-form witness of the
+a1*a2 != 0 arm.  Each must agree with its oracle in value and in type."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, strategies as st
+
+from binquad.clifford import QuadraticAlgebra, module_axiom_holds
+from binquad.form import BinaryQuadraticForm, SimilarityWitness, _rational_similarity, _screen_not_similar
+from binquad.mat2 import madd, mmul, mscale
+from binquad.ring import QQ, ZZ, ModularRing
+from oracles import (
+    madd_genexpr,
+    mmul_genexpr,
+    module_axiom_by_products,
+    mscale_genexpr,
+    rational_similarity_fractions,
+    similarity_verify_fractions,
+)
+
+rings = st.one_of(st.just(ZZ), st.just(QQ), st.integers(min_value=2, max_value=60).map(ModularRing))
+ints = st.one_of(st.integers(min_value=-12, max_value=12), st.integers(min_value=-(2**80), max_value=2**80))
+# denominators up to 12 make d and L above 1 common
+fractions = st.one_of(
+    st.builds(Fraction, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=12)),
+    st.fractions(max_denominator=10**6),
+)
+
+
+def elem(data, R):
+    return R.normalize(data.draw(fractions if R == QQ else ints))
+
+
+def matrix(data, R):
+    return tuple(tuple(elem(data, R) for _ in range(2)) for _ in range(2))
+
+
+def typed(v):
+    """Every scalar in a nest of tuples as (type name, value)."""
+    if isinstance(v, tuple):
+        return tuple(typed(x) for x in v)
+    return (type(v).__name__, v)
+
+
+@given(rings, st.data())
+def test_unrolled_mat2_matches_generator_expressions(R, data):
+    A, B, k = matrix(data, R), matrix(data, R), elem(data, R)
+    assert typed(mmul(R, A, B)) == typed(mmul_genexpr(R, A, B))
+    assert typed(madd(R, A, B)) == typed(madd_genexpr(R, A, B))
+    assert typed(mscale(R, k, A)) == typed(mscale_genexpr(R, k, A))
+    # unnormalized operands: plain ints over every ring
+    raw = ((data.draw(ints), data.draw(ints)), (data.draw(ints), data.draw(ints)))
+    assert typed(mmul(R, raw, A)) == typed(mmul_genexpr(R, raw, A))
+    assert typed(madd(R, raw, raw)) == typed(madd_genexpr(R, raw, raw))
+    s = data.draw(ints)
+    assert typed(mscale(R, s, raw)) == typed(mscale_genexpr(R, s, raw))
+
+
+@given(rings, st.data())
+def test_module_axiom_entrywise_matches_matrix_products(R, data):
+    a, b, c, m, x = (elem(data, R) for _ in range(5))
+    # the Clifford pair of (a, b, c) with its generator shifted by m, moved
+    # by the elementary matrix E = ((1, x), (0, 1)): E M E^-1 satisfies the
+    # same relation
+    C = QuadraticAlgebra(R, b + 2 * m, b * m + m * m + a * c)
+    M = mmul_genexpr(R, mmul_genexpr(R, ((1, x), (0, 1)), ((b + m, c), (-a, m))), ((1, -x), (0, 1)))
+    assert module_axiom_by_products(C, M)
+    assert module_axiom_holds(C, M)
+    # near misses: one entry moved; a random algebra and matrix
+    entries = [M[0][0], M[0][1], M[1][0], M[1][1]]
+    i, delta = data.draw(st.integers(0, 3)), elem(data, R)
+    entries[i] = R.normalize(entries[i] + delta)
+    moved = ((entries[0], entries[1]), (entries[2], entries[3]))
+    D = QuadraticAlgebra(R, elem(data, R), elem(data, R))
+    for alg, N in ((C, moved), (D, M), (D, matrix(data, R)), (C, D.regular_matrix()), (D, D.regular_matrix())):
+        assert module_axiom_holds(alg, N) == module_axiom_by_products(alg, N)
+
+
+def rational_form(data):
+    return BinaryQuadraticForm(QQ, *(data.draw(fractions) for _ in range(3)))
+
+
+def invertible(data):
+    M = tuple(tuple(data.draw(fractions) for _ in range(2)) for _ in range(2))
+    assume(M[0][0] * M[1][1] != M[0][1] * M[1][0])
+    return M
+
+
+def check_witness_and_near_misses(data, q2, M, u):
+    # q(v) = q2(Mv)/u, so (M, u) carries q to q2
+    q = q2.act(M, 1 / u)
+    w = SimilarityWitness(M, u)
+    assert w.verify(q, q2) and similarity_verify_fractions(w, q, q2)
+    delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-2, 3)]))
+    entries = [M[0][0], M[0][1], M[1][0], M[1][1]]
+    i = data.draw(st.integers(0, 3))
+    entries[i] += delta
+    coeffs = list(q.coeffs())
+    coeffs[data.draw(st.integers(0, 2))] += delta
+    near = [
+        (SimilarityWitness(((entries[0], entries[1]), (entries[2], entries[3])), u), q, q2),
+        (SimilarityWitness(M, u + delta), q, q2),
+        (SimilarityWitness(M, -u), q, q2),
+        (SimilarityWitness(M, 0), q, q2),
+        (SimilarityWitness(((M[0][0], M[0][1]), (0, 0)), u), q, q2),
+        (w, BinaryQuadraticForm(QQ, *coeffs), q2),
+        (w, q2, q),
+    ]
+    for W, f, f2 in near:
+        assert W.verify(f, f2) == similarity_verify_fractions(W, f, f2)
+
+
+@given(st.data())
+def test_integer_witness_check_matches_fractions(data):
+    check_witness_and_near_misses(data, rational_form(data), invertible(data), data.draw(fractions.filter(bool)))
+
+
+@given(st.data())
+def test_integer_witness_check_with_denominators(data):
+    # d = 6 for M, L2 = 35 for q2, L1 != 1 for q, u = -3/2
+    F = Fraction
+    q2 = BinaryQuadraticForm(QQ, F(2, 5), F(-1, 7), 3)
+    check_witness_and_near_misses(data, q2, ((F(1, 2), F(5, 3)), (-1, F(7, 6))), F(-3, 2))
+
+
+def shaped_form(data):
+    """A nonzero form over Q in one of the diagonalisation arms: a != 0;
+    a = 0 and c != 0; a = c = 0; or D = 0, a scalar times a square."""
+    arm = data.draw(st.sampled_from(["a", "c", "b", "square"]))
+    x, y, z = (data.draw(fractions.filter(bool)) for _ in range(3))
+    if arm == "a":
+        return BinaryQuadraticForm(QQ, x, data.draw(fractions), data.draw(fractions))
+    if arm == "c":
+        return BinaryQuadraticForm(QQ, 0, data.draw(fractions), x)
+    if arm == "b":
+        return BinaryQuadraticForm(QQ, 0, x, 0)
+    alpha = data.draw(st.sampled_from([0, y]))
+    return BinaryQuadraticForm(QQ, x * alpha * alpha, 2 * x * alpha * z, x * z * z)
+
+
+@given(st.data())
+def test_closed_form_rational_witness_matches_fraction_route(data):
+    q1 = shaped_form(data)
+    if data.draw(st.booleans()):
+        q2 = q1.act(invertible(data), data.draw(fractions.filter(bool)))
+    else:
+        q2 = shaped_form(data)
+    if data.draw(st.booleans()):
+        q1, q2 = q2, q1
+    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+    assume(_screen_not_similar(q1, q2, d1, d2) is None)
+    new, old = _rational_similarity(q1, q2, d1, d2), rational_similarity_fractions(q1, q2, d1, d2)
+    assert new.to_json(QQ) == old.to_json(QQ)
+    assert typed(new.witness.m) == typed(old.witness.m) and typed(new.witness.u) == typed(old.witness.u)

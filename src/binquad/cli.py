@@ -85,35 +85,121 @@ def _form(args, text: str) -> BinaryQuadraticForm:
     return BinaryQuadraticForm.from_json(_load_json(text), default_ring=_default_ring(args))
 
 
-# verb: (positionals, flags, help).  A positional "w?" may be left out; a flag
-# maps to its default, False for a switch or None for a value.  All take -h.
+def _pair(args) -> CliffordPair:
+    return CliffordPair.from_json(_load_json(args.pair), default_ring=_default_ring(args))
+
+
+def _proper(args, out: BinaryQuadraticForm) -> dict:
+    return (proper_reduce(out) if args.proper_reduce else out).to_json()
+
+
+def _disc(args):
+    q = _form(args, args.form)
+    flipped, classical = q.discriminant()
+    e = q.ring.elem_to_json
+    return {"classical": e(classical), "paper": e(flipped)}
+
+
+def _similar(args):
+    q1, q2 = _form(args, args.form1), _form(args, args.form2)
+    v = similar(q1, q2)
+    return v.to_json(q1.ring), EXIT_OK if v.is_similar else EXIT_DOMAIN if v.is_decided else EXIT_UNKNOWN
+
+
+def _reduce(args):
+    q = _form(args, args.form)
+    r, M = reduce_definite(q)
+    return {"form": r.to_json(), "matrix": mat_to_json(q.ring, M)}
+
+
+def _dual(args):
+    q = _form(args, args.form)
+    return [st.to_json() for st in dual_form_trace(q)] if args.trace else dual_form(q).to_json()
+
+
+def _normform(args):
+    ideal = IdealLattice.from_json(_load_json(args.ideal))
+    return {"naive": naive_norm_form(ideal).to_json(), "universal": universal_norm_form(ideal).to_json()}
+
+
+def _identity(args):
+    alg = QuadraticAlgebra.from_json(_load_json(args.algebra), default_ring=_default_ring(args))
+    return identity_form(alg).to_json()
+
+
+def _class_group(args):
+    try:
+        D = int(args.D)
+    except ValueError as e:
+        raise UsageError(f"discriminant must be an integer, got {args.D!r}") from e
+    g = class_group(D)
+    return {"h": g.order, "invariant_factors": list(g.invariant_factors), "oriented": g.order,
+            "unoriented": g.unoriented, "forms": [q.to_json() for q in g.forms]}
+
+
+def _quat(args):
+    q = _form(args, args.form)
+    z = quat_from_json(q, _load_json(args.z))
+    if args.w is not None:
+        return quat_to_json(q, quat_mul(q, z, quat_from_json(q, _load_json(args.w))))
+    e = q.ring.elem_to_json
+    return {"conj": quat_to_json(q, quat_conj(q, z)), "norm": e(quat_norm(q, z)), "trace": e(quat_trace(q, z))}
+
+
+def _basechange(args):
+    q = _form(args, args.form)
+    desc = _load_json(args.hom)
+    if not isinstance(desc, dict) or not {"src", "dst"} <= set(desc):
+        raise UsageError("hom JSON needs src and dst ring objects")
+    checks = base_change_checks(q, RingHom(ring_from_json(desc["src"]), ring_from_json(desc["dst"])))
+    out = {name: "skipped" if ok is None else "pass" if ok else "fail" for name, ok in checks.items()}
+    return out, EXIT_DOMAIN if "fail" in out.values() else EXIT_OK
+
+
+def _verify(args):
+    from . import acceptance
+
+    return None, EXIT_OK if acceptance.run(name_filter=args.filter, out=sys.stdout.write) else EXIT_DOMAIN
+
+
+# verb: (positionals, flags, help, answer).  A positional "w?" may be left out; a flag
+# maps to its default, False for a switch or None for a value.  All take -h.  answer(args)
+# gives the JSON answer, or (answer, exit code) where the code can be other than 0; verify's
+# answer is None, as it writes its own lines.
 VERBS = {
-    "disc": (("form",), {}, "both sign conventions of the discriminant"),
-    "clifford": (("form",), {}, "even Clifford algebra of a form"),
-    "form2pair": (("form",), {}, "(algebra, action matrix) pair of a form"),
-    "pair2form": (("pair",), {}, "form read off a traceable pair"),
-    "traceable": (("pair",), {}, "traceability of a pair"),
-    "similar": (("form1", "form2"), {}, "similarity verdict with witness"),
-    "reduce": (("form",), {}, "reduced representative and SL2 witness"),
-    "dual": (("form",), {"trace": False}, "dual form on the dual module, or its five-stage trace"),
-    "dualconic": (("form",), {}, "dual conic over the rationals"),
-    "wood": (("form",), {}, "the form in the opposite-sign normalization"),
-    "normform": (("ideal",), {}, "naive and universal norm forms of a lattice"),
-    "ideal": (("form",), {}, "ideal lattice of a primitive form"),
-    "compose": (("form1", "form2"), {"proper_reduce": False, "twist": False}, "Gauss composition"),
-    "inverse": (("form",), {"proper_reduce": False}, "inverse class representative"),
-    "identity": (("algebra",), {}, "norm form of an algebra"),
-    "classgroup": (("D",), {}, "reduced forms and group structure"),
-    "picard": (("D",), {}, "oriented and unoriented class counts"),
-    "quat": (("form", "z", "w?"), {}, "quaternion algebra operations"),
-    "basechange": (("form", "hom"), {}, "base-change compatibility report"),
-    "verify": ((), {"filter": None}, "run the acceptance suite, or the criteria whose key or name FILTER matches"),
+    "disc": (("form",), {}, "both sign conventions of the discriminant", _disc),
+    "clifford": (("form",), {}, "even Clifford algebra of a form",
+                 lambda a: even_clifford(_form(a, a.form)).to_json()),
+    "form2pair": (("form",), {}, "(algebra, action matrix) pair of a form",
+                  lambda a: form_to_pair(_form(a, a.form)).to_json()),
+    "pair2form": (("pair",), {}, "form read off a traceable pair", lambda a: pair_to_form(_pair(a)).to_json()),
+    "traceable": (("pair",), {}, "traceability of a pair", lambda a: dict(traceable=_pair(a).is_traceable())),
+    "similar": (("form1", "form2"), {}, "similarity verdict with witness", _similar),
+    "reduce": (("form",), {}, "reduced representative and SL2 witness", _reduce),
+    "dual": (("form",), {"trace": False}, "dual form on the dual module, or its five-stage trace", _dual),
+    "dualconic": (("form",), {}, "dual conic over the rationals", lambda a: dual_conic(_form(a, a.form)).to_json()),
+    "wood": (("form",), {}, "the form in the opposite-sign normalization",
+             lambda a: clifford_form_to_wood_form(_form(a, a.form)).to_json()),
+    "normform": (("ideal",), {}, "naive and universal norm forms of a lattice", _normform),
+    "ideal": (("form",), {}, "ideal lattice of a primitive form",
+              lambda a: form_to_ideal(_form(a, a.form)).to_json()),
+    "compose": (("form1", "form2"), {"proper_reduce": False, "twist": False}, "Gauss composition",
+                lambda a: _proper(a, compose(_form(a, a.form1), _form(a, a.form2), twist=a.twist))),
+    "inverse": (("form",), {"proper_reduce": False}, "inverse class representative",
+                lambda a: _proper(a, inverse_form(_form(a, a.form)))),
+    "identity": (("algebra",), {}, "norm form of an algebra", _identity),
+    "classgroup": (("D",), {}, "reduced forms and group structure", _class_group),
+    "picard": (("D",), {}, "oriented and unoriented class counts", _class_group),
+    "quat": (("form", "z", "w?"), {}, "quaternion algebra operations", _quat),
+    "basechange": (("form", "hom"), {}, "base-change compatibility report", _basechange),
+    "verify": ((), {"filter": None}, "run the acceptance suite, or the criteria whose key or name FILTER matches",
+               _verify),
 }
 
 
 def _help(verb) -> str:
-    rows = "\n".join(f"  {v:<12}{h}" for v, (_, _, h) in VERBS.items())
-    names, flags, text = VERBS[verb] if verb else (("VERB ...",), {"ring": None}, rows)
+    rows = "\n".join(f"  {v:<12}{row[2]}" for v, row in VERBS.items())
+    names, flags, text = VERBS[verb][:3] if verb else (("VERB ...",), {"ring": None}, rows)
     words = [f"[--{f.replace('_', '-')}{'' if v is False else ' ' + f.upper()}]" for f, v in flags.items()]
     words += [f"[{n[:-1]}]" if n[-1] == "?" else n for n in names]
     return f"usage: binquad {' '.join(filter(None, [verb, *words]))}\n\n{text}\n"
@@ -151,7 +237,7 @@ def _parse(argv):
         elif hit is None:
             if tok not in VERBS:
                 raise UsageError(f"unknown verb {tok!r}")
-            names, flags, _ = VERBS[tok]
+            names, flags, *_ = VERBS[tok]
             args.update(flags, verb=tok)
         elif hit[0] != "help" and flags[hit[0]] is None:
             value = next(it, "--") if hit[1] is None else hit[1]
@@ -174,133 +260,12 @@ def _parse(argv):
 
 
 def _dispatch(args) -> int:
-    verb = args.verb
-    if verb == "disc":
-        q = _form(args, args.form)
-        flipped, classical = q.discriminant()
-        e = q.ring.elem_to_json
-        _emit({"classical": e(classical), "paper": e(flipped)})
-        return EXIT_OK
-    if verb == "clifford":
-        _emit(even_clifford(_form(args, args.form)).to_json())
-        return EXIT_OK
-    if verb == "form2pair":
-        _emit(form_to_pair(_form(args, args.form)).to_json())
-        return EXIT_OK
-    if verb == "pair2form":
-        pair = CliffordPair.from_json(_load_json(args.pair), default_ring=_default_ring(args))
-        _emit(pair_to_form(pair).to_json())
-        return EXIT_OK
-    if verb == "traceable":
-        pair = CliffordPair.from_json(_load_json(args.pair), default_ring=_default_ring(args))
-        _emit({"traceable": pair.is_traceable()})
-        return EXIT_OK
-    if verb == "similar":
-        q1 = _form(args, args.form1)
-        q2 = _form(args, args.form2)
-        v = similar(q1, q2)
-        _emit(v.to_json(q1.ring))
-        if v.verdict == "similar":
-            return EXIT_OK
-        return EXIT_UNKNOWN if v.verdict == "unknown" else EXIT_DOMAIN
-    if verb == "reduce":
-        q = _form(args, args.form)
-        r, M = reduce_definite(q)
-        _emit({"form": r.to_json(), "matrix": mat_to_json(q.ring, M)})
-        return EXIT_OK
-    if verb == "dual":
-        q = _form(args, args.form)
-        if args.trace:
-            _emit([st.to_json() for st in dual_form_trace(q)])
-        else:
-            _emit(dual_form(q).to_json())
-        return EXIT_OK
-    if verb == "dualconic":
-        _emit(dual_conic(_form(args, args.form)).to_json())
-        return EXIT_OK
-    if verb == "wood":
-        _emit(clifford_form_to_wood_form(_form(args, args.form)).to_json())
-        return EXIT_OK
-    if verb == "normform":
-        ideal = IdealLattice.from_json(_load_json(args.ideal))
-        _emit(
-            {
-                "naive": naive_norm_form(ideal).to_json(),
-                "universal": universal_norm_form(ideal).to_json(),
-            }
-        )
-        return EXIT_OK
-    if verb == "ideal":
-        _emit(form_to_ideal(_form(args, args.form)).to_json())
-        return EXIT_OK
-    if verb == "compose":
-        q1 = _form(args, args.form1)
-        q2 = _form(args, args.form2)
-        out = compose(q1, q2, twist=args.twist)
-        if getattr(args, "proper_reduce"):
-            out = proper_reduce(out)
-        _emit(out.to_json())
-        return EXIT_OK
-    if verb == "inverse":
-        out = inverse_form(_form(args, args.form))
-        if getattr(args, "proper_reduce"):
-            out = proper_reduce(out)
-        _emit(out.to_json())
-        return EXIT_OK
-    if verb == "identity":
-        alg = QuadraticAlgebra.from_json(_load_json(args.algebra), default_ring=_default_ring(args))
-        _emit(identity_form(alg).to_json())
-        return EXIT_OK
-    if verb in ("classgroup", "picard"):
-        try:
-            D = int(args.D)
-        except ValueError as e:
-            raise UsageError(f"discriminant must be an integer, got {args.D!r}") from e
-        g = class_group(D)
-        _emit(
-            {
-                "h": g.order,
-                "invariant_factors": list(g.invariant_factors),
-                "oriented": g.order,
-                "unoriented": g.unoriented,
-                "forms": [q.to_json() for q in g.forms],
-            }
-        )
-        return EXIT_OK
-    if verb == "quat":
-        q = _form(args, args.form)
-        z = quat_from_json(q, _load_json(args.z))
-        if args.w is not None:
-            w = quat_from_json(q, _load_json(args.w))
-            _emit(quat_to_json(q, quat_mul(q, z, w)))
-        else:
-            e = q.ring.elem_to_json
-            _emit(
-                {
-                    "conj": quat_to_json(q, quat_conj(q, z)),
-                    "norm": e(quat_norm(q, z)),
-                    "trace": e(quat_trace(q, z)),
-                }
-            )
-        return EXIT_OK
-    if verb == "basechange":
-        q = _form(args, args.form)
-        desc = _load_json(args.hom)
-        if not isinstance(desc, dict) or not {"src", "dst"} <= set(desc):
-            raise UsageError("hom JSON needs src and dst ring objects")
-        hom = RingHom(ring_from_json(desc["src"]), ring_from_json(desc["dst"]))
-        checks = base_change_checks(q, hom)
-        out = {}
-        for name, ok in checks.items():
-            out[name] = "skipped" if ok is None else ("pass" if ok else "fail")
-        _emit(out)
-        return EXIT_OK if all(v != "fail" for v in out.values()) else EXIT_DOMAIN
-    if verb == "verify":
-        from . import acceptance
-
-        ok = acceptance.run(name_filter=args.filter, out=sys.stdout.write)
-        return EXIT_OK if ok else EXIT_DOMAIN
-    raise UsageError(f"unknown verb {verb!r}")
+    """Answer args.verb by the function in its row of VERBS, writing the answer once."""
+    answer = VERBS[args.verb][3](args)
+    answer, code = answer if isinstance(answer, tuple) else (answer, EXIT_OK)
+    if answer is not None:
+        _emit(answer)
+    return code
 
 
 def run(argv) -> int:

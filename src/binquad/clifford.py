@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import NonScalarNorm, NotAModule, UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm
 from .mat2 import mat
-from .ring import Ring, RingHom, Value, ring_from_json
+from .ring import Ring, RingHom, Value, json_ring
 
 
 class QuadraticAlgebra(Value):
@@ -75,11 +75,7 @@ class QuadraticAlgebra(Value):
 
     @staticmethod
     def from_json(obj, default_ring: Optional[Ring] = None) -> "QuadraticAlgebra":
-        if not isinstance(obj, dict) or not {"t", "nm"} <= set(obj):
-            raise UsageError(f"expected an algebra object with t, nm, got {obj!r}")
-        ring = ring_from_json(obj["ring"]) if "ring" in obj else default_ring
-        if ring is None:
-            raise UsageError("algebra JSON carries no ring and no default was given")
+        ring = json_ring(obj, ("t", "nm"), "an algebra", default_ring)
         return QuadraticAlgebra(ring, ring.elem_from_json(obj["t"]), ring.elem_from_json(obj["nm"]))
 
     def __str__(self):

@@ -29,7 +29,7 @@ from .ring import (
     ZZ,
     content,
     fraction_sqrt,
-    ring_from_json,
+    json_ring,
 )
 
 class BinaryQuadraticForm(Value):
@@ -129,11 +129,7 @@ class BinaryQuadraticForm(Value):
 
     @staticmethod
     def from_json(obj, default_ring: Optional[Ring] = None) -> "BinaryQuadraticForm":
-        if not isinstance(obj, dict) or not {"a", "b", "c"} <= set(obj):
-            raise UsageError(f"expected a form object with a, b, c, got {obj!r}")
-        ring = ring_from_json(obj["ring"]) if "ring" in obj else default_ring
-        if ring is None:
-            raise UsageError("form JSON carries no ring and no default was given")
+        ring = json_ring(obj, ("a", "b", "c"), "a form", default_ring)
         e = ring.elem_from_json
         return BinaryQuadraticForm(ring, e(obj["a"]), e(obj["b"]), e(obj["c"]))
 
@@ -279,20 +275,15 @@ def _screen_not_similar(q1, q2, d1, d2) -> Optional[str]:
     return None
 
 
-def _diagonalize_rational(q):
-    """(P, P^-1, alpha) with q(P v) = alpha*x^2 + beta*y^2, alpha != 0 and
-    alpha*beta = -D/4, for a nonzero form over Q: complete the square on a;
-    on c after swapping x and y when a = 0; on q(x, x + y) when a = c = 0."""
+def _moved(q):
+    """(P, P^-1, coefficients of q(P v)) with a nonzero first coefficient, for a nonzero form
+    over Q: P = I when a != 0; x and y swapped when a = 0 != c; (x, x + y) when a = c = 0."""
     a, b, c = q.coeffs()
     if a != 0:
-        t = b / (2 * a)
-        return ((1, -t), (0, 1)), ((1, t), (0, 1)), a
+        return None, None, (a, b, c)
     if c != 0:
-        t = b / (2 * c)
-        return ((0, 1), (1, -t)), ((t, 1), (1, 0)), c
-    # (x, y) -> (x, x + y), then x -> x - y/2
-    h = Fraction(1, 2)
-    return ((1, -h), (1, h)), ((h, h), (-1, 1)), b
+        return ((0, 1), (1, 0)), ((0, 1), (1, 0)), (c, b, a)
+    return ((1, 0), (1, 1)), ((1, 0), (-1, 1)), (b, b, 0)
 
 
 def _cleared(*xs):
@@ -301,27 +292,27 @@ def _cleared(*xs):
     return [x.numerator * (L // x.denominator) for x in xs], L
 
 
-def _rational_similarity(q1, q2, d1, d2) -> SimilarityVerdict:
+def _rational_similarity(q1, q2) -> SimilarityVerdict:
     """Complete decision over Q for nonzero forms that passed the screens.
 
     In characteristic 0 every binary form is alpha*<1, d>, so forms whose
-    discriminants agree up to squares (and in vanishing) are similar: with
-    q_i(P_i v) = <alpha_i, beta_i>, u = alpha2/alpha1, M = P2 diag(1, s) P1^-1 and
-    s = |u| sqrt(D1/D2) (1 in rank 1), as s^2 = alpha2*beta1/(alpha1*beta2).  When
-    a1*a2 != 0, M = ((1, t1 - s*t2), (0, s)), t_i = b_i/(2a_i), s = |A2|*sqrt(D1*D2)/(|A1|*|D2|)
-    on the cleared forms L_i*q_i = (A_i, B_i, C_i); d1, d2 are b^2 - 4ac from the screen."""
+    discriminants agree up to squares (and in vanishing) are similar.  Each q_i
+    is first moved by P_i to q_i' = q_i(P_i v) with a_i' != 0 (see _moved); then
+    M' = ((1, t1 - s*t2), (0, s)) with t_i = b_i'/(2a_i'), u = a2'/a1' and
+    s = |u| sqrt(D1/D2) (1 in rank 1) carries q2' to u*q1', and M = P2 M' P1^-1.
+    On the cleared forms L_i*q_i' = (A_i, B_i, C_i), s = |A2|*sqrt(D1*D2)/(|A1|*|D2|)
+    for their discriminants D_i."""
     R = q1.ring
-    if q1.a != 0 and q2.a != 0:
-        ((A1, B1, C1), L1), ((A2, B2, C2), L2) = _cleared(*q1.coeffs()), _cleared(*q2.coeffs())
-        D2 = B2 * B2 - 4 * A2 * C2
-        sn, sd = (abs(A2) * isqrt((B1 * B1 - 4 * A1 * C1) * D2), abs(A1 * D2)) if D2 else (1, 1)
-        t = Fraction(B1 * A2 * sd - B2 * A1 * sn, 2 * A1 * A2 * sd)
-        u, M = Fraction(A2 * L1, A1 * L2), ((R.one, t), (R.zero, Fraction(sn, sd)))
-    else:
-        (_, P1i, al1), (P2, _, al2) = _diagonalize_rational(q1), _diagonalize_rational(q2)
-        u = al2 / al1
-        s = abs(u) * fraction_sqrt(d1 / d2) if d2 != 0 else R.one
-        M = mmul(R, mmul(R, P2, ((1, 0), (0, s))), P1i)
+    (_, P1i, c1), (P2, _, c2) = _moved(q1), _moved(q2)
+    ((A1, B1, C1), L1), ((A2, B2, C2), L2) = _cleared(*c1), _cleared(*c2)
+    D2 = B2 * B2 - 4 * A2 * C2
+    sn, sd = (abs(A2) * isqrt((B1 * B1 - 4 * A1 * C1) * D2), abs(A1 * D2)) if D2 else (1, 1)
+    t = Fraction(B1 * A2 * sd - B2 * A1 * sn, 2 * A1 * A2 * sd)
+    u, M = Fraction(A2 * L1, A1 * L2), ((R.one, t), (R.zero, Fraction(sn, sd)))
+    if P2 is not None:
+        M = mmul(R, P2, M)
+    if P1i is not None:
+        M = mmul(R, M, P1i)
     w = SimilarityWitness(M, u)
     if not w.verify(q1, q2):
         raise AssertionError("rational diagonalisation produced a bad witness")
@@ -356,7 +347,7 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdi
     if reason is not None:
         return SimilarityVerdict("not_similar", reason=reason)
     if isinstance(R, RationalRing):
-        return _rational_similarity(q1, q2, d1, d2)
+        return _rational_similarity(q1, q2)
     from .integral import similar_integral
 
     return similar_integral(q1, q2)

@@ -24,9 +24,9 @@ from .clifford import (
     module_axiom_holds,
 )
 from .errors import NotAModule, NotAPerfectSquare, NotTraceable, UsageError
-from .form import BinaryQuadraticForm, _cleared, similar
+from .form import BinaryQuadraticForm, SimilarityVerdict, _cleared, similar
 from .mat2 import mat, mat_from_json, mat_to_json, mdet
-from .ring import IntegerRing, QQ, RationalRing, Ring, RingHom, Value, fraction_sqrt, ring_from_json
+from .ring import IntegerRing, QQ, RationalRing, Ring, RingHom, Value, fraction_sqrt, json_ring
 
 
 class CliffordPair(Value):
@@ -60,11 +60,7 @@ class CliffordPair(Value):
 
     @staticmethod
     def from_json(obj, default_ring: Optional[Ring] = None) -> "CliffordPair":
-        if not isinstance(obj, dict) or not {"alg", "m"} <= set(obj):
-            raise UsageError(f"expected a pair object with alg, m, got {obj!r}")
-        ring = ring_from_json(obj["ring"]) if "ring" in obj else default_ring
-        if ring is None:
-            raise UsageError("pair JSON carries no ring and no default was given")
+        ring = json_ring(obj, ("alg", "m"), "a pair", default_ring)
         alg = QuadraticAlgebra.from_json(obj["alg"], default_ring=ring)
         return CliffordPair(alg, mat_from_json(ring, obj["m"]))
 
@@ -114,6 +110,9 @@ class PairWitness(Value):
             and n(g * m01 + h * m11 - k * h - eps * (n10 * f + n11 * h)) == 0
         )
 
+    def to_json(self, ring: Ring) -> dict:
+        return {"psi": mat_to_json(ring, self.psi), **self.phi.to_json(ring)}
+
 
 class PairVerdict(Value):
     __slots__ = ("verdict", "witness", "reason", "bound")  # verdict: "isomorphic" | "not_isomorphic" | "unknown"
@@ -125,15 +124,7 @@ class PairVerdict(Value):
     def is_isomorphic(self) -> bool:
         return self.verdict == "isomorphic"
 
-    def to_json(self, ring: Ring) -> dict:
-        out = {"verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = {"psi": mat_to_json(ring, self.witness.psi), **self.witness.phi.to_json(ring)}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.bound is not None:
-            out["bound"] = self.bound
-        return out
+    to_json = SimilarityVerdict.to_json  # verdict, then witness, reason and bound where set
 
 
 def _witness_from_similarity(p, p2, shift1, shift2, q2, simw) -> Optional[PairWitness]:

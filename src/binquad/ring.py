@@ -288,6 +288,17 @@ def ring_from_json(obj) -> Ring:
     raise UsageError(f"unknown ring kind {kind!r}")
 
 
+def json_ring(obj, keys, what: str, default_ring: Optional[Ring]) -> Ring:
+    """The ring of the JSON object obj, which must carry keys: its own "ring", else default_ring.
+    what names the object in messages, "a form" or "an algebra"."""
+    if not isinstance(obj, dict) or not set(keys) <= set(obj):
+        raise UsageError(f"expected {what} object with {', '.join(keys)}, got {obj!r}")
+    ring = ring_from_json(obj["ring"]) if "ring" in obj else default_ring
+    if ring is None:
+        raise UsageError(f"{what.split()[1]} JSON carries no ring and no default was given")
+    return ring
+
+
 def content(values, ring: Ring) -> int:
     """Non-negative gcd of a sequence of integers; 0 only for all-zero input."""
     if not isinstance(ring, IntegerRing):

@@ -24,7 +24,6 @@ from binquad.form import (
     BinaryQuadraticForm,
     SimilarityVerdict,
     SimilarityWitness,
-    _diagonalize_rational,
     reduce_definite,
     reduce_triple,
     value_set_mod,
@@ -314,6 +313,22 @@ def similarity_verify_fractions(w: SimilarityWitness, q, q2) -> bool:
     if R != q2.ring or not R.is_unit(mdet(R, w.m)) or not R.is_unit(u):
         return False
     return q2._coeffs_under(w.m) == (n(u * q.a), n(u * q.b), n(u * q.c))
+
+
+def _diagonalize_rational(q):
+    """(P, P^-1, alpha) with q(P v) = alpha*x^2 + beta*y^2, alpha != 0 and
+    alpha*beta = -D/4, for a nonzero form over Q: complete the square on a;
+    on c after swapping x and y when a = 0; on q(x, x + y) when a = c = 0."""
+    a, b, c = q.coeffs()
+    if a != 0:
+        t = b / (2 * a)
+        return ((1, -t), (0, 1)), ((1, t), (0, 1)), a
+    if c != 0:
+        t = b / (2 * c)
+        return ((0, 1), (1, -t)), ((t, 1), (1, 0)), c
+    # (x, y) -> (x, x + y), then x -> x - y/2
+    h = Fraction(1, 2)
+    return ((1, -h), (1, h)), ((h, h), (-1, 1)), b
 
 
 def rational_similarity_fractions(q1, q2, d1, d2) -> SimilarityVerdict:

@@ -432,12 +432,35 @@ def test_help_is_read_off_the_verb_table(capsys):
     assert run(["-h"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: binquad [--ring RING] VERB ...\n") and captured.err == ""
-    for verb, (_, _, text) in VERBS.items():
+    for verb, (_, _, text, _) in VERBS.items():
         assert f"  {verb:<12}{text}\n" in captured.out
     assert run(["compose", Q, "--help", "--nosuch"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "usage: binquad compose [--proper-reduce] [--twist] form1 form2\n\nGauss composition\n"
     assert captured.err == ""
+
+
+# One success and one failure case per verb where it has one: argv, then the
+# exit code, stdout and stderr recorded for it.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_every_verb_answers_byte_for_byte_as_recorded(capsys, case):
+    argv, code, out, err = GOLDEN[case]
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_verbs_are_named_once_in_the_cli():
+    # VERBS is the one list of verbs: the golden cases reach every row, and
+    # cli.py spells each verb once, apart from its uses as a positional's
+    # name (normform reads an "ideal")
+    assert {next(t for t in argv if t in VERBS) for argv, *_ in GOLDEN.values()} == set(VERBS)
+    text = Path(cli.__file__).read_text()
+    for verb in VERBS:
+        named = sum(names.count(verb) for names, *_ in VERBS.values())
+        assert text.count(f'"{verb}"') == 1 + named, verb
 
 
 _ARGPARSE = build_parser()
@@ -465,7 +488,7 @@ def command_lines(draw):
     head = draw(st.lists(st.sampled_from(["--ring", "mod:7", "--ring=rat", "--r", "--ri=int", "--bogus", "-5"]
                                          + _HELP + ["--", "--=x"]), max_size=3))
     verb = draw(st.sampled_from([*VERBS, "nosuch"]))
-    names, flags, _ = VERBS.get(verb, ((), {}, ""))
+    names, flags, _, _ = VERBS.get(verb, ((), {}, "", None))
     count = max(0, len(names) + draw(st.sampled_from([0, 0, 0, -1, 1])))
     tail = [draw(st.sampled_from([Q, "-23", "-1.5", "-.5", "-", "", "x y", "-x y", "--"])) for _ in range(count)]
     for f in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)) if flags else []:

@@ -490,7 +490,7 @@ def test_rational_witness_is_the_diagonalisation_product(f1, f2):
     d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
     if _screen_not_similar(q1, q2, d1, d2) is not None:
         return
-    w = _rational_similarity(q1, q2, d1, d2).witness
+    w = _rational_similarity(q1, q2).witness
     assert w == rational_similarity_product(q1, q2)
     assert {type(x) for x in (*w.m[0], *w.m[1], w.u)} == {Fraction}
 

@@ -1,8 +1,9 @@
 """The straight-line integer kernels against the routes they replaced, which
 live in tests/oracles.py: unrolled 2x2 products, sums and scalings; the
 module relation checked entry by entry; and the similarity witness over Q
-checked on cleared integers, with the closed-form witness of the
-a1*a2 != 0 arm.  Each must agree with its oracle in value and in type."""
+checked on cleared integers, with the closed-form witness that every pair
+gets once a form with a = 0 is moved.  Each must agree with its oracle in
+value and in type."""
 
 from fractions import Fraction
 
@@ -152,6 +153,6 @@ def test_closed_form_rational_witness_matches_fraction_route(data):
         q1, q2 = q2, q1
     d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
     assume(_screen_not_similar(q1, q2, d1, d2) is None)
-    new, old = _rational_similarity(q1, q2, d1, d2), rational_similarity_fractions(q1, q2, d1, d2)
+    new, old = _rational_similarity(q1, q2), rational_similarity_fractions(q1, q2, d1, d2)
     assert new.to_json(QQ) == old.to_json(QQ)
     assert typed(new.witness.m) == typed(old.witness.m) and typed(new.witness.u) == typed(old.witness.u)

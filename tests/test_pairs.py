@@ -496,7 +496,7 @@ def test_pair_search_is_off_the_request_path(monkeypatch):
 
 
 def test_no_search_is_left_in_the_library():
-    # the brute-force routes live in tests/oracles.py only
+    # the brute-force and replaced routes live in tests/oracles.py only
     src = Path(pairs.__file__).parent
     text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
     for name in (
@@ -508,6 +508,7 @@ def test_no_search_is_left_in_the_library():
         ".units()",
         '"value_set"',
         "_value_set_screen",
+        "_diagonalize_rational",
     ):
         assert name not in text, name
 

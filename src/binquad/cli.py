@@ -66,27 +66,26 @@ def _load_json(arg: str):
         raise UsageError(f"malformed JSON: {e}") from e
 
 
-def _default_ring(args):
-    """The --ring ring (Z by default), read at its first use in a request and kept on args."""
-    flag = args.ring
-    if flag in (None, "int", "rat"):
-        args.ring = QQ if flag == "rat" else ZZ
-    elif isinstance(flag, str):
-        if not flag.startswith("mod:"):
-            raise UsageError(f"bad --ring value {flag!r} (want int, mod:N, or rat)")
-        try:
-            args.ring = ModularRing(int(flag.split(":", 1)[1]))
-        except ValueError as e:
-            raise UsageError(f"bad modulus in --ring {flag!r}") from e
-    return args.ring
+def _ring(flag):
+    """The ring that --ring names, Z when the flag is absent."""
+    if flag in (None, "int"):
+        return ZZ
+    if flag == "rat":
+        return QQ
+    if not flag.startswith("mod:"):
+        raise UsageError(f"bad --ring value {flag!r} (want int, mod:N, or rat)")
+    try:
+        return ModularRing(int(flag.split(":", 1)[1]))
+    except ValueError as e:
+        raise UsageError(f"bad modulus in --ring {flag!r}") from e
 
 
 def _form(args, text: str) -> BinaryQuadraticForm:
-    return BinaryQuadraticForm.from_json(_load_json(text), default_ring=_default_ring(args))
+    return BinaryQuadraticForm.from_json(_load_json(text), default_ring=args.ring)
 
 
 def _pair(args) -> CliffordPair:
-    return CliffordPair.from_json(_load_json(args.pair), default_ring=_default_ring(args))
+    return CliffordPair.from_json(_load_json(args.pair), default_ring=args.ring)
 
 
 def _proper(args, out: BinaryQuadraticForm) -> dict:
@@ -123,7 +122,7 @@ def _normform(args):
 
 
 def _identity(args):
-    alg = QuadraticAlgebra.from_json(_load_json(args.algebra), default_ring=_default_ring(args))
+    alg = QuadraticAlgebra.from_json(_load_json(args.algebra), default_ring=args.ring)
     return identity_form(alg).to_json()
 
 
@@ -260,7 +259,9 @@ def _parse(argv):
 
 
 def _dispatch(args) -> int:
-    """Answer args.verb by the function in its row of VERBS, writing the answer once."""
+    """Answer args.verb by the function in its row of VERBS, writing the answer once.
+    --ring is resolved first, so every verb refuses a bad value, whether it reads it or not."""
+    args.ring = _ring(args.ring)
     answer = VERBS[args.verb][3](args)
     answer, code = answer if isinstance(answer, tuple) else (answer, EXIT_OK)
     if answer is not None:

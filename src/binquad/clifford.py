@@ -24,10 +24,10 @@ class QuadraticAlgebra(Value):
     __slots__ = ("ring", "t", "nm")
 
     def __init__(self, ring: Ring, t, nm):
-        n, s = ring.normalize, object.__setattr__
-        s(self, "ring", ring)
-        s(self, "t", n(t))
-        s(self, "nm", n(nm))
+        n = ring.normalize
+        _set_ring(self, ring)
+        _set_t(self, n(t))
+        _set_nm(self, n(nm))
 
     def disc(self):
         return self.ring.normalize(self.t * self.t - 4 * self.nm)
@@ -80,6 +80,9 @@ class QuadraticAlgebra(Value):
 
     def __str__(self):
         return f"<1,tau | tau^2 = {self.t}*tau - {self.nm}> over {self.ring!r}"
+
+
+_set_ring, _set_t, _set_nm = QuadraticAlgebra._setters
 
 
 def even_clifford(q: BinaryQuadraticForm) -> QuadraticAlgebra:

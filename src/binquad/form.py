@@ -36,11 +36,21 @@ class BinaryQuadraticForm(Value):
     __slots__ = ("ring", "a", "b", "c")
 
     def __init__(self, ring: Ring, a, b, c):
-        n, s = ring.normalize, object.__setattr__
-        s(self, "ring", ring)
-        s(self, "a", n(a))
-        s(self, "b", n(b))
-        s(self, "c", n(c))
+        n = ring.normalize
+        _set_ring(self, ring)
+        _set_a(self, n(a))
+        _set_b(self, n(b))
+        _set_c(self, n(c))
+
+    # Field by field, cheapest first: the same answers as comparing and
+    # hashing the tuple (ring, a, b, c), without building it.
+    def __eq__(self, other):
+        if other.__class__ is BinaryQuadraticForm:
+            return self.a == other.a and self.b == other.b and self.c == other.c and self.ring == other.ring
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.a, self.b, self.c))
 
     def coeffs(self):
         return (self.a, self.b, self.c)
@@ -135,6 +145,9 @@ class BinaryQuadraticForm(Value):
 
     def __str__(self):
         return f"({self.a}, {self.b}, {self.c}) over {self.ring!r}"
+
+
+_set_ring, _set_a, _set_b, _set_c = BinaryQuadraticForm._setters
 
 
 def bqf(a, b, c, ring: Ring = ZZ) -> BinaryQuadraticForm:

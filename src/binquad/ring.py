@@ -24,16 +24,19 @@ class Value:
     subclass's ``__init__`` takes the fields in ``__slots__`` order and sets
     each once, so copy and pickle rebuild a value by calling its class on
     its fields; setting or deleting a field later raises ``AttributeError``.
+    Fields are set through the slot descriptors' own setters, kept in
+    ``_setters`` in ``__slots__`` order, which skip ``__setattr__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = attrgetter(*cls.__slots__)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *fields):
-        for name, v in zip(self.__slots__, fields):
-            object.__setattr__(self, name, v)
+        for setter, v in zip(self._setters, fields):
+            setter(self, v)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

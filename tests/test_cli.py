@@ -296,13 +296,19 @@ def test_ring_flag_is_read_once_per_request(capsys, monkeypatch):
     code, out = run_json(capsys, ["--ring", "mod:5", "similar", '{"a":1,"b":0,"c":1}', '{"a":0,"b":0,"c":0}'])
     assert code == 2 and out == {"verdict": "not_similar", "reason": "zero"}
     assert built == [7, 5]
-    # a bad flag is still refused at its first use, after the input is read
+    # a bad flag is refused before any input is read, by every verb,
+    # whether the verb reads the flag or not
     for argv, message in (
-        (["--ring", "mod:x", "similar", "{", "{}"], "malformed JSON"),
+        (["--ring", "mod:x", "similar", "{", "{}"], "bad modulus"),
         (["--ring", "mod:x", "similar", '{"a":1,"b":0,"c":1}', "{"], "bad modulus"),
+        (["--ring", "mod:0", "classgroup", "-23"], "modulus must be >= 2"),
+        (["--ring", "bogus", "picard", "x"], "bad --ring value"),
+        (["--ring=mod:1", "verify", "--filter", "C07"], "modulus must be >= 2"),
     ):
-        assert run(argv) == 1
-        assert json.loads(capsys.readouterr().err)["message"].startswith(message)
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert_usage_error(code, out, err)
+        assert json.loads(err)["message"].startswith(message)
 
 
 def test_malformed_json_is_a_usage_error(capsys):
@@ -533,6 +539,99 @@ def test_parser_reads_command_lines_as_argparse_did(argv):
         assert_usage_error(code, out.getvalue(), err.getvalue())
     else:
         assert code == 0 and out.getvalue().startswith("usage: binquad") and err.getvalue() == ""
+
+
+_RING_FLAGS = ["int", "rat", "mod:7", "mod:12", "bogus", "mod:x", "mod:0", "mod:1"]
+_RINGS = [{"ring": "int"}, {"ring": "rat"}, {"ring": "mod", "n": 7}, {"ring": "mod", "n": 12}, {"ring": "mod", "n": 0},
+          {"ring": "bogus"}, "int"]
+
+
+@st.composite
+def _elem(draw):
+    kind = draw(st.sampled_from(["int"] * 6 + ["frac", "bad"]))
+    if kind == "int":
+        return draw(st.integers(-30, 30))
+    if kind == "frac":
+        return {"num": draw(st.integers(-9, 9)), "den": draw(st.integers(-4, 4))}
+    return draw(st.sampled_from([None, "1", 1.5, True, [1], {"num": 1}]))
+
+
+@st.composite
+def _obj(draw, keys, ring=True):
+    """A JSON object with keys, which at times lacks one or carries a ring of its own."""
+    obj = {k: draw(_elem()) for k in keys}
+    if obj and draw(st.integers(0, 9)) == 0:
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    if ring and draw(st.booleans()):
+        obj["ring"] = draw(st.sampled_from(_RINGS))
+    return obj
+
+
+@st.composite
+def _operand(draw, name):
+    """The JSON text of a positional, read off its name in the verb table:
+    well formed, of the wrong shape, or malformed and truncated."""
+    a, b, c = (draw(st.integers(-12, 12)) for _ in range(3))
+    if name in ("form", "form1", "form2"):
+        obj = {"a": a, "b": b, "c": c} if draw(st.booleans()) else draw(_obj("abc"))
+        if draw(st.booleans()):
+            obj["ring"] = draw(st.sampled_from(_RINGS[:4]))
+    elif name == "pair":  # the pair of (a, b, c), or any matrix
+        m = [[b, c], [-a, 0]] if draw(st.booleans()) else [[draw(_elem()) for _ in "xy"] for _ in "xy"]
+        obj = {"alg": {"t": b, "nm": a * c}, "m": m}
+        if draw(st.booleans()):
+            obj["ring"] = draw(st.sampled_from(_RINGS))
+    elif name == "algebra":
+        obj = draw(_obj(("t", "nm")))
+    elif name == "ideal":  # the ideal of (2, 1, 3), or any basis
+        basis = [[2, 1], [0, -1]] if draw(st.booleans()) else [[draw(_elem()) for _ in "xy"] for _ in "xy"]
+        obj = {"alg": draw(_obj(("t", "nm"), ring=False)) if draw(st.booleans()) else {"t": 1, "nm": 6}, "basis": basis}
+    elif name == "D":
+        return draw(st.sampled_from([str(draw(st.integers(-10**4, 10**4))), "-23", "x", "1.5", "", "-10001"]))
+    elif name in ("z", "w"):
+        obj = [draw(_elem()) for _ in range(draw(st.sampled_from([4, 4, 4, 3])))]
+    else:  # hom
+        obj = {"src": draw(st.sampled_from(_RINGS)), "dst": draw(st.sampled_from(_RINGS))}
+    text = json.dumps(obj)
+    cut = draw(st.sampled_from(["whole"] * 4 + ["truncated", "garbage"]))
+    if cut == "truncated":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    return draw(st.sampled_from(["{", "[1,2", "nul", "", "{}", "[]", "7"])) if cut == "garbage" else text
+
+
+@st.composite
+def cli_requests(draw):
+    """An argv for one verb other than verify, with its operands and switches
+    and at times a --ring flag, good or bad."""
+    verb = draw(st.sampled_from([v for v in VERBS if v != "verify"]))
+    names, flags, _, _ = VERBS[verb]
+    head = ["--ring", draw(st.sampled_from(_RING_FLAGS))] if draw(st.booleans()) else []
+    tail = [draw(_operand(n.rstrip("?"))) for n in names if n[-1] != "?" or draw(st.booleans())]
+    tail += ["--" + f.replace("_", "-") for f in flags if draw(st.booleans())]
+    return head + [verb] + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_requests())
+@example(["--ring", "bogus", "classgroup", "-23"])
+@example(["--ring", "mod:0", "normform", '{"alg":{"t":1,"nm":6},"basis":[[2,1],[0,-1]]}'])
+@example(["dual", '{"a":2,"b":1,"c":3}', "--trace"])
+@example(["similar", '{"a":1,"b":0,"c":1,"ring":{"ring":"mod","n":12}}', '{"a":1,"b":0,'])
+def test_every_verb_answers_any_request_with_one_json_line(argv):
+    # any request ends in an exit code of the CLI's four, with one line of
+    # JSON on stdout or one error object on stderr, and no traceback
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and (out == "") != (err == ""), (argv, out, err)
+    text = out or err
+    assert text.endswith("\n") and text.count("\n") == 1, argv
+    obj = json.loads(text)
+    if err:
+        assert code in (1, 2) and set(obj) == {"error", "message"}, argv
+    else:  # dual --trace and quat's product answer with a list
+        assert isinstance(obj, (dict, list)), argv
 
 
 def test_similar_odd_modulus_is_decided_in_time(capsys):

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -560,6 +561,66 @@ def test_values_copy_pickle_and_stay_frozen(value):
         value.extra = 1
     if type(value).__name__ != "IdealLattice":
         assert hash(value) == hash(tuple(getattr(value, f) for f in value.__slots__))
+    # the slot setters fill every field, and a value rebuilt from
+    # __reduce__ holds the very same fields
+    cls, fields = value.__reduce__()
+    assert tuple(getattr(value, f) for f in value.__slots__) == fields
+    assert tuple(getattr(cls(*fields), f) for f in value.__slots__) == fields
+
+
+def test_no_field_is_set_by_name():
+    # fields are set through the setters Value keeps for each slot
+    src = Path(__file__).resolve().parents[1] / "src" / "binquad"
+    for path in sorted(src.glob("*.py")):
+        assert 'object.__setattr__(self, "' not in path.read_text(), path.name
+
+
+def _fields(v):
+    return tuple(getattr(v, f) for f in v.__slots__)
+
+
+def _ring(kind):
+    return ZZ if kind == "Z" else QQ if kind == "Q" else ModularRing(kind)
+
+
+def _coeffs(draw, ring):
+    coeff = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3) if ring == QQ else st.integers(-2, 6)
+    return [draw(coeff) for _ in "abc"]
+
+
+@st.composite
+def _form_pairs(draw):
+    """Two forms over Z, Z/n or Q: drawn apart, equal over two ring objects
+    of one kind, or one coefficient apart."""
+    kinds = st.sampled_from(["Z", 4, 5, 6, "Q"])
+    kind = draw(kinds)
+    ring = _ring(kind)
+    coeffs = _coeffs(draw, ring)
+    how = draw(st.sampled_from(["apart", "equal", "near"]))
+    ring2 = _ring(draw(kinds) if how == "apart" else kind)
+    coeffs2 = _coeffs(draw, ring2) if how == "apart" else list(coeffs)
+    if how == "near":
+        coeffs2[draw(st.integers(0, 2))] += 1
+    return BinaryQuadraticForm(ring, *coeffs), BinaryQuadraticForm(ring2, *coeffs2)
+
+
+@given(_form_pairs(), st.sampled_from([ZZ, QQ, ModularRing(5), ModularRing(11)]))
+@example((BinaryQuadraticForm(ModularRing(5), 1, 0, 1), BinaryQuadraticForm(ModularRing(5), 6, 0, 1)), ZZ)
+@example((BinaryQuadraticForm(ZZ, 1, 0, 1), BinaryQuadraticForm(QQ, 1, 0, 1)), ModularRing(5))
+def test_form_equality_and_hash_are_those_of_the_field_tuple(forms, ring):
+    q1, q2 = forms
+    # the hand-written __eq__ and __hash__ against the tuple route they replaced
+    assert (q1 == q2) is (_fields(q1) == _fields(q2)) and (q2 == q1) is (q1 == q2)
+    assert (q1 != q2) is (_fields(q1) != _fields(q2))
+    assert hash(q1) == hash(_fields(q1)) and hash(q2) == hash(_fields(q2))
+    # never equal to an algebra, a tuple, or the same coefficients over another ring
+    from binquad.clifford import QuadraticAlgebra
+
+    assert q1 != QuadraticAlgebra(q1.ring, q1.b, q1.a * q1.c) and not q1 == _fields(q1) and q1 != q1.coeffs()
+    if ring != q1.ring and all(Fraction(v).denominator == 1 for v in q1.coeffs()):
+        other = BinaryQuadraticForm(ring, *(int(v) for v in q1.coeffs()))
+        if other.coeffs() == q1.coeffs():
+            assert q1 != other and not q1 == other
 
 
 def test_value_equality_and_repr():

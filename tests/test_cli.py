@@ -587,7 +587,7 @@ def _operand(draw, name):
         basis = [[2, 1], [0, -1]] if draw(st.booleans()) else [[draw(_elem()) for _ in "xy"] for _ in "xy"]
         obj = {"alg": draw(_obj(("t", "nm"), ring=False)) if draw(st.booleans()) else {"t": 1, "nm": 6}, "basis": basis}
     elif name == "D":
-        return draw(st.sampled_from([str(draw(st.integers(-10**4, 10**4))), "-23", "x", "1.5", "", "-10001"]))
+        return draw(st.sampled_from([str(draw(st.integers(-10**4, 10**4))), "-23", "x", "1.5", "", "-10000"]))
     elif name in ("z", "w"):
         obj = [draw(_elem()) for _ in range(draw(st.sampled_from([4, 4, 4, 3])))]
     else:  # hom
@@ -611,7 +611,8 @@ def cli_requests(draw):
     return head + [verb] + tail
 
 
-@settings(max_examples=300, deadline=None)
+# a request takes milliseconds; the deadline flags one that takes seconds
+@settings(max_examples=300, deadline=2000)
 @given(cli_requests())
 @example(["--ring", "bogus", "classgroup", "-23"])
 @example(["--ring", "mod:0", "normform", '{"alg":{"t":1,"nm":6},"basis":[[2,1],[0,-1]]}'])

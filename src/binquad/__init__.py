@@ -8,7 +8,6 @@ from .clifford import (
     AlgebraWitness,
     CliffordModule,
     QuadraticAlgebra,
-    alg_discriminant,
     algebra_isomorphic,
     automorphisms,
     clifford_bimodule,
@@ -70,7 +69,6 @@ from .picard import (
     ClassGroup,
     class_group,
     class_number,
-    form_for_algebra,
     ideal_class_representatives,
     pic_counts,
     reduced_forms,

@@ -27,6 +27,8 @@ from .compose import compose, dirichlet_compose, identity_form, inverse_form
 from .errors import UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm, properly_equivalent, similar
 from .norm import (
+    IdealLattice,
+    _form_basis,
     base_change_checks,
     even_clifford_of_ideal,
     form_to_ideal,
@@ -353,13 +355,11 @@ def criterion_universal_norm():
             return False, f"recovery broke at {q}"
         even_clifford_of_ideal(I)  # raises when the witness is missing
         recovered += 1
-    from .compose import _transport_ideal
-
     lattice_pairs = 0
     for D in _valid_discriminants(-100):
         forms = reduced_forms(D)
         common = QuadraticAlgebra(ZZ, D % 2, ((D % 2) ** 2 - D) // 4)
-        ideals = [_transport_ideal(common, form_to_ideal(q), 1) for q in forms]
+        ideals = [IdealLattice(common, _form_basis(q.a, q.b, common.t)) for q in forms]
         ident = identity_form(common)
         for I in ideals:
             if universal_norm_form(ideal_multiply(I, ideal_conjugate(I))) != ident:

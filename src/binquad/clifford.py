@@ -90,10 +90,6 @@ def even_clifford(q: BinaryQuadraticForm) -> QuadraticAlgebra:
     return QuadraticAlgebra(q.ring, q.b, q.a * q.c)
 
 
-def alg_discriminant(C: QuadraticAlgebra):
-    return C.disc()
-
-
 def m_left(q: BinaryQuadraticForm):
     """tau*e1 = b*e1 - a*e2, tau*e2 = c*e1."""
     return mat(q.ring, ((q.b, q.c), (-q.a, 0)))

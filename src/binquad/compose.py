@@ -2,12 +2,12 @@
 
 Two routes are implemented and kept deliberately independent:
 
-* ``compose`` realizes composition as a tensor product: both forms are
-  turned into lattices over their even Clifford algebras, the second is
-  transported along an explicit algebra witness (the shift-compatible
-  eps = +1 witness by default; the conjugated eps = -1 choice lands in
-  the inverse class and is exposed as ``twist``), the lattices are
-  multiplied, and the content-normalized norm form is read off.
+* ``compose`` multiplies the lattices of q1 and q2 in the even Clifford
+  algebra of q1, on int triples and Hermite data through the integer
+  lattice core of ``norm``, and reads the universal norm form of the
+  product.  q2's lattice is moved along tau' -> k + eps*tau; eps = -1
+  lands in the inverse class of q2 and is exposed as ``twist``.
+  ``inverse_form`` reads the conjugate lattice of q the same way.
 * ``dirichlet_compose`` is the classical composition in Shanks' form
   (Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
   Alg. 5.4.7), run by ``shanks`` on plain int triples; it is the oracle
@@ -17,10 +17,10 @@ Two routes are implemented and kept deliberately independent:
 
 from __future__ import annotations
 
-from .clifford import QuadraticAlgebra, _witness_for_eps
+from .clifford import QuadraticAlgebra
 from .errors import NotComposable, NotPrimitive, UsageError
 from .form import BinaryQuadraticForm, reduce_definite
-from .norm import IdealLattice, _nonzero_leading, form_to_ideal, ideal_conjugate, ideal_multiply, universal_norm_form
+from .norm import _conjugate_basis, _form_basis, _nonzero_leading, _product_basis, _universal_form
 from .ring import IntegerRing, ZZ
 
 
@@ -36,33 +36,23 @@ def _require_composable(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm):
         raise NotPrimitive(f"{q1} is not primitive")
     if not q2.is_primitive():
         raise NotPrimitive(f"{q2} is not primitive")
-    if q1.discriminant()[1] != q2.discriminant()[1]:
-        raise NotComposable(
-            f"discriminants differ: {q1.discriminant()[1]} vs {q2.discriminant()[1]}"
-        )
-
-
-def _transport_ideal(target: QuadraticAlgebra, I: IdealLattice, eps: int) -> IdealLattice:
-    """Move a lattice into the target algebra along tau_src -> k + eps*tau."""
-    w = _witness_for_eps(target, I.alg, eps)
-    if w is None:
-        raise NotComposable(f"no algebra witness from {I.alg} to {target} with eps={eps}")
-    cols = [w.apply_elem(ZZ, c) for c in I.columns()]
-    return IdealLattice(target, ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])))
+    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+    if d1 != d2:
+        raise NotComposable(f"discriminants differ: {d1} vs {d2}")
 
 
 def compose(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm, twist: bool = False) -> BinaryQuadraticForm:
     """Tensor-product composition of primitive forms of equal discriminant.
 
-    With twist=True the second module is transported along the conjugated
-    algebra witness, which composes with the inverse class of q2 instead.
+    With twist=True the second lattice is moved along the conjugated
+    generator shift, which composes with the inverse class of q2 instead.
     """
     _require_composable(q1, q2)
-    I1 = form_to_ideal(q1)
-    I2 = form_to_ideal(q2)
-    eps = -1 if twist else 1
-    I2t = _transport_ideal(I1.alg, I2, eps)
-    return universal_norm_form(ideal_multiply(I1, I2t))
+    a1, b1, c1 = _nonzero_leading(*q1.coeffs())
+    a2, b2, _ = _nonzero_leading(*q2.coeffs())
+    t, nm = b1, a1 * c1
+    B = _product_basis(t, nm, _form_basis(a1, b1, t), _form_basis(a2, b2, t, -1 if twist else 1))
+    return _universal_form(t, nm, B)
 
 
 def inverse_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
@@ -71,7 +61,8 @@ def inverse_form(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
         raise UsageError("inversion is implemented over Z")
     if not q.is_primitive():
         raise NotPrimitive(f"{q} is not primitive")
-    return universal_norm_form(ideal_conjugate(form_to_ideal(q)))
+    a, b, c = _nonzero_leading(*q.coeffs())
+    return _universal_form(b, a * c, _conjugate_basis(b, _form_basis(a, b, b)))
 
 
 def _xgcd(a, b):

@@ -1,20 +1,21 @@
-"""Invertible modules over a quadratic Z-algebra, represented as full-rank
-sublattices, and their content-normalized norm forms.
+"""Invertible modules over a quadratic Z-algebra <1, tau | tau^2 = t*tau - nm>
+as full-rank sublattices, and their content-normalized norm forms.
 
-Conventions that the rest of the package relies on:
+One integer lattice core on plain ints does every step, for ``compose``
+and ``inverse_form`` on int triples and for the ``IdealLattice`` functions
+alike.  A basis is a 2x2 int matrix whose columns are the coordinates of
+(alpha, beta) in (1, tau).  ``_product_basis`` and ``_conjugate_basis``
+multiply or conjugate basis elements and return the canonical basis of
+the lattice they span: Hermite data (p, s, r) from ``_hnf_cols``, oriented
+by ``_canonical_basis``.  ``_norm_triple`` reads N(x*alpha + y*beta), with
+N(x + y*tau) = x^2 + t*x*y + nm*y^2, and ``_universal_form`` divides it by
+its content.  A form (a, b, c) with a != 0 spans <a, b - tau> in its even
+Clifford algebra (``_form_basis``), matching the module action
+tau*e1 = b*e1 - a*e2, tau*e2 = c*e1 under e1 -> a, e2 -> b - tau.
 
-* A lattice stores the basis it was constructed with; ``canonical()``
-  rebuilds it in Hermite form ``(p, s - r*tau)`` with p, r > 0 and
-  0 <= s < p, so equality of lattices is structural.  The canonical basis
-  has negative determinant (self-conjugate lattices ``<p, r*tau>`` keep
-  +r*tau; see ``_canonical_basis``); with the read-off below this is the
-  orientation that makes lattice products agree with Dirichlet
-  composition class by class.
-* The norm form of a basis (alpha, beta) is N(x*alpha + y*beta); dividing
-  by its content gives the primitive ("universal") norm form.
-* A form (a, b, c) with a != 0 embeds as the sublattice spanned by a and
-  b - tau of its even Clifford algebra, which matches the module action
-  tau*e1 = b*e1 - a*e2, tau*e2 = c*e1 under e1 -> a, e2 -> b - tau.
+``IdealLattice`` is the boundary type of the ``ideal`` and ``normform``
+verbs, of ``pic_counts`` and of acceptance C10: it checks its basis and
+keeps it as given, and compares lattices by their Hermite data.
 """
 
 from __future__ import annotations
@@ -22,31 +23,19 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Optional
 
-from .clifford import (
-    QuadraticAlgebra,
-    algebra_isomorphic,
-    even_clifford,
-    m_left,
-    m_right,
-    map_matrix,
-)
-from .errors import (
-    IncompatibleAlgebras,
-    NotDefinite,
-    NotPrimitive,
-    UsageError,
-    ZeroForm,
-)
+from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, m_left, m_right, map_matrix
+from .errors import IncompatibleAlgebras, NotDefinite, NotPrimitive, UsageError, ZeroForm
 from .form import BinaryQuadraticForm, similar
-from .mat2 import mat, mat_from_json, mat_to_json, mdet
+from .mat2 import mat, mat_from_json, mat_to_json
 from .modular import factor
 from .ring import IntegerRing, ModularRing, RationalRing, RingHom, Value, ZZ
 
 
-def _tau_times(alg: QuadraticAlgebra, z):
-    """tau * (x + y*tau) = -nm*y + (x + t*y) tau."""
-    x, y = z
-    return (-alg.nm * y, x + alg.t * y)
+def _mul(t: int, nm: int, z, w):
+    """(x1 + y1*tau)(x2 + y2*tau) with tau^2 = t*tau - nm."""
+    (x1, y1), (x2, y2) = z, w
+    yy = y1 * y2
+    return (x1 * x2 - nm * yy, x1 * y2 + y1 * x2 + t * yy)
 
 
 def _hnf_cols(cols):
@@ -70,22 +59,53 @@ def _hnf_cols(cols):
     return p, w[0] % p, w[1]
 
 
-def _canonical_basis(alg: QuadraticAlgebra, p: int, s: int, r: int):
-    """Canonical oriented basis from the Hermite data (p, s, r).
+def _canonical_basis(t: int, p: int, s: int, r: int):
+    """Canonical oriented basis (p, s' - r*tau) of the Hermite data (p, s, r).
 
-    The tau column is negated, which is the orientation that makes the
-    norm-form read-off land in the straight composition class.  The one
+    The negative determinant is the orientation that makes the norm-form
+    read-off land in the straight composition class at D < 0.  The one
     exception is a self-conjugate lattice <p, r*tau> (s = 0 and p | r*t):
     there both orientations read properly equivalent forms, and keeping
     +r makes scalar lattices read exactly the norm form (1, t, nm)."""
-    if s == 0 and (r * alg.t) % p == 0:
+    if s == 0 and (r * t) % p == 0:
         return ((p, 0), (0, r))
     return ((p, (-s) % p), (0, -r))
 
 
-def _canonical_lattice(alg: QuadraticAlgebra, cols) -> "IdealLattice":
-    """The lattice spanned by the columns, in canonical basis."""
-    return IdealLattice(alg, _canonical_basis(alg, *_hnf_cols(cols)))
+def _product_basis(t: int, nm: int, B1, B2):
+    """Canonical basis of the lattice spanned by the pairwise products."""
+    return _canonical_basis(t, *_hnf_cols([_mul(t, nm, x, y) for x in zip(*B1) for y in zip(*B2)]))
+
+
+def _conjugate_basis(t: int, B):
+    """Canonical basis of the image under x + y*tau -> (x + y*t) - y*tau."""
+    return _canonical_basis(t, *_hnf_cols([(x + y * t, -y) for x, y in zip(*B)]))
+
+
+def _norm_triple(t: int, nm: int, B):
+    """Coefficients of N(x*alpha + y*beta) for the columns alpha, beta of B."""
+    (x1, x2), (y1, y2) = B
+    return (
+        x1 * x1 + t * x1 * y1 + nm * y1 * y1,
+        2 * x1 * x2 + t * (x1 * y2 + y1 * x2) + 2 * nm * y1 * y2,
+        x2 * x2 + t * x2 * y2 + nm * y2 * y2,
+    )
+
+
+def _universal_form(t: int, nm: int, B) -> BinaryQuadraticForm:
+    """The norm form on the basis B divided by its content."""
+    f = _norm_triple(t, nm, B)
+    g = gcd(*f)
+    return BinaryQuadraticForm(ZZ, f[0] // g, f[1] // g, f[2] // g)
+
+
+def _form_basis(a: int, b: int, t: int, eps: int = 1):
+    """The lattice <a, b - tau'> of a form (a, b, c), a != 0, moved along
+    tau' -> k + eps*tau, k = (b - eps*t)/2, into the algebra of trace t and
+    the same discriminant (t = b, eps = 1: the form's own algebra).  b and
+    t have the parity of the discriminant, so k is an integer."""
+    k = (b - eps * t) // 2
+    return ((a, b - k), (0, -eps))
 
 
 class IdealLattice(Value):
@@ -102,33 +122,30 @@ class IdealLattice(Value):
         if not isinstance(alg.ring, IntegerRing):
             raise UsageError(f"ideal lattices live over Z, not {alg.ring!r}")
         Value.__init__(self, alg, mat(ZZ, basis))
-        if mdet(ZZ, self.basis) == 0:
+        if self.det() == 0:
             raise UsageError(f"basis {self.basis} is not full rank")
         for col in self.columns():
-            if not self.contains(_tau_times(self.alg, col)):
+            if not self.contains(_mul(alg.t, alg.nm, (0, 1), col)):
                 raise UsageError(f"lattice {self.basis} is not closed under tau")
 
     def columns(self):
-        B = self.basis
-        return ((B[0][0], B[1][0]), (B[0][1], B[1][1]))
+        return tuple(zip(*self.basis))
 
     def det(self) -> int:
-        return mdet(ZZ, self.basis)
+        (a, b), (c, d) = self.basis
+        return a * d - b * c
 
     def norm(self) -> int:
         """Index in the full algebra lattice."""
         return abs(self.det())
 
     def contains(self, z) -> bool:
-        B = self.basis
-        d = self.det()
-        u, v = z
-        x_num = B[1][1] * u - B[0][1] * v
-        y_num = -B[1][0] * u + B[0][0] * v
-        return x_num % d == 0 and y_num % d == 0
+        (a, b), (c, d) = self.basis
+        (u, v), det = z, self.det()
+        return (d * u - b * v) % det == 0 and (a * v - c * u) % det == 0
 
     def canonical(self) -> "IdealLattice":
-        return _canonical_lattice(self.alg, self.columns())
+        return IdealLattice(self.alg, _canonical_basis(self.alg.t, *_hnf_cols(self.columns())))
 
     # The canonical basis is an injective function of the Hermite triple,
     # so lattices compare by that triple without building canonical copies.
@@ -177,7 +194,7 @@ def form_to_ideal(q: BinaryQuadraticForm) -> IdealLattice:
     if not q.is_primitive():
         raise NotPrimitive(f"{q} is not primitive")
     q = BinaryQuadraticForm(ZZ, *_nonzero_leading(*q.coeffs()))
-    return IdealLattice(even_clifford(q), ((q.a, q.b), (0, -1)))
+    return IdealLattice(even_clifford(q), _form_basis(q.a, q.b, q.b))
 
 
 def _nonzero_leading(a: int, b: int, c: int):
@@ -192,21 +209,12 @@ def _nonzero_leading(a: int, b: int, c: int):
 
 def naive_norm_form(I: IdealLattice) -> BinaryQuadraticForm:
     """N(x*alpha + y*beta) on the stored basis."""
-    return _norm_form(I.alg, *I.columns())
-
-
-def _norm_form(alg: QuadraticAlgebra, alpha, beta) -> BinaryQuadraticForm:
-    A = alg.norm(alpha)
-    C = alg.norm(beta)
-    B = alg.norm((alpha[0] + beta[0], alpha[1] + beta[1])) - A - C
-    return BinaryQuadraticForm(ZZ, A, B, C)
+    return BinaryQuadraticForm(ZZ, *_norm_triple(I.alg.t, I.alg.nm, I.basis))
 
 
 def universal_norm_form(I: IdealLattice) -> BinaryQuadraticForm:
     """The naive norm form divided by its content; primitive by construction."""
-    n = naive_norm_form(I)
-    g = n.content()
-    return BinaryQuadraticForm(ZZ, n.a // g, n.b // g, n.c // g)
+    return _universal_form(I.alg.t, I.alg.nm, I.basis)
 
 
 def even_clifford_of_ideal(I: IdealLattice):
@@ -223,13 +231,12 @@ def ideal_multiply(I: IdealLattice, J: IdealLattice) -> IdealLattice:
     """Lattice spanned by the pairwise products, in canonical basis."""
     if I.alg != J.alg:
         raise IncompatibleAlgebras(f"{I.alg} vs {J.alg}")
-    alg = I.alg
-    return _canonical_lattice(alg, [alg.mul(x, y) for x in I.columns() for y in J.columns()])
+    return IdealLattice(I.alg, _product_basis(I.alg.t, I.alg.nm, I.basis, J.basis))
 
 
 def ideal_conjugate(I: IdealLattice) -> IdealLattice:
     """Image under the standard involution, in canonical basis."""
-    return _canonical_lattice(I.alg, [I.alg.conj(c) for c in I.columns()])
+    return IdealLattice(I.alg, _conjugate_basis(I.alg.t, I.basis))
 
 
 def ideal_is_invertible(I: IdealLattice) -> bool:
@@ -238,12 +245,9 @@ def ideal_is_invertible(I: IdealLattice) -> bool:
     return prod == scalar_ideal(I.alg, naive_norm_form(I).content())
 
 
-def _represent(form: BinaryQuadraticForm, target: int):
-    """All (x, y) with form(x, y) == target, for positive definite forms."""
-    A, B, C = form.coeffs()
+def _represent(A: int, B: int, C: int, target: int):
+    """All (x, y) with A*x^2 + B*x*y + C*y^2 == target, for A > 0 and B^2 < 4AC."""
     disc = B * B - 4 * A * C
-    if disc >= 0 or A <= 0:
-        raise NotDefinite(f"{form} is not positive definite")
     out = []
     ymax = isqrt(4 * A * target // (-disc)) + 1
     for y in range(-ymax, ymax + 1):
@@ -272,7 +276,7 @@ def ideal_is_principal(I: IdealLattice) -> bool:
     if I.alg.disc() >= 0:
         raise NotDefinite("principality search needs a definite algebra")
     p, s, r = _hnf_cols(I.columns())
-    return bool(_represent(_norm_form(I.alg, (p, 0), (s, r)), p * r))
+    return bool(_represent(*_norm_triple(I.alg.t, I.alg.nm, ((p, s), (0, r))), p * r))
 
 
 def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .clifford import QuadraticAlgebra
-from .compose import identity_form, shanks
+from .compose import shanks
 from .errors import BadDiscriminant
 from .form import BinaryQuadraticForm, reduce_triple
 from .modular import factor
@@ -171,8 +171,3 @@ def pic_counts(D: int):
         seen.update((i, _ideal_class_index(reps, ideal_conjugate(I))))
         orbits += 1
     return len(reps), orbits
-
-
-def form_for_algebra(C: QuadraticAlgebra) -> BinaryQuadraticForm:
-    """The norm form (1, t, nm), whose even Clifford algebra is C itself."""
-    return identity_form(C)

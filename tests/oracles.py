@@ -1,6 +1,8 @@
 """Brute-force oracles for the similarity and pair-isomorphism tests, the
-argparse parser that the CLI's verb table replaced, and the matrix-product
-and Fraction routes that the straight-line integer kernels replaced.
+argparse parser that the CLI's verb table replaced, the matrix-product
+and Fraction routes that the straight-line integer kernels replaced, and
+the IdealLattice route that composition ran on before the integer lattice
+core.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -16,8 +18,9 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
-from binquad.clifford import _witness_for_eps
+from binquad.clifford import QuadraticAlgebra, _witness_for_eps, even_clifford
 from binquad.compose import shanks
+from binquad.errors import NotComposable
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
 from binquad.form import (
@@ -29,6 +32,7 @@ from binquad.form import (
     value_set_mod,
 )
 from binquad.mat2 import madd, mat, mdet, mident, minv, mmul, mscale
+from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
 from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
 
@@ -348,6 +352,70 @@ def rational_similarity_fractions(q1, q2, d1, d2) -> SimilarityVerdict:
     if not similarity_verify_fractions(w, q1, q2):
         raise AssertionError("rational diagonalisation produced a bad witness")
     return SimilarityVerdict("similar", witness=w)
+
+
+# -- the lattice route that the integer lattice core replaced ---------------
+#
+# compose and inverse_form as they were: validated IdealLattice values, the
+# second transported along an AlgebraWitness, products and norms through
+# QuadraticAlgebra.mul/norm and its ring.
+
+
+def _canonical_basis_alg(alg: QuadraticAlgebra, p: int, s: int, r: int):
+    if s == 0 and (r * alg.t) % p == 0:
+        return ((p, 0), (0, r))
+    return ((p, (-s) % p), (0, -r))
+
+
+def _canonical_lattice(alg: QuadraticAlgebra, cols) -> IdealLattice:
+    return IdealLattice(alg, _canonical_basis_alg(alg, *_hnf_cols(cols)))
+
+
+def form_to_ideal_lattice(q: BinaryQuadraticForm) -> IdealLattice:
+    q = BinaryQuadraticForm(ZZ, *_nonzero_leading(*q.coeffs()))
+    return IdealLattice(even_clifford(q), ((q.a, q.b), (0, -1)))
+
+
+def transport_ideal(target: QuadraticAlgebra, I: IdealLattice, eps: int) -> IdealLattice:
+    """Move a lattice into the target algebra along tau_src -> k + eps*tau."""
+    w = _witness_for_eps(target, I.alg, eps)
+    if w is None:
+        raise NotComposable(f"no algebra witness from {I.alg} to {target} with eps={eps}")
+    cols = [w.apply_elem(ZZ, c) for c in I.columns()]
+    return IdealLattice(target, ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])))
+
+
+def ideal_multiply_alg(I: IdealLattice, J: IdealLattice) -> IdealLattice:
+    alg = I.alg
+    return _canonical_lattice(alg, [alg.mul(x, y) for x in I.columns() for y in J.columns()])
+
+
+def ideal_conjugate_alg(I: IdealLattice) -> IdealLattice:
+    return _canonical_lattice(I.alg, [I.alg.conj(c) for c in I.columns()])
+
+
+def universal_norm_form_alg(I: IdealLattice) -> BinaryQuadraticForm:
+    alpha, beta = I.columns()
+    alg = I.alg
+    A = alg.norm(alpha)
+    C = alg.norm(beta)
+    B = alg.norm((alpha[0] + beta[0], alpha[1] + beta[1])) - A - C
+    n = BinaryQuadraticForm(ZZ, A, B, C)
+    g = n.content()
+    return BinaryQuadraticForm(ZZ, n.a // g, n.b // g, n.c // g)
+
+
+def compose_by_lattices(q1, q2, twist: bool = False) -> BinaryQuadraticForm:
+    """Tensor-product composition of primitive forms of equal discriminant."""
+    I1 = form_to_ideal_lattice(q1)
+    I2 = form_to_ideal_lattice(q2)
+    I2t = transport_ideal(I1.alg, I2, -1 if twist else 1)
+    return universal_norm_form_alg(ideal_multiply_alg(I1, I2t))
+
+
+def inverse_by_lattices(q) -> BinaryQuadraticForm:
+    """Norm form of the conjugated lattice."""
+    return universal_norm_form_alg(ideal_conjugate_alg(form_to_ideal_lattice(q)))
 
 
 def build_parser() -> argparse.ArgumentParser:

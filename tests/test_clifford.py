@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from binquad.clifford import (
     QuadraticAlgebra,
-    alg_discriminant,
     algebra_isomorphic,
     automorphisms,
     clifford_bimodule,
@@ -33,16 +32,16 @@ def test_even_clifford_examples():
 
 
 def test_alg_discriminant_examples():
-    assert alg_discriminant(QuadraticAlgebra(ZZ, 1, 6)) == -23
+    assert QuadraticAlgebra(ZZ, 1, 6).disc() == -23
     assert bqf(2, 1, 3).discriminant()[0] == 23
-    assert alg_discriminant(QuadraticAlgebra(ZZ, 0, 1)) == -4
-    assert alg_discriminant(QuadraticAlgebra(ZZ, 1, 0)) == 1
+    assert QuadraticAlgebra(ZZ, 0, 1).disc() == -4
+    assert QuadraticAlgebra(ZZ, 1, 0).disc() == 1
 
 
 @given(small, small, small)
 def test_discriminant_identity(a, b, c):
     q = bqf(a, b, c)
-    assert q.discriminant()[0] == -alg_discriminant(even_clifford(q))
+    assert q.discriminant()[0] == -even_clifford(q).disc()
 
 
 def test_action_matrices_examples():

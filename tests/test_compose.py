@@ -27,6 +27,24 @@ def test_compose_examples():
     assert properly_equivalent(compose(q, bqf(2, -1, 3)), bqf(1, 1, 6))
 
 
+def test_compose_and_inverse_build_no_lattice(monkeypatch):
+    # both run on int triples and Hermite data: no IdealLattice, no
+    # algebra and no mat2 determinant, at D < 0 and at D > 0
+    import binquad.mat2 as mat2
+    from binquad.norm import IdealLattice
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice, an algebra or a mat2 determinant was built")
+
+    pairs = [(bqf(2, 1, 3), bqf(3, 1, 2)), (bqf(2, 4, -3), bqf(3, 2, -3))]
+    want = [(compose(q1, q2), compose(q1, q2, twist=True), inverse_form(q1)) for q1, q2 in pairs]
+    monkeypatch.setattr(IdealLattice, "__init__", refuse)
+    monkeypatch.setattr(QuadraticAlgebra, "__init__", refuse)
+    monkeypatch.setattr(mat2, "mdet", refuse)
+    for (q1, q2), w in zip(pairs, want):
+        assert (compose(q1, q2), compose(q1, q2, twist=True), inverse_form(q1)) == w
+
+
 def test_identity_form_examples():
     assert identity_form(QuadraticAlgebra(ZZ, 1, 6)) == bqf(1, 1, 6)
     assert identity_form(QuadraticAlgebra(ZZ, 0, 1)) == bqf(1, 0, 1)

@@ -1,19 +1,25 @@
 """The straight-line integer kernels against the routes they replaced, which
 live in tests/oracles.py: unrolled 2x2 products, sums and scalings; the
-module relation checked entry by entry; and the similarity witness over Q
+module relation checked entry by entry; the similarity witness over Q
 checked on cleared integers, with the closed-form witness that every pair
-gets once a form with a = 0 is moved.  Each must agree with its oracle in
-value and in type."""
+gets once a form with a = 0 is moved; and composition and inversion on
+Hermite triples against the IdealLattice route.  Each must agree with its
+oracle in value and in type."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from binquad.clifford import QuadraticAlgebra, module_axiom_holds
-from binquad.form import BinaryQuadraticForm, SimilarityWitness, _rational_similarity, _screen_not_similar
+from binquad.compose import compose, inverse_form
+from binquad.form import BinaryQuadraticForm, SimilarityWitness, _rational_similarity, _screen_not_similar, bqf
 from binquad.mat2 import madd, mmul, mscale
 from binquad.ring import QQ, ZZ, ModularRing
 from oracles import (
+    compose_by_lattices,
+    inverse_by_lattices,
     madd_genexpr,
     mmul_genexpr,
     module_axiom_by_products,
@@ -156,3 +162,46 @@ def test_closed_form_rational_witness_matches_fraction_route(data):
     new, old = _rational_similarity(q1, q2), rational_similarity_fractions(q1, q2, d1, d2)
     assert new.to_json(QQ) == old.to_json(QQ)
     assert typed(new.witness.m) == typed(old.witness.m) and typed(new.witness.u) == typed(old.witness.u)
+
+
+@st.composite
+def forms_of_disc(draw, D):
+    """A primitive form of discriminant D; at square D = m^2 half of them
+    are (0, +-m, c) or (c, +-m, 0)."""
+    m = isqrt(D) if D > 0 else -1
+    if m * m == D and draw(st.booleans()):
+        b, x = draw(st.sampled_from((m, -m))), draw(st.integers(min_value=-30, max_value=30))
+        a, c = (0, x) if draw(st.booleans()) else (x, 0)
+    else:
+        b = 2 * draw(st.integers(min_value=-30, max_value=30)) + D % 2
+        n = (b * b - D) // 4
+        sign = draw(st.sampled_from((1, -1)))
+        if n == 0:
+            a, c = sign * draw(st.integers(min_value=1, max_value=30)), 0
+        else:
+            a = sign * draw(st.sampled_from([d for d in range(1, abs(n) + 1) if n % d == 0]))
+            c = n // a
+    assume(gcd(a, b, c) == 1)
+    return bqf(a, b, c)
+
+
+@st.composite
+def discriminants(draw, kind):
+    if kind == "square":
+        return draw(st.integers(min_value=1, max_value=40)) ** 2
+    D = draw(st.integers(min_value=1, max_value=3000)) * (-1 if kind == "negative" else 1)
+    assume(D % 4 in (0, 1) and (D < 0 or isqrt(D) ** 2 != D))
+    return D
+
+
+@pytest.mark.parametrize("kind", ["negative", "non-square positive", "square"])
+@given(st.data())
+def test_compose_and_inverse_match_the_lattice_route(kind, data):
+    D = data.draw(discriminants(kind))
+    q1, q2 = data.draw(forms_of_disc(D)), data.draw(forms_of_disc(D))
+    for twist in (False, True):
+        got, want = compose(q1, q2, twist), compose_by_lattices(q1, q2, twist)
+        assert typed(got.coeffs()) == typed(want.coeffs()) and got == want
+    for q in (q1, q2):
+        got, want = inverse_form(q), inverse_by_lattices(q)
+        assert typed(got.coeffs()) == typed(want.coeffs()) and got == want

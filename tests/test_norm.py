@@ -15,6 +15,7 @@ from binquad.errors import (
 from binquad.form import bqf, properly_equivalent
 from binquad.norm import (
     IdealLattice,
+    _form_basis,
     _hnf_cols,
     base_change_checks,
     even_clifford_of_ideal,
@@ -130,10 +131,8 @@ def test_ideal_multiply_examples():
 
 def test_ideal_multiply_is_commutative_and_associative():
     forms = reduced_forms(-71)
-    from binquad.compose import _transport_ideal
-
     common = QuadraticAlgebra(ZZ, 1, 18)
-    ideals = [_transport_ideal(common, form_to_ideal(q), 1) for q in forms]
+    ideals = [IdealLattice(common, _form_basis(q.a, q.b, common.t)) for q in forms]
     for I in ideals[:3]:
         for J in ideals[:3]:
             assert ideal_multiply(I, J) == ideal_multiply(J, I)

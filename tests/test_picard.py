@@ -6,13 +6,12 @@ import pytest
 
 from binquad import picard
 from binquad.clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
-from binquad.compose import compose, shanks
+from binquad.compose import compose, identity_form as form_for_algebra, shanks
 from binquad.errors import BadDiscriminant
 from binquad.form import bqf, reduce_definite
 from binquad.picard import (
     class_group,
     class_number,
-    form_for_algebra,
     ideal_class_representatives,
     pic_counts,
     reduced_forms,

@@ -48,7 +48,6 @@ from .norm import (
     ideal_multiply,
     naive_norm_form,
     scalar_ideal,
-    unit_ideal,
     universal_norm_form,
 )
 from .pairs import (
@@ -82,8 +81,6 @@ from .ring import (
     RingHom,
     ZZ,
     content,
-    hom_apply,
-    is_unit,
     ring_from_json,
 )
 

@@ -1,21 +1,24 @@
 """Invertible modules over a quadratic Z-algebra <1, tau | tau^2 = t*tau - nm>
 as full-rank sublattices, and their content-normalized norm forms.
 
-One integer lattice core on plain ints does every step, for ``compose``
-and ``inverse_form`` on int triples and for the ``IdealLattice`` functions
-alike.  A basis is a 2x2 int matrix whose columns are the coordinates of
-(alpha, beta) in (1, tau).  ``_product_basis`` and ``_conjugate_basis``
-multiply or conjugate basis elements and return the canonical basis of
-the lattice they span: Hermite data (p, s, r) from ``_hnf_cols``, oriented
-by ``_canonical_basis``.  ``_norm_triple`` reads N(x*alpha + y*beta), with
-N(x + y*tau) = x^2 + t*x*y + nm*y^2, and ``_universal_form`` divides it by
-its content.  A form (a, b, c) with a != 0 spans <a, b - tau> in its even
+One integer lattice core on plain ints does every step, for ``compose``,
+``inverse_form`` and ``picard``'s class counts and for the ``IdealLattice``
+functions alike.  A basis B is a 2x2 int matrix whose columns are the
+coordinates of (alpha, beta) in (1, tau).  ``_product_basis`` and
+``_conjugate_basis`` return the canonical basis of the lattice spanned by
+the products or conjugates: Hermite data (p, s, r) from ``_hnf_cols``,
+oriented by ``_canonical_basis``.  ``_norm_triple`` reads N(x*alpha +
+y*beta), with N(x + y*tau) = x^2 + t*x*y + nm*y^2; ``_universal_form``
+divides it by its content, ``_is_invertible`` asks whether B * conj(B) is
+that content times O, and ``_is_principal`` whether the form represents
+the index.  A form (a, b, c) with a != 0 spans <a, b - tau> in its even
 Clifford algebra (``_form_basis``), matching the module action
 tau*e1 = b*e1 - a*e2, tau*e2 = c*e1 under e1 -> a, e2 -> b - tau.
 
 ``IdealLattice`` is the boundary type of the ``ideal`` and ``normform``
-verbs, of ``pic_counts`` and of acceptance C10: it checks its basis and
-keeps it as given, and compares lattices by their Hermite data.
+verbs, of ``ideal_class_representatives`` and of acceptance C10: it
+checks its basis and keeps it as given, and compares lattices by their
+Hermite data.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, m_left, m_right, map_matrix
-from .errors import IncompatibleAlgebras, NotDefinite, NotPrimitive, UsageError, ZeroForm
+from .errors import IncompatibleAlgebras, NotDefinite, NotInvertible, NotPrimitive, UsageError, ZeroForm
 from .form import BinaryQuadraticForm, similar
 from .mat2 import mat, mat_from_json, mat_to_json
 from .modular import factor
@@ -172,10 +175,6 @@ class IdealLattice(Value):
         return f"<{a0}+{a1}tau, {b0}+{b1}tau> in {self.alg}"
 
 
-def unit_ideal(alg: QuadraticAlgebra) -> IdealLattice:
-    return IdealLattice(alg, ((1, 0), (0, 1)))
-
-
 def scalar_ideal(alg: QuadraticAlgebra, n: int) -> IdealLattice:
     n = abs(ZZ.normalize(n))
     if n == 0:
@@ -219,11 +218,12 @@ def universal_norm_form(I: IdealLattice) -> BinaryQuadraticForm:
 
 def even_clifford_of_ideal(I: IdealLattice):
     """Even Clifford algebra of the universal norm form plus the witness
-    identifying it with the parent algebra; the witness always exists."""
+    identifying it with the parent algebra; NotInvertible when there is
+    none, which only a lattice that is not invertible allows."""
     A = even_clifford(universal_norm_form(I))
     w = algebra_isomorphic(I.alg, A)
     if w is None:
-        raise AssertionError(f"no algebra witness from {A} to {I.alg}")
+        raise NotInvertible(f"{I} is not invertible: its norm form has discriminant {A.disc()}")
     return A, w
 
 
@@ -239,10 +239,15 @@ def ideal_conjugate(I: IdealLattice) -> IdealLattice:
     return IdealLattice(I.alg, _conjugate_basis(I.alg.t, I.basis))
 
 
+def _is_invertible(t: int, nm: int, B) -> bool:
+    """B * conj(B) is the scalar lattice g*O, g the content of B's norm form."""
+    g = gcd(*_norm_triple(t, nm, B))
+    return _product_basis(t, nm, B, _conjugate_basis(t, B)) == ((g, 0), (0, g))
+
+
 def ideal_is_invertible(I: IdealLattice) -> bool:
     """I * conj(I) equals the scalar ideal generated by the content."""
-    prod = ideal_multiply(I, ideal_conjugate(I))
-    return prod == scalar_ideal(I.alg, naive_norm_form(I).content())
+    return _is_invertible(I.alg.t, I.alg.nm, I.basis)
 
 
 def _represent(A: int, B: int, C: int, target: int):
@@ -264,6 +269,12 @@ def _represent(A: int, B: int, C: int, target: int):
     return out
 
 
+def _is_principal(t: int, nm: int, B) -> bool:
+    """Whether the lattice of basis B is principal; see ``ideal_is_principal``."""
+    p, s, r = _hnf_cols(zip(*B))
+    return bool(_represent(*_norm_triple(t, nm, ((p, s), (0, r))), p * r))
+
+
 def ideal_is_principal(I: IdealLattice) -> bool:
     """Whether I = gamma * O for some gamma; definite algebras only.
 
@@ -275,8 +286,7 @@ def ideal_is_principal(I: IdealLattice) -> bool:
     """
     if I.alg.disc() >= 0:
         raise NotDefinite("principality search needs a definite algebra")
-    p, s, r = _hnf_cols(I.columns())
-    return bool(_represent(*_norm_triple(I.alg.t, I.alg.nm, ((p, s), (0, r))), p * r))
+    return _is_principal(I.alg.t, I.alg.nm, I.basis)
 
 
 def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:

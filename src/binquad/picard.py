@@ -2,8 +2,9 @@
 orders of the classes under composition on int triples, and the two
 Picard-style counts (oriented classes and orbits under conjugation).
 The counts and the invariant factors are read off the element orders;
-``pic_counts`` recomputes the counts from ideal lattices alone, as an
-oracle that ``verify`` checks against them.
+``pic_counts`` recomputes the counts from Hermite bases of ideal classes
+on the integer lattice core of ``norm``, as an oracle that ``verify``
+checks against them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .compose import shanks
 from .errors import BadDiscriminant
 from .form import BinaryQuadraticForm, reduce_triple
 from .modular import factor
-from .norm import IdealLattice, ideal_conjugate, ideal_is_invertible, ideal_is_principal, ideal_multiply
+from .norm import IdealLattice, _conjugate_basis, _is_invertible, _is_principal, _product_basis
 from .ring import Value, ZZ
 
 
@@ -121,53 +122,51 @@ def _invariant_factors(orders):
     return tuple(reversed(factors))
 
 
-def _algebra_for_disc(D: int) -> QuadraticAlgebra:
+def _class_bases(D: int):
+    """(t, nm, bases): one Hermite basis ((a, s), (0, -1)) per invertible
+    class of Z[tau], tau^2 = t*tau - nm, of discriminant D; a <= sqrt(|D|/3) + 1."""
+    _check_disc(D)
     t = D % 2
-    return QuadraticAlgebra(ZZ, t, (t * t - D) // 4)
+    nm = (t * t - D) // 4
+    reps = []
+    for a in range(1, isqrt(-D // 3) + 2):
+        for s in range(a):
+            B = ((a, s), (0, -1))  # closed under tau iff a | N(s - tau)
+            if (s * s - t * s + nm) % a == 0 and _is_invertible(t, nm, B):
+                if _class_index(t, nm, reps, B) is None:
+                    reps.append(B)
+    return t, nm, reps
+
+
+def _class_index(t: int, nm: int, reps, B):
+    """Index of the class of B among reps, or None; B ~ J iff B*conj(J) is principal."""
+    for i, J in enumerate(reps):
+        if _is_principal(t, nm, _product_basis(t, nm, B, _conjugate_basis(t, J))):
+            return i
+    return None
 
 
 def ideal_class_representatives(D: int):
-    """Invertible-lattice representatives of every class, via direct
-    enumeration of Hermite bases of norm up to sqrt(|D|/3)."""
-    _check_disc(D)
-    alg = _algebra_for_disc(D)
-    t, nm = alg.t, alg.nm
-    reps = []
-    amax = isqrt(-D // 3) + 1
-    for a in range(1, amax + 1):
-        for s in range(a):
-            if (s * s - t * s + nm) % a != 0:
-                continue
-            I = IdealLattice(alg, ((a, s), (0, -1)))
-            if not ideal_is_invertible(I):
-                continue
-            if any(ideal_is_principal(ideal_multiply(I, ideal_conjugate(J))) for J in reps):
-                continue
-            reps.append(I)
-    return reps
-
-
-def _ideal_class_index(reps, I: IdealLattice) -> int:
-    for i, J in enumerate(reps):
-        if ideal_is_principal(ideal_multiply(I, ideal_conjugate(J))):
-            return i
-    raise AssertionError(f"lattice {I} matches no enumerated class")
+    """One invertible ``IdealLattice`` per class, in ``_class_bases`` order."""
+    t, nm, bases = _class_bases(D)
+    alg = QuadraticAlgebra(ZZ, t, nm)
+    return [IdealLattice(alg, B) for B in bases]
 
 
 def pic_counts(D: int):
     """(oriented, unoriented) class counts from ideal lattices alone.
 
     oriented = number of invertible ideal classes; unoriented = orbits
-    of those classes under conjugation.  No form is reduced or composed,
-    so the counts are independent of the element orders that
-    ``ClassGroup`` reads them from (Cohen, GTM 138, 5.2).
+    of those classes under conjugation.  No form is reduced or composed
+    and no ``IdealLattice`` is built: the lattices stay Hermite bases of
+    the integer core, so the counts are independent of the element
+    orders that ``ClassGroup`` reads them from (Cohen, GTM 138, 5.2).
     """
-    reps = ideal_class_representatives(D)
-    seen = set()
-    orbits = 0
-    for i, I in enumerate(reps):
+    t, nm, reps = _class_bases(D)
+    seen, orbits = set(), 0
+    for i, B in enumerate(reps):
         if i in seen:
             continue
-        seen.update((i, _ideal_class_index(reps, ideal_conjugate(I))))
+        seen.update((i, _class_index(t, nm, reps, _conjugate_basis(t, B))))
         orbits += 1
     return len(reps), orbits

@@ -326,10 +326,6 @@ def fraction_sqrt(v: Fraction) -> Optional[Fraction]:
     return None
 
 
-def is_unit(v, ring: Ring) -> bool:
-    return ring.is_unit(ring.normalize(v))
-
-
 class RingHom(Value):
     """One of the supported canonical homomorphisms.
 
@@ -348,7 +344,3 @@ class RingHom(Value):
 
     def __call__(self, v):
         return self.dst.normalize(self.src.normalize(v))
-
-
-def hom_apply(v, hom: RingHom):
-    return hom(v)

@@ -1,8 +1,8 @@
 """Brute-force oracles for the similarity and pair-isomorphism tests, the
 argparse parser that the CLI's verb table replaced, the matrix-product
 and Fraction routes that the straight-line integer kernels replaced, and
-the IdealLattice route that composition ran on before the integer lattice
-core.
+the IdealLattice route that composition and the ideal class enumeration
+ran on before the integer lattice core.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -15,7 +15,7 @@ import argparse
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
 from binquad.clifford import QuadraticAlgebra, _witness_for_eps, even_clifford
@@ -32,7 +32,7 @@ from binquad.form import (
     value_set_mod,
 )
 from binquad.mat2 import madd, mat, mdet, mident, minv, mmul, mscale
-from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading
+from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading, ideal_is_principal, scalar_ideal
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
 from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
 
@@ -394,13 +394,17 @@ def ideal_conjugate_alg(I: IdealLattice) -> IdealLattice:
     return _canonical_lattice(I.alg, [I.alg.conj(c) for c in I.columns()])
 
 
-def universal_norm_form_alg(I: IdealLattice) -> BinaryQuadraticForm:
+def naive_norm_form_alg(I: IdealLattice) -> BinaryQuadraticForm:
     alpha, beta = I.columns()
     alg = I.alg
     A = alg.norm(alpha)
     C = alg.norm(beta)
     B = alg.norm((alpha[0] + beta[0], alpha[1] + beta[1])) - A - C
-    n = BinaryQuadraticForm(ZZ, A, B, C)
+    return BinaryQuadraticForm(ZZ, A, B, C)
+
+
+def universal_norm_form_alg(I: IdealLattice) -> BinaryQuadraticForm:
+    n = naive_norm_form_alg(I)
     g = n.content()
     return BinaryQuadraticForm(ZZ, n.a // g, n.b // g, n.c // g)
 
@@ -416,6 +420,80 @@ def compose_by_lattices(q1, q2, twist: bool = False) -> BinaryQuadraticForm:
 def inverse_by_lattices(q) -> BinaryQuadraticForm:
     """Norm form of the conjugated lattice."""
     return universal_norm_form_alg(ideal_conjugate_alg(form_to_ideal_lattice(q)))
+
+
+# -- the class enumeration that Hermite bases replaced ------------------------
+#
+# ideal_class_representatives, pic_counts and ideal_is_invertible as they
+# were: every candidate, product and conjugate a validated IdealLattice,
+# invertibility a comparison with scalar_ideal.  principal_by_generator
+# decides principality by a generator search instead of the norm argument.
+
+
+def ideal_is_invertible_alg(I: IdealLattice) -> bool:
+    """I * conj(I) equals the scalar ideal generated by the content."""
+    prod = ideal_multiply_alg(I, ideal_conjugate_alg(I))
+    return prod == scalar_ideal(I.alg, naive_norm_form_alg(I).content())
+
+
+def _ideal_class_index_alg(reps, I: IdealLattice) -> Optional[int]:
+    for i, J in enumerate(reps):
+        if ideal_is_principal(ideal_multiply_alg(I, ideal_conjugate_alg(J))):
+            return i
+    return None
+
+
+def ideal_class_representatives_alg(D: int):
+    t = D % 2
+    alg = QuadraticAlgebra(ZZ, t, (t * t - D) // 4)
+    reps = []
+    for a in range(1, isqrt(-D // 3) + 2):
+        for s in range(a):
+            if (s * s - t * s + alg.nm) % a != 0:
+                continue
+            I = IdealLattice(alg, ((a, s), (0, -1)))
+            if ideal_is_invertible_alg(I) and _ideal_class_index_alg(reps, I) is None:
+                reps.append(I)
+    return reps
+
+
+def ideal_classes_alg(D: int):
+    """(representatives, (oriented, unoriented)) by the lattice route."""
+    reps = ideal_class_representatives_alg(D)
+    seen = set()
+    orbits = 0
+    for i, I in enumerate(reps):
+        if i in seen:
+            continue
+        j = _ideal_class_index_alg(reps, ideal_conjugate_alg(I))
+        if j is None:
+            raise AssertionError(f"lattice {I} matches no enumerated class")
+        seen.update((i, j))
+        orbits += 1
+    return reps, (len(reps), orbits)
+
+
+def principal_by_generator(I: IdealLattice) -> bool:
+    """Principality as decided before the norm argument: some gamma in I
+    of norm [O : I] spans, together with gamma*tau, the lattice I."""
+    alg = I.alg
+    Ic = I.canonical()
+    (a0, a1), (b0, b1) = Ic.columns()
+    m = Ic.norm()
+    A, C = alg.norm((a0, a1)), alg.norm((b0, b1))
+    B = alg.norm((a0 + b0, a1 + b1)) - A - C
+    disc = B * B - 4 * A * C
+    # 4A*f(x, y) = (2Ax + By)^2 - disc*y^2 bounds y; 4C*f bounds x alike
+    xmax, ymax = isqrt(4 * C * m // -disc) + 1, isqrt(4 * A * m // -disc) + 1
+    for y in range(-ymax, ymax + 1):
+        for x in range(-xmax, xmax + 1):
+            g0, g1 = x * a0 + y * b0, x * a1 + y * b1
+            if alg.norm((g0, g1)) != m:
+                continue
+            gt0, gt1 = -alg.nm * g1, g0 + alg.t * g1
+            if IdealLattice(alg, ((g0, gt0), (g1, gt1))).canonical().basis == Ic.basis:
+                return True
+    return False
 
 
 def build_parser() -> argparse.ArgumentParser:

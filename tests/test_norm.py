@@ -2,12 +2,14 @@ import random
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binquad.clifford import QuadraticAlgebra, even_clifford, m_left
 from binquad.compose import identity_form
 from binquad.errors import (
+    DomainError,
     IncompatibleAlgebras,
+    NotInvertible,
     NotPrimitive,
     UsageError,
     ZeroForm,
@@ -17,6 +19,8 @@ from binquad.norm import (
     IdealLattice,
     _form_basis,
     _hnf_cols,
+    _is_invertible,
+    _is_principal,
     base_change_checks,
     even_clifford_of_ideal,
     form_to_ideal,
@@ -26,11 +30,12 @@ from binquad.norm import (
     ideal_multiply,
     naive_norm_form,
     scalar_ideal,
-    unit_ideal,
     universal_norm_form,
 )
 from binquad.picard import reduced_forms
 from binquad.ring import ModularRing, QQ, RingHom, ZZ
+
+from oracles import ideal_is_invertible_alg, principal_by_generator
 
 
 def test_form_to_ideal_examples():
@@ -39,7 +44,7 @@ def test_form_to_ideal_examples():
     assert I.alg == QuadraticAlgebra(ZZ, 1, 6)
     # a = 1 embeds as the unit ideal
     J = form_to_ideal(bqf(1, 1, 6))
-    assert J == unit_ideal(J.alg)
+    assert J == scalar_ideal(J.alg, 1)
     # a = 0 needs a basis change first; the class is preserved
     K = form_to_ideal(bqf(0, 1, 0))
     assert universal_norm_form(K).discriminant()[1] == 1
@@ -73,7 +78,7 @@ def test_norm_forms_example():
 
 def test_norm_form_of_unit_ideal_is_the_algebra_norm():
     C = QuadraticAlgebra(ZZ, 1, 6)
-    assert universal_norm_form(unit_ideal(C)) == bqf(1, 1, 6) == identity_form(C)
+    assert universal_norm_form(scalar_ideal(C, 1)) == bqf(1, 1, 6) == identity_form(C)
 
 
 def test_scaling_leaves_universal_form_alone():
@@ -106,12 +111,22 @@ def test_recovery_up_to_proper_equivalence():
 
 def test_even_clifford_of_ideal_examples():
     C = QuadraticAlgebra(ZZ, 1, 6)
-    A, w = even_clifford_of_ideal(unit_ideal(C))
+    A, w = even_clifford_of_ideal(scalar_ideal(C, 1))
     assert A == C and (w.k, w.eps) == (0, 1)
     for coeffs in ((2, 1, 3), (3, 1, 2)):
         I = form_to_ideal(bqf(*coeffs))
         A, w = even_clifford_of_ideal(I)
         assert w.verify(I.alg, A)
+
+
+def test_even_clifford_of_a_non_invertible_lattice_is_refused():
+    # <2, 1 + tau> in Z[sqrt(-3)] has norm 2 and universal norm form
+    # (1, 1, 1) of discriminant -3, not -12: no witness, and no crash
+    I = IdealLattice(QuadraticAlgebra(ZZ, 0, 3), ((2, 1), (0, 1)))
+    assert not ideal_is_invertible(I)
+    assert universal_norm_form(I) == bqf(1, 1, 1)
+    with pytest.raises(NotInvertible, match="not invertible"):
+        even_clifford_of_ideal(I)
 
 
 def test_ideal_multiply_examples():
@@ -122,7 +137,7 @@ def test_ideal_multiply_examples():
     assert P.norm() == 4
     assert properly_equivalent(universal_norm_form(P), bqf(1, 1, 6))
     # unit law, structurally
-    assert ideal_multiply(I, unit_ideal(C)) == I
+    assert ideal_multiply(I, scalar_ideal(C, 1)) == I
     # squaring lands in the class of the Dirichlet square
     sq = ideal_multiply(I, I)
     assert universal_norm_form(sq) == bqf(4, 5, 3)
@@ -153,7 +168,7 @@ def test_ideal_conjugate_examples():
     # sigma(1 - tau) = tau, so the conjugate is the lattice <2, tau>
     assert J == IdealLattice(I.alg, ((2, 0), (0, 1)))
     C = QuadraticAlgebra(ZZ, 1, 6)
-    assert ideal_conjugate(unit_ideal(C)) == unit_ideal(C)
+    assert ideal_conjugate(scalar_ideal(C, 1)) == scalar_ideal(C, 1)
     assert ideal_conjugate(ideal_conjugate(I)) == I
 
 
@@ -179,7 +194,7 @@ def test_invertibility_tracks_primitivity():
 
 def test_principality_search():
     C = QuadraticAlgebra(ZZ, 1, 6)
-    assert ideal_is_principal(unit_ideal(C))
+    assert ideal_is_principal(scalar_ideal(C, 1))
     assert ideal_is_principal(scalar_ideal(C, 3))
     assert not ideal_is_principal(form_to_ideal(bqf(2, 1, 3)))
 
@@ -188,35 +203,12 @@ def test_principality_ignores_basis_skew():
     # a skewed basis of the same lattice gives the same verdict, and the
     # search is bounded by the lattice, not by the basis it was given in
     C = QuadraticAlgebra(ZZ, 1, 6)
-    for I in (unit_ideal(C), form_to_ideal(bqf(2, 1, 3)), scalar_ideal(C, 3)):
+    for I in (scalar_ideal(C, 1), form_to_ideal(bqf(2, 1, 3)), scalar_ideal(C, 3)):
         (a0, a1), (b0, b1) = I.columns()
         k = 10**12
         J = IdealLattice(C, ((k * a0 + b0, a0), (k * a1 + b1, a1)))
         assert J == I
         assert ideal_is_principal(J) == ideal_is_principal(I)
-
-
-def _principal_by_generator(I):
-    """Principality as decided before the norm argument: some gamma in I
-    of norm [O : I] spans, together with gamma*tau, the lattice I."""
-    alg = I.alg
-    Ic = I.canonical()
-    (a0, a1), (b0, b1) = Ic.columns()
-    m = Ic.norm()
-    A, C = alg.norm((a0, a1)), alg.norm((b0, b1))
-    B = alg.norm((a0 + b0, a1 + b1)) - A - C
-    disc = B * B - 4 * A * C
-    # 4A*f(x, y) = (2Ax + By)^2 - disc*y^2 bounds y; 4C*f bounds x alike
-    xmax, ymax = isqrt(4 * C * m // -disc) + 1, isqrt(4 * A * m // -disc) + 1
-    for y in range(-ymax, ymax + 1):
-        for x in range(-xmax, xmax + 1):
-            g0, g1 = x * a0 + y * b0, x * a1 + y * b1
-            if alg.norm((g0, g1)) != m:
-                continue
-            gt0, gt1 = -alg.nm * g1, g0 + alg.t * g1
-            if IdealLattice(alg, ((g0, gt0), (g1, gt1))).canonical().basis == Ic.basis:
-                return True
-    return False
 
 
 def test_principality_matches_generator_check():
@@ -232,9 +224,60 @@ def test_principality_matches_generator_check():
                     continue
                 for k in (1, 2, 3):
                     I = IdealLattice(C, ((k * a, k * s), (0, -k)))
-                    assert ideal_is_principal(I) == _principal_by_generator(I), (D, a, s, k)
+                    assert ideal_is_principal(I) == principal_by_generator(I), (D, a, s, k)
                     n += 1
     assert n == 7746
+
+
+@st.composite
+def _closed_lattices(draw, disc, count=1):
+    """An algebra tau^2 = t*tau - nm of discriminant drawn from disc, t of
+    any parity-compatible value, and count tau-closed lattices in it: r
+    times <p, x + tau> with p | N(x + tau), that is Hermite data
+    (r*p, r*(x mod p), r), given in a basis skewed by a unimodular matrix."""
+    D = draw(disc.filter(lambda D: D % 4 in (0, 1)))
+    t = D % 2 + 2 * draw(st.integers(-3, 3))
+    C = QuadraticAlgebra(ZZ, t, (t * t - D) // 4)
+    lattices = []
+    for _ in range(count):
+        x = draw(st.integers(0, 300))
+        n = x * x + t * x + C.nm
+        p = draw(st.sampled_from([d for d in range(1, 61) if n % d == 0]))
+        r = draw(st.integers(1, 4))
+        k, e = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1)))
+        # columns (P, 0) and e*((S, r) + k*(P, 0))
+        P, S = r * p, r * (x % p)
+        lattices.append(IdealLattice(C, ((P, e * (S + k * P)), (0, e * r))))
+    return (C, *lattices)
+
+
+def _square_factor_discs():
+    return st.builds(lambda D, f: D * f * f, st.integers(-300, -3), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closed_lattices(_square_factor_discs()))
+def test_ideal_predicates_match_the_lattice_route(drawn):
+    C, I = drawn
+    assert _is_invertible(C.t, C.nm, I.basis) == ideal_is_invertible_alg(I)
+    assert _is_principal(C.t, C.nm, I.basis) == principal_by_generator(I)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closed_lattices(st.integers(-500, 500), count=2))
+@example((QuadraticAlgebra(ZZ, 0, 3), IdealLattice(QuadraticAlgebra(ZZ, 0, 3), ((2, 1), (0, 1))),
+          IdealLattice(QuadraticAlgebra(ZZ, 0, 3), ((2, 0), (0, 2)))))
+def test_ideal_layer_answers_or_refuses(drawn):
+    # every call returns or raises a library error, at any discriminant,
+    # square and non-maximal ones included; never an AssertionError
+    C, I, J = drawn
+    for call in (lambda: ideal_multiply(I, J), lambda: ideal_conjugate(I), lambda: ideal_is_invertible(I),
+                 lambda: ideal_is_principal(I), lambda: universal_norm_form(I),
+                 lambda: even_clifford_of_ideal(I)):
+        try:
+            call()
+        except (DomainError, UsageError):
+            pass
 
 
 def test_canonical_is_a_lattice_invariant():

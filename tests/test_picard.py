@@ -9,6 +9,7 @@ from binquad.clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
 from binquad.compose import compose, identity_form as form_for_algebra, shanks
 from binquad.errors import BadDiscriminant
 from binquad.form import bqf, reduce_definite
+from binquad.norm import IdealLattice
 from binquad.picard import (
     class_group,
     class_number,
@@ -18,7 +19,7 @@ from binquad.picard import (
 )
 from binquad.ring import ModularRing, QQ, ZZ
 
-from oracles import shanks_table
+from oracles import ideal_classes_alg, shanks_table
 
 
 def test_reduced_forms_examples():
@@ -226,6 +227,40 @@ def test_pic_counts_match_class_numbers():
 def test_ideal_class_enumeration_matches():
     for D in (-23, -47, -84):
         assert len(ideal_class_representatives(D)) == class_number(D)
+
+
+def test_class_enumeration_matches_the_lattice_route():
+    # the same bases in the same order, and the same counts, as the route
+    # that built an IdealLattice for every candidate, product and conjugate:
+    # every valid D down to -300, and every third one below, to -1200
+    valid = [D for D in range(-3, -1201, -1) if D % 4 in (0, 1)]
+    for D in valid[:150] + valid[150::3]:
+        reps, counts = ideal_classes_alg(D)
+        got = ideal_class_representatives(D)
+        assert [I.basis for I in got] == [I.basis for I in reps], D
+        assert all(I.alg == J.alg for I, J in zip(got, reps)), D
+        assert pic_counts(D) == counts, D
+
+
+def test_pic_counts_builds_no_lattice(monkeypatch):
+    # the counts run on Hermite bases; only the representatives handed
+    # out are built as IdealLattice values, one per class
+    built = []
+    init = IdealLattice.__init__
+
+    def refuse(self, *args):
+        raise AssertionError("pic_counts built an IdealLattice")
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(IdealLattice, "__init__", refuse)
+    assert [pic_counts(D) for D in (-4, -23, -100)] == [(1, 1), (3, 2), (2, 2)]
+    monkeypatch.setattr(IdealLattice, "__init__", counting)
+    for D in (-4, -23, -100, -420):
+        del built[:]
+        assert len(ideal_class_representatives(D)) == len(built) == class_number(D)
 
 
 def test_form_for_algebra_examples():

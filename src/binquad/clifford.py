@@ -24,13 +24,14 @@ class QuadraticAlgebra(Value):
     __slots__ = ("ring", "t", "nm")
 
     def __init__(self, ring: Ring, t, nm):
-        n = ring.normalize
+        t, nm = ring.normalize_all(t, nm)
         _set_ring(self, ring)
-        _set_t(self, n(t))
-        _set_nm(self, n(nm))
+        _set_t(self, t)
+        _set_nm(self, nm)
 
     def disc(self):
-        return self.ring.normalize(self.t * self.t - 4 * self.nm)
+        d, m = self.t * self.t - 4 * self.nm, self.ring.modulus
+        return d % m if m else d
 
     def elem(self, x, y=0):
         R = self.ring

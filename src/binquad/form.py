@@ -28,7 +28,6 @@ from .ring import (
     Value,
     ZZ,
     content,
-    fraction_sqrt,
     json_ring,
 )
 
@@ -36,11 +35,11 @@ class BinaryQuadraticForm(Value):
     __slots__ = ("ring", "a", "b", "c")
 
     def __init__(self, ring: Ring, a, b, c):
-        n = ring.normalize
+        a, b, c = ring.normalize_all(a, b, c)
         _set_ring(self, ring)
-        _set_a(self, n(a))
-        _set_b(self, n(b))
-        _set_c(self, n(c))
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
 
     # Field by field, cheapest first: the same answers as comparing and
     # hashing the tuple (ring, a, b, c), without building it.
@@ -70,9 +69,8 @@ class BinaryQuadraticForm(Value):
 
     def discriminant(self):
         """(4ac - b^2, b^2 - 4ac): the sign-flipped pair of conventions."""
-        n = self.ring.normalize
-        classical = self.b * self.b - 4 * self.a * self.c
-        return (n(-classical), n(classical))
+        classical, m = self.b * self.b - 4 * self.a * self.c, self.ring.modulus
+        return (-classical % m, classical % m) if m else (-classical, classical)
 
     def is_zero(self):
         z = self.ring.zero
@@ -272,26 +270,9 @@ def value_set_mod(q: BinaryQuadraticForm, m: int) -> frozenset:
     return frozenset(vals)
 
 
-def _screen_not_similar(q1, q2, d1, d2) -> Optional[str]:
-    """Cheap exact invariants over Z and Q that certify non-similarity,
-    or None; d1 and d2 are the discriminants b^2 - 4ac."""
-    if isinstance(q1.ring, IntegerRing):
-        if d1 != d2:
-            return "discriminant"
-        if q1.content() != q2.content():
-            return "content"
-        return None
-    # Rationals: disc scales by u^2 det(M)^2, so its vanishing and the
-    # square class of d1*d2 survive.
-    if (d1 == 0) != (d2 == 0) or fraction_sqrt(d1 * d2) is None:
-        return "discriminant"
-    return None
-
-
-def _moved(q):
-    """(P, P^-1, coefficients of q(P v)) with a nonzero first coefficient, for a nonzero form
-    over Q: P = I when a != 0; x and y swapped when a = 0 != c; (x, x + y) when a = c = 0."""
-    a, b, c = q.coeffs()
+def _moved(a, b, c):
+    """(P, P^-1, coefficients of q(P v)) with a nonzero first coefficient, for a nonzero q =
+    (a, b, c): P = I when a != 0; x and y swapped when a = 0 != c; (x, x + y) when a = c = 0."""
     if a != 0:
         return None, None, (a, b, c)
     if c != 0:
@@ -306,20 +287,24 @@ def _cleared(*xs):
 
 
 def _rational_similarity(q1, q2) -> SimilarityVerdict:
-    """Complete decision over Q for nonzero forms that passed the screens.
+    """Complete decision over Q for nonzero forms.
 
-    In characteristic 0 every binary form is alpha*<1, d>, so forms whose
-    discriminants agree up to squares (and in vanishing) are similar.  Each q_i
-    is first moved by P_i to q_i' = q_i(P_i v) with a_i' != 0 (see _moved); then
-    M' = ((1, t1 - s*t2), (0, s)) with t_i = b_i'/(2a_i'), u = a2'/a1' and
-    s = |u| sqrt(D1/D2) (1 in rank 1) carries q2' to u*q1', and M = P2 M' P1^-1.
-    On the cleared forms L_i*q_i' = (A_i, B_i, C_i), s = |A2|*sqrt(D1*D2)/(|A1|*|D2|)
-    for their discriminants D_i."""
+    Each q_i is cleared once, to L_i*q_i = (A_i, B_i, C_i) of discriminant D_i = d_i*L_i^2.
+    Similarity scales d by u^2 det(M)^2, so its vanishing and the square class of d1*d2
+    survive: `discriminant` when exactly one D_i is 0 or D1*D2 is not a square integer.
+    Every binary form over Q is alpha*<1, d>, so the other pairs are similar: with each
+    cleared form moved by P_i to A_i' != 0 (see _moved), M' = ((1, t1 - s*t2), (0, s)),
+    t_i = B_i'/(2A_i'), u = (A2'/L2)/(A1'/L1) and s = |A2'|*sqrt(D1*D2)/(|A1'|*|D2|) (1 in
+    rank 1) carry q2' to u*q1', and M = P2 M' P1^-1."""
     R = q1.ring
-    (_, P1i, c1), (P2, _, c2) = _moved(q1), _moved(q2)
-    ((A1, B1, C1), L1), ((A2, B2, C2), L2) = _cleared(*c1), _cleared(*c2)
-    D2 = B2 * B2 - 4 * A2 * C2
-    sn, sd = (abs(A2) * isqrt((B1 * B1 - 4 * A1 * C1) * D2), abs(A1 * D2)) if D2 else (1, 1)
+    (X1, L1), (X2, L2) = _cleared(*q1.coeffs()), _cleared(*q2.coeffs())
+    D1, D2 = X1[1] * X1[1] - 4 * X1[0] * X1[2], X2[1] * X2[1] - 4 * X2[0] * X2[2]
+    DD = D1 * D2
+    r = isqrt(DD) if DD >= 0 else -1  # a negative D1*D2 is no square
+    if (D1 == 0) != (D2 == 0) or r * r != DD:
+        return SimilarityVerdict("not_similar", reason="discriminant")
+    (_, P1i, (A1, B1, _)), (P2, _, (A2, B2, _)) = _moved(*X1), _moved(*X2)
+    sn, sd = (abs(A2) * r, abs(A1 * D2)) if D2 else (1, 1)
     t = Fraction(B1 * A2 * sd - B2 * A1 * sn, 2 * A1 * A2 * sd)
     u, M = Fraction(A2 * L1, A1 * L2), ((R.one, t), (R.zero, Fraction(sn, sd)))
     if P2 is not None:
@@ -355,12 +340,12 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdi
         from .modular import similar_mod
 
         return similar_mod(q1, q2)
-    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
-    reason = _screen_not_similar(q1, q2, d1, d2)
-    if reason is not None:
-        return SimilarityVerdict("not_similar", reason=reason)
     if isinstance(R, RationalRing):
         return _rational_similarity(q1, q2)
+    if q1.discriminant() != q2.discriminant():
+        return SimilarityVerdict("not_similar", reason="discriminant")
+    if q1.content() != q2.content():
+        return SimilarityVerdict("not_similar", reason="content")
     from .integral import similar_integral
 
     return similar_integral(q1, q2)

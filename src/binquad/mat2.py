@@ -23,17 +23,6 @@ def mident(ring: Ring):
     return mat(ring, ((1, 0), (0, 1)))
 
 
-def madd(ring: Ring, A, B):
-    ((a, b), (c, d)), ((e, f), (g, h)), n = A, B, ring.normalize
-    return ((n(a + e), n(b + f)), (n(c + g), n(d + h)))
-
-
-def mscale(ring: Ring, k, A):
-    ((a, b), (c, d)), n = A, ring.normalize
-    k = n(k)
-    return ((n(k * a), n(k * b)), (n(k * c), n(k * d)))
-
-
 def mmul(ring: Ring, A, B):
     ((a, b), (c, d)), ((e, f), (g, h)), n = A, B, ring.normalize
     return ((n(a * e + b * g), n(a * f + b * h)), (n(c * e + d * g), n(c * f + d * h)))
@@ -41,12 +30,6 @@ def mmul(ring: Ring, A, B):
 
 def mdet(ring: Ring, A):
     return ring.normalize(A[0][0] * A[1][1] - A[0][1] * A[1][0])
-
-
-def mapply(ring: Ring, A, v):
-    n = ring.normalize
-    x, y = n(v[0]), n(v[1])
-    return (n(A[0][0] * x + A[0][1] * y), n(A[1][0] * x + A[1][1] * y))
 
 
 def minv(ring: Ring, A):

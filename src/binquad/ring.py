@@ -15,6 +15,9 @@ from typing import Optional
 
 from .errors import IncompatibleHom, NotInvertible, UnsupportedRing, UsageError
 
+# The default c of Ring.normalize_all: the value has two coefficients, not three.
+_TWO = object()
+
 
 class Value:
     """An immutable value whose fields, two or more, are its ``__slots__``.
@@ -65,9 +68,16 @@ class Ring:
     # 0 and 1 in normal form, set by each subclass.
     zero: object
     one: object
+    # n for Z/n; 0 for Z and Q, where a result computed from normal values is normal.
+    modulus = 0
 
     def normalize(self, v):
         raise NotImplementedError
+
+    def normalize_all(self, a, b, c=_TWO) -> tuple:
+        """(normalize(a), normalize(b)[, normalize(c)]) in one call, raising as normalize does on
+        the first bad value; each ring answers at once when all have its exact element type."""
+        return tuple(map(self.normalize, (a, b) if c is _TWO else (a, b, c)))
 
     def add(self, u, v):
         return self.normalize(u + v)
@@ -131,6 +141,11 @@ class IntegerRing(Ring):
             return v
         return _as_int(v)
 
+    def normalize_all(self, a, b, c=_TWO) -> tuple:
+        if type(a) is int and type(b) is int and (c is _TWO or type(c) is int):
+            return (a, b) if c is _TWO else (a, b, c)
+        return Ring.normalize_all(self, a, b, c)
+
     def is_unit(self, v) -> bool:
         return v in (1, -1)
 
@@ -172,12 +187,18 @@ class ModularRing(Ring):
             raise UsageError(f"modulus must be an int, got {n!r}")
         if n < 2:
             raise UsageError(f"modulus must be >= 2, got {n}")
-        self.n = n
+        self.n = self.modulus = n
 
     def normalize(self, v):
         if type(v) is int:
             return v % self.n
         return _as_int(v) % self.n
+
+    def normalize_all(self, a, b, c=_TWO) -> tuple:
+        n = self.n
+        if type(a) is int and type(b) is int and (c is _TWO or type(c) is int):
+            return (a % n, b % n) if c is _TWO else (a % n, b % n, c % n)
+        return Ring.normalize_all(self, a, b, c)
 
     def is_unit(self, v) -> bool:
         return gcd(self.normalize(v), self.n) == 1
@@ -227,6 +248,11 @@ class RationalRing(Ring):
         if isinstance(v, int):
             return Fraction(v)
         raise UsageError(f"{v!r} is not an int or a Fraction")
+
+    def normalize_all(self, a, b, c=_TWO) -> tuple:
+        if type(a) is Fraction and type(b) is Fraction and (c is _TWO or type(c) is Fraction):
+            return (a, b) if c is _TWO else (a, b, c)
+        return Ring.normalize_all(self, a, b, c)
 
     def is_unit(self, v) -> bool:
         return self.normalize(v) != 0

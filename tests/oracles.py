@@ -1,8 +1,11 @@
 """Brute-force oracles for the similarity and pair-isomorphism tests, the
-argparse parser that the CLI's verb table replaced, the matrix-product
-and Fraction routes that the straight-line integer kernels replaced, and
-the IdealLattice route that composition and the ideal class enumeration
-ran on before the integer lattice core.
+argparse parser that the CLI's verb table replaced, the mat2 sums,
+scalings and vector products that no request path calls, the per-field
+normalize route that one ring call per value replaced, the matrix-product
+and Fraction routes that the straight-line integer kernels replaced
+(the Q screen on Fraction discriminants among them), and the IdealLattice
+route that composition and the ideal class enumeration ran on before the
+integer lattice core.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -31,7 +34,7 @@ from binquad.form import (
     reduce_triple,
     value_set_mod,
 )
-from binquad.mat2 import madd, mat, mdet, mident, minv, mmul, mscale
+from binquad.mat2 import mat, mdet, mident, minv, mmul
 from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading, ideal_is_principal, scalar_ideal
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
 from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
@@ -280,6 +283,45 @@ def dual_conic_fractions(q):
     return BinaryQuadraticForm(QQ, c / det, -b / det, a / det)
 
 
+# -- mat2 operations that no request path calls ------------------------------
+
+
+def madd(ring: Ring, A, B):
+    ((a, b), (c, d)), ((e, f), (g, h)), n = A, B, ring.normalize
+    return ((n(a + e), n(b + f)), (n(c + g), n(d + h)))
+
+
+def mscale(ring: Ring, k, A):
+    ((a, b), (c, d)), n = A, ring.normalize
+    k = n(k)
+    return ((n(k * a), n(k * b)), (n(k * c), n(k * d)))
+
+
+def mapply(ring: Ring, A, v):
+    n = ring.normalize
+    x, y = n(v[0]), n(v[1])
+    return (n(A[0][0] * x + A[0][1] * y), n(A[1][0] * x + A[1][1] * y))
+
+
+# -- the per-field route that one ring call per value replaced --------------
+
+
+def normalize_each(ring: Ring, *vs) -> tuple:
+    """ring.normalize of each value in turn: the fields of a form (a, b, c)
+    or an algebra (t, nm) as their constructors set them one by one."""
+    return tuple(ring.normalize(v) for v in vs)
+
+
+def discriminant_per_field(q) -> tuple:
+    """(4ac - b^2, b^2 - 4ac), each through ring.normalize."""
+    n, classical = q.ring.normalize, q.b * q.b - 4 * q.a * q.c
+    return (n(-classical), n(classical))
+
+
+def disc_per_field(C):
+    return C.ring.normalize(C.t * C.t - 4 * C.nm)
+
+
 # -- the routes the straight-line kernels replaced --------------------------
 
 
@@ -333,6 +375,15 @@ def _diagonalize_rational(q):
     # (x, y) -> (x, x + y), then x -> x - y/2
     h = Fraction(1, 2)
     return ((1, -h), (1, h)), ((h, h), (-1, 1)), b
+
+
+def rational_screen_fractions(d1, d2) -> Optional[str]:
+    """The screen over Q on Fraction discriminants d_i = b_i^2 - 4a_ic_i:
+    `discriminant` when exactly one vanishes or d1*d2 is not a square in Q,
+    else None."""
+    if (d1 == 0) != (d2 == 0) or fraction_sqrt(d1 * d2) is None:
+        return "discriminant"
+    return None
 
 
 def rational_similarity_fractions(q1, q2, d1, d2) -> SimilarityVerdict:

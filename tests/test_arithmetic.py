@@ -22,7 +22,7 @@ from binquad.clifford import (
 )
 from binquad.errors import BinquadError, NonScalarNorm, NotAModule, NotInvertible, NotTraceable
 from binquad.form import BinaryQuadraticForm, SimilarityWitness
-from binquad.mat2 import madd, mapply, mat, mdet, mident, minv, mmul, mscale
+from binquad.mat2 import mat, mdet, mident, minv, mmul
 from binquad.pairs import (
     CliffordPair,
     PairWitness,
@@ -34,6 +34,7 @@ from binquad.pairs import (
     wood_pair,
 )
 from binquad.ring import QQ, ZZ, ModularRing
+from oracles import madd, mapply, mscale
 
 # -- the nested definitions ----------------------------------------------
 

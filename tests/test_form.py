@@ -22,7 +22,12 @@ from binquad.form import (
 )
 from binquad.mat2 import mdet, mmul
 from binquad.ring import ModularRing, QQ, ZZ
-from oracles import bounded_witness_search, definite_reduction_oracle, rational_similarity_product
+from oracles import (
+    bounded_witness_search,
+    definite_reduction_oracle,
+    rational_screen_fractions,
+    rational_similarity_product,
+)
 
 small = st.integers(min_value=-8, max_value=8)
 
@@ -407,8 +412,6 @@ tiny = st.integers(min_value=-1, max_value=1)
     st.booleans(),
 )
 def test_rational_screen_never_contradicts_the_search(c1, c2, m, u, moved):
-    from binquad.form import _screen_not_similar
-
     q1 = BinaryQuadraticForm(QQ, *c1)
     M = ((m[0], m[1]), (m[2], m[3]))
     if moved and m[0] * m[3] - m[1] * m[2] != 0:
@@ -420,7 +423,8 @@ def test_rational_screen_never_contradicts_the_search(c1, c2, m, u, moved):
     w = bounded_witness_search(q1, q2, 1)
     if w is not None:
         assert w.verify(q1, q2)
-        assert _screen_not_similar(q1, q2, q1.discriminant()[1], q2.discriminant()[1]) is None
+        assert rational_screen_fractions(q1.discriminant()[1], q2.discriminant()[1]) is None
+        assert similar(q1, q2).is_similar
 
 
 @given(
@@ -477,7 +481,7 @@ def test_rational_witness_is_the_diagonalisation_product(f1, f2):
     # the closed-form witness is the product P2 diag(1, s) P1^-1 of the
     # oracle entry for entry, in each arm (a != 0; a = 0 and c != 0;
     # a = c = 0) and in rank 1
-    from binquad.form import _rational_similarity, _screen_not_similar
+    from binquad.form import _rational_similarity
 
     q1 = _split_form(*f1) if isinstance(f1[1], tuple) else BinaryQuadraticForm(QQ, *f1)
     if isinstance(f2[1], tuple):
@@ -488,10 +492,10 @@ def test_rational_witness_is_the_diagonalisation_product(f1, f2):
         q2 = q1.act(M, u) if m00 * m11 != m01 * m10 else q1.neg()
     if q1.is_zero() or q2.is_zero():
         return
-    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
-    if _screen_not_similar(q1, q2, d1, d2) is not None:
+    v = _rational_similarity(q1, q2)
+    if not v.is_similar:
         return
-    w = _rational_similarity(q1, q2).witness
+    w = v.witness
     assert w == rational_similarity_product(q1, q2)
     assert {type(x) for x in (*w.m[0], *w.m[1], w.u)} == {Fraction}
 
@@ -514,8 +518,8 @@ def test_rational_witness_needs_no_matrix_product(monkeypatch, capsys):
         (BinaryQuadraticForm(QQ, 1, 2, 1), BinaryQuadraticForm(QQ, -4, 4, -1)),
         (BinaryQuadraticForm(QQ, 2, 1, -3), BinaryQuadraticForm(QQ, 1, 1, -6).act(((1, 1), (0, 5)), 3)),
     ]
-    assert not hasattr(form, "minv") and not hasattr(form, "mapply")
-    for mod, name in ((form, "mmul"), (mat2, "mmul"), (mat2, "minv"), (mat2, "mapply")):
+    assert not hasattr(form, "minv") and not hasattr(form, "mapply") and not hasattr(mat2, "mapply")
+    for mod, name in ((form, "mmul"), (mat2, "mmul"), (mat2, "minv")):
         monkeypatch.setattr(mod, name, refuse)
     monkeypatch.setattr(BinaryQuadraticForm, "evaluate", refuse)
     for q1, q2 in cases:

@@ -1,29 +1,36 @@
 """The straight-line integer kernels against the routes they replaced, which
-live in tests/oracles.py: unrolled 2x2 products, sums and scalings; the
-module relation checked entry by entry; the similarity witness over Q
-checked on cleared integers, with the closed-form witness that every pair
-gets once a form with a = 0 is moved; and composition and inversion on
-Hermite triples against the IdealLattice route.  Each must agree with its
-oracle in value and in type."""
+live in tests/oracles.py: one ring call per value against per-field
+normalize; unrolled 2x2 products, sums and scalings; the module relation
+checked entry by entry; the similarity screen and witness over Q on
+cleared integers, with the closed-form witness that every pair gets once
+a form with a = 0 is moved; and composition and inversion on Hermite
+triples against the IdealLattice route.  Each must agree with its oracle
+in value and in type."""
 
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from binquad.clifford import QuadraticAlgebra, module_axiom_holds
+from binquad.clifford import QuadraticAlgebra, even_clifford, module_axiom_holds
 from binquad.compose import compose, inverse_form
-from binquad.form import BinaryQuadraticForm, SimilarityWitness, _rational_similarity, _screen_not_similar, bqf
-from binquad.mat2 import madd, mmul, mscale
+from binquad.form import BinaryQuadraticForm, SimilarityVerdict, SimilarityWitness, _rational_similarity, bqf
+from binquad.mat2 import mmul
 from binquad.ring import QQ, ZZ, ModularRing
 from oracles import (
     compose_by_lattices,
+    disc_per_field,
+    discriminant_per_field,
     inverse_by_lattices,
+    madd,
     madd_genexpr,
     mmul_genexpr,
     module_axiom_by_products,
+    mscale,
     mscale_genexpr,
+    normalize_each,
+    rational_screen_fractions,
     rational_similarity_fractions,
     similarity_verify_fractions,
 )
@@ -50,6 +57,81 @@ def typed(v):
     if isinstance(v, tuple):
         return tuple(typed(x) for x in v)
     return (type(v).__name__, v)
+
+
+# every kind of value a caller may hand a ring: ints and bools, integral and
+# non-integral Fractions, floats and strings
+anything = st.one_of(
+    ints,
+    st.booleans(),
+    st.integers(min_value=-50, max_value=50).map(Fraction),
+    fractions,
+    st.floats(),
+    st.text(max_size=3),
+)
+all_rings = st.one_of(rings, st.integers(min_value=2**64, max_value=2**200).map(ModularRing))
+# a value's two or three coefficients; ints, bools and Fractions alone often
+# take the fast path
+value_lists = st.one_of(
+    st.lists(anything, min_size=2, max_size=3),
+    st.lists(st.one_of(ints, st.booleans(), fractions), min_size=2, max_size=3),
+)
+
+
+def outcome(fn, *args):
+    """The typed result of fn(*args), or the type and message of what it raised."""
+    try:
+        return "ok", typed(fn(*args))
+    except Exception as e:
+        return "raised", type(e), str(e)
+
+
+def fields(cls, R, *vs):
+    v = cls(R, *vs)
+    assert v.ring is R
+    return tuple(getattr(v, name) for name in cls.__slots__[1:])
+
+
+@given(all_rings, value_lists)
+@example(ZZ, [3, True, -2])
+@example(ZZ, [False, 7])
+@example(ModularRing(5), [True, 7])
+@example(QQ, [Fraction(1, 2), 3, Fraction(4)])
+@example(QQ, [2, Fraction(1, 3)])
+# the last coefficient alone is not of the ring's element type
+@example(ModularRing(5), [1, 2, Fraction(1, 2)])
+@example(ModularRing(5), [1, 2, Fraction(6)])
+@example(ZZ, [1, 2, "x"])
+@example(QQ, [Fraction(1), Fraction(2), 3])
+@example(ModularRing(5), [3, 1.5])
+def test_normalize_all_matches_normalize_per_field(R, vs):
+    assert outcome(R.normalize_all, *vs) == outcome(normalize_each, R, *vs)
+    cls = BinaryQuadraticForm if len(vs) == 3 else QuadraticAlgebra
+    assert outcome(fields, cls, R, *vs) == outcome(normalize_each, R, *vs)
+
+
+@given(all_rings, st.data())
+def test_discriminants_reduce_like_normalize(R, data):
+    raw = st.one_of(ints, fractions) if R == QQ else st.one_of(ints, st.booleans())
+    q = BinaryQuadraticForm(R, *(data.draw(raw) for _ in range(3)))
+    assert typed(q.discriminant()) == typed(discriminant_per_field(q))
+    for C in (even_clifford(q), QuadraticAlgebra(R, data.draw(raw), data.draw(raw))):
+        assert typed(C.disc()) == typed(disc_per_field(C))
+
+
+def test_modular_values_from_ints_take_no_single_value_normalize(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("a single-value normalize ran")
+
+    monkeypatch.setattr(ModularRing, "normalize", refuse)
+    for n in (2, 9, 2**89 - 1):
+        R = ModularRing(n)
+        for a, b, c in ((1, 2, 3), (-7, 10**30, 0), (n, -n, 2 * n + 1)):
+            q = BinaryQuadraticForm(R, a, b, c)
+            d = b * b - 4 * a * c
+            assert q.coeffs() == (a % n, b % n, c % n)
+            assert q.discriminant() == (-d % n, d % n)
+            assert even_clifford(q).disc() == d % n
 
 
 @given(rings, st.data())
@@ -157,9 +239,14 @@ def test_closed_form_rational_witness_matches_fraction_route(data):
         q2 = shaped_form(data)
     if data.draw(st.booleans()):
         q1, q2 = q2, q1
+    # the screen on cleared integer discriminants refuses exactly the pairs
+    # that the screen on Fraction discriminants refuses
     d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
-    assume(_screen_not_similar(q1, q2, d1, d2) is None)
-    new, old = _rational_similarity(q1, q2), rational_similarity_fractions(q1, q2, d1, d2)
+    new = _rational_similarity(q1, q2)
+    if rational_screen_fractions(d1, d2) is not None:
+        assert new == SimilarityVerdict("not_similar", reason="discriminant")
+        return
+    old = rational_similarity_fractions(q1, q2, d1, d2)
     assert new.to_json(QQ) == old.to_json(QQ)
     assert typed(new.witness.m) == typed(old.witness.m) and typed(new.witness.u) == typed(old.witness.u)
 

@@ -18,6 +18,14 @@ from .mat2 import mat
 from .ring import Ring, RingHom, Value, json_ring
 
 
+def tau_product(t, nm, z, w):
+    """(x1 + y1*tau)(x2 + y2*tau) with tau^2 = t*tau - nm, on plain ints, residues or
+    Fractions and not normalized, so each caller normalizes once."""
+    (x1, y1), (x2, y2) = z, w
+    yy = y1 * y2
+    return (x1 * x2 - nm * yy, x1 * y2 + y1 * x2 + t * yy)
+
+
 class QuadraticAlgebra(Value):
     """Free rank-2 algebra <1, tau> with tau^2 = t*tau - nm."""
 
@@ -38,12 +46,7 @@ class QuadraticAlgebra(Value):
         return (R.normalize(x), R.normalize(y))
 
     def mul(self, z, w):
-        """(x1 + y1*tau)(x2 + y2*tau) with tau^2 = t*tau - nm."""
-        n = self.ring.normalize
-        x1, y1 = z
-        x2, y2 = w
-        yy = y1 * y2
-        return (n(x1 * x2 - self.nm * yy), n(x1 * y2 + y1 * x2 + self.t * yy))
+        return self.ring.normalize_all(*tau_product(self.t, self.nm, z, w))
 
     def add(self, z, w):
         n = self.ring.normalize

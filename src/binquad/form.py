@@ -31,6 +31,19 @@ from .ring import (
     json_ring,
 )
 
+
+def basis_change(a, b, c, M):
+    """(q(M e1), b_q(M e1, M e2), q(M e2)): the coefficients of q(M v) for q = (a, b, c), on
+    plain ints, residues or Fractions and not normalized, so each caller normalizes once."""
+    (x1, x2), (y1, y2) = M
+    ax1, cy1 = a * x1, c * y1
+    return (
+        x1 * (ax1 + b * y1) + cy1 * y1,
+        2 * (ax1 * x2 + cy1 * y2) + b * (x1 * y2 + y1 * x2),
+        x2 * (a * x2 + b * y2) + c * y2 * y2,
+    )
+
+
 class BinaryQuadraticForm(Value):
     __slots__ = ("ring", "a", "b", "c")
 
@@ -108,18 +121,7 @@ class BinaryQuadraticForm(Value):
             raise NotInvertible(f"determinant {mdet(R, M)} is not a unit")
         if not R.is_unit(u):
             raise NotInvertible(f"scale {u} is not a unit")
-        return BinaryQuadraticForm(R, *(u * x for x in self._coeffs_under(M)))
-
-    def _coeffs_under(self, M):
-        """(q(M e1), b_q(M e1, M e2), q(M e2)): the coefficients of q(M v)."""
-        (x1, x2), (y1, y2) = M
-        a, b, c = self.a, self.b, self.c
-        ax1, cy1, n = a * x1, c * y1, self.ring.normalize
-        return (
-            n(x1 * (ax1 + b * y1) + cy1 * y1),
-            n(2 * (ax1 * x2 + cy1 * y2) + b * (x1 * y2 + y1 * x2)),
-            n(x2 * (a * x2 + b * y2) + c * y2 * y2),
-        )
+        return BinaryQuadraticForm(R, *(u * x for x in basis_change(self.a, self.b, self.c, M)))
 
     def map(self, hom: RingHom) -> "BinaryQuadraticForm":
         return BinaryQuadraticForm(hom.dst, hom(self.a), hom(self.b), hom(self.c))
@@ -163,16 +165,17 @@ class SimilarityWitness(Value):
     def verify(self, q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> bool:
         """Compares coefficients, which pin a form over every commutative ring; over Q on
         integers, with M = M'/d and q_i = Q_i/L_i: Q2(M'v)*den(u)*L1 == num(u)*Q1*L2*d^2."""
-        R, u, n = q.ring, self.u, q.ring.normalize
+        R, u = q.ring, self.u
         if isinstance(R, RationalRing) and q2.ring == R:
             (e, f, g, h), d = _cleared(*self.m[0], *self.m[1])
             (Q1, L1), (Q2, L2) = _cleared(*q.coeffs()), _cleared(*q2.coeffs())
-            X = BinaryQuadraticForm(ZZ, *Q2)._coeffs_under(((e, f), (g, h)))
+            X = basis_change(*Q2, ((e, f), (g, h)))
             lhs, rhs = u.denominator * L1, u.numerator * L2 * d * d
             return e * h != f * g and rhs != 0 and all(x * lhs == y * rhs for x, y in zip(X, Q1))
         if R != q2.ring or not R.is_unit(mdet(R, self.m)) or not R.is_unit(u):
             return False
-        return q2._coeffs_under(self.m) == (n(u * q.a), n(u * q.b), n(u * q.c))
+        N = R.normalize_all
+        return N(*basis_change(q2.a, q2.b, q2.c, self.m)) == N(u * q.a, u * q.b, u * q.c)
 
     def to_json(self, ring: Ring) -> dict:
         return {"m": mat_to_json(ring, self.m), "u": ring.elem_to_json(self.u)}

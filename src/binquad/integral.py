@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import BudgetExceeded
-from .form import SimilarityVerdict, SimilarityWitness, reduce_triple
+from .form import SimilarityVerdict, SimilarityWitness, basis_change, reduce_triple
 from .mat2 import mmul
 from .modular import _genus_separates
 from .ring import ZZ
@@ -114,8 +114,7 @@ def _split(f, s: int):
         else:
             w = pow(x, -1, abs(y))
             z = (x * w - 1) // y
-        B = 2 * a * x * z + b * (x * w + y * z) + 2 * c * y * w
-        C = a * z * z + b * z * w + c * w * w
+        _, B, C = basis_change(a, b, c, ((x, z), (y, w)))
         if not s:
             return (C, 0, 0), ((z, -x), (w, -y))
         if B == s:

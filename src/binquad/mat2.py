@@ -3,8 +3,8 @@
 Column convention throughout the package: the columns of an action matrix
 are the images of the basis vectors e1, e2.  Each operation unpacks its
 operands and writes out each entry with plain Python operators, normalized
-once, which is exact: Z -> Z/n is a ring map and Q is closed under Fraction
-arithmetic.
+once, one ``normalize_all`` call per row, which is exact: Z -> Z/n is a
+ring map and Q is closed under Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -15,17 +15,16 @@ from .ring import Ring
 
 def mat(ring: Ring, rows):
     (a, b), (c, d) = rows
-    n = ring.normalize
-    return ((n(a), n(b)), (n(c), n(d)))
+    return (ring.normalize_all(a, b), ring.normalize_all(c, d))
 
 
 def mident(ring: Ring):
-    return mat(ring, ((1, 0), (0, 1)))
+    return ((ring.one, ring.zero), (ring.zero, ring.one))
 
 
 def mmul(ring: Ring, A, B):
-    ((a, b), (c, d)), ((e, f), (g, h)), n = A, B, ring.normalize
-    return ((n(a * e + b * g), n(a * f + b * h)), (n(c * e + d * g), n(c * f + d * h)))
+    ((a, b), (c, d)), ((e, f), (g, h)), n = A, B, ring.normalize_all
+    return (n(a * e + b * g, a * f + b * h), n(c * e + d * g, c * f + d * h))
 
 
 def mdet(ring: Ring, A):

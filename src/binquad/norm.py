@@ -6,9 +6,10 @@ One integer lattice core on plain ints does every step, for ``compose``,
 functions alike.  A basis B is a 2x2 int matrix whose columns are the
 coordinates of (alpha, beta) in (1, tau).  ``_product_basis`` and
 ``_conjugate_basis`` return the canonical basis of the lattice spanned by
-the products or conjugates: Hermite data (p, s, r) from ``_hnf_cols``,
-oriented by ``_canonical_basis``.  ``_norm_triple`` reads N(x*alpha +
-y*beta), with N(x + y*tau) = x^2 + t*x*y + nm*y^2; ``_universal_form``
+the products (``clifford.tau_product``) or conjugates: Hermite data
+(p, s, r) from ``_hnf_cols``, oriented by ``_canonical_basis``.  The norm
+form N(x*alpha + y*beta) is the norm N(x + y*tau) = x^2 + t*x*y + nm*y^2
+moved by B, ``form.basis_change(1, t, nm, B)``; ``_universal_form``
 divides it by its content, ``_is_invertible`` asks whether B * conj(B) is
 that content times O, and ``_is_principal`` whether the form represents
 the index.  A form (a, b, c) with a != 0 spans <a, b - tau> in its even
@@ -26,19 +27,12 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Optional
 
-from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, m_left, m_right, map_matrix
+from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, m_left, m_right, map_matrix, tau_product
 from .errors import IncompatibleAlgebras, NotDefinite, NotInvertible, NotPrimitive, UsageError, ZeroForm
-from .form import BinaryQuadraticForm, similar
+from .form import BinaryQuadraticForm, basis_change, similar
 from .mat2 import mat, mat_from_json, mat_to_json
 from .modular import factor
 from .ring import IntegerRing, ModularRing, RationalRing, RingHom, Value, ZZ
-
-
-def _mul(t: int, nm: int, z, w):
-    """(x1 + y1*tau)(x2 + y2*tau) with tau^2 = t*tau - nm."""
-    (x1, y1), (x2, y2) = z, w
-    yy = y1 * y2
-    return (x1 * x2 - nm * yy, x1 * y2 + y1 * x2 + t * yy)
 
 
 def _hnf_cols(cols):
@@ -77,7 +71,7 @@ def _canonical_basis(t: int, p: int, s: int, r: int):
 
 def _product_basis(t: int, nm: int, B1, B2):
     """Canonical basis of the lattice spanned by the pairwise products."""
-    return _canonical_basis(t, *_hnf_cols([_mul(t, nm, x, y) for x in zip(*B1) for y in zip(*B2)]))
+    return _canonical_basis(t, *_hnf_cols([tau_product(t, nm, x, y) for x in zip(*B1) for y in zip(*B2)]))
 
 
 def _conjugate_basis(t: int, B):
@@ -85,19 +79,9 @@ def _conjugate_basis(t: int, B):
     return _canonical_basis(t, *_hnf_cols([(x + y * t, -y) for x, y in zip(*B)]))
 
 
-def _norm_triple(t: int, nm: int, B):
-    """Coefficients of N(x*alpha + y*beta) for the columns alpha, beta of B."""
-    (x1, x2), (y1, y2) = B
-    return (
-        x1 * x1 + t * x1 * y1 + nm * y1 * y1,
-        2 * x1 * x2 + t * (x1 * y2 + y1 * x2) + 2 * nm * y1 * y2,
-        x2 * x2 + t * x2 * y2 + nm * y2 * y2,
-    )
-
-
 def _universal_form(t: int, nm: int, B) -> BinaryQuadraticForm:
     """The norm form on the basis B divided by its content."""
-    f = _norm_triple(t, nm, B)
+    f = basis_change(1, t, nm, B)
     g = gcd(*f)
     return BinaryQuadraticForm(ZZ, f[0] // g, f[1] // g, f[2] // g)
 
@@ -128,7 +112,7 @@ class IdealLattice(Value):
         if self.det() == 0:
             raise UsageError(f"basis {self.basis} is not full rank")
         for col in self.columns():
-            if not self.contains(_mul(alg.t, alg.nm, (0, 1), col)):
+            if not self.contains(tau_product(alg.t, alg.nm, (0, 1), col)):
                 raise UsageError(f"lattice {self.basis} is not closed under tau")
 
     def columns(self):
@@ -208,7 +192,7 @@ def _nonzero_leading(a: int, b: int, c: int):
 
 def naive_norm_form(I: IdealLattice) -> BinaryQuadraticForm:
     """N(x*alpha + y*beta) on the stored basis."""
-    return BinaryQuadraticForm(ZZ, *_norm_triple(I.alg.t, I.alg.nm, I.basis))
+    return BinaryQuadraticForm(ZZ, *basis_change(1, I.alg.t, I.alg.nm, I.basis))
 
 
 def universal_norm_form(I: IdealLattice) -> BinaryQuadraticForm:
@@ -241,7 +225,7 @@ def ideal_conjugate(I: IdealLattice) -> IdealLattice:
 
 def _is_invertible(t: int, nm: int, B) -> bool:
     """B * conj(B) is the scalar lattice g*O, g the content of B's norm form."""
-    g = gcd(*_norm_triple(t, nm, B))
+    g = gcd(*basis_change(1, t, nm, B))
     return _product_basis(t, nm, B, _conjugate_basis(t, B)) == ((g, 0), (0, g))
 
 
@@ -272,7 +256,7 @@ def _represent(A: int, B: int, C: int, target: int):
 def _is_principal(t: int, nm: int, B) -> bool:
     """Whether the lattice of basis B is principal; see ``ideal_is_principal``."""
     p, s, r = _hnf_cols(zip(*B))
-    return bool(_represent(*_norm_triple(t, nm, ((p, s), (0, r))), p * r))
+    return bool(_represent(*basis_change(1, t, nm, ((p, s), (0, r))), p * r))
 
 
 def ideal_is_principal(I: IdealLattice) -> bool:

@@ -1,11 +1,12 @@
 """Brute-force oracles for the similarity and pair-isomorphism tests, the
 argparse parser that the CLI's verb table replaced, the mat2 sums,
 scalings and vector products that no request path calls, the per-field
-normalize route that one ring call per value replaced, the matrix-product
-and Fraction routes that the straight-line integer kernels replaced
-(the Q screen on Fraction discriminants among them), and the IdealLattice
-route that composition and the ideal class enumeration ran on before the
-integer lattice core.
+normalize route that one ring call per value replaced, the copies of the
+basis change q(Mv) and of the <1, tau> product that one function each
+replaced, the matrix-product and Fraction routes that the straight-line
+integer kernels replaced (the Q screen on Fraction discriminants among
+them), and the IdealLattice route that composition and the ideal class
+enumeration ran on before the integer lattice core.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -322,6 +323,48 @@ def disc_per_field(C):
     return C.ring.normalize(C.t * C.t - 4 * C.nm)
 
 
+def mat_per_entry(ring: Ring, rows):
+    """ring.normalize of each entry in row order, as mat2.mat did."""
+    (a, b), (c, d) = rows
+    n = ring.normalize
+    return ((n(a), n(b)), (n(c), n(d)))
+
+
+# -- the copies of q(Mv) and the <1, tau> product that one function replaced -
+
+
+def coeffs_under(q, M):
+    """(q(M e1), b_q(M e1, M e2), q(M e2)), each normalized in q's ring: the
+    form method that act and the witness check called."""
+    (x1, x2), (y1, y2) = M
+    a, b, c = q.a, q.b, q.c
+    ax1, cy1, n = a * x1, c * y1, q.ring.normalize
+    return (
+        n(x1 * (ax1 + b * y1) + cy1 * y1),
+        n(2 * (ax1 * x2 + cy1 * y2) + b * (x1 * y2 + y1 * x2)),
+        n(x2 * (a * x2 + b * y2) + c * y2 * y2),
+    )
+
+
+def norm_triple(t: int, nm: int, B):
+    """Coefficients of N(x*alpha + y*beta) for the columns alpha, beta of B,
+    with N(x + y*tau) = x^2 + t*x*y + nm*y^2: the lattice core's own copy."""
+    (x1, x2), (y1, y2) = B
+    return (
+        x1 * x1 + t * x1 * y1 + nm * y1 * y1,
+        2 * x1 * x2 + t * (x1 * y2 + y1 * x2) + 2 * nm * y1 * y2,
+        x2 * x2 + t * x2 * y2 + nm * y2 * y2,
+    )
+
+
+def lattice_mul(t: int, nm: int, z, w):
+    """(x1 + y1*tau)(x2 + y2*tau) with tau^2 = t*tau - nm: the lattice core's
+    own copy of the product."""
+    (x1, y1), (x2, y2) = z, w
+    yy = y1 * y2
+    return (x1 * x2 - nm * yy, x1 * y2 + y1 * x2 + t * yy)
+
+
 # -- the routes the straight-line kernels replaced --------------------------
 
 
@@ -358,7 +401,7 @@ def similarity_verify_fractions(w: SimilarityWitness, q, q2) -> bool:
     R, u, n = q.ring, w.u, q.ring.normalize
     if R != q2.ring or not R.is_unit(mdet(R, w.m)) or not R.is_unit(u):
         return False
-    return q2._coeffs_under(w.m) == (n(u * q.a), n(u * q.b), n(u * q.c))
+    return coeffs_under(q2, w.m) == (n(u * q.a), n(u * q.b), n(u * q.c))
 
 
 def _diagonalize_rational(q):

@@ -1,11 +1,12 @@
 """The straight-line integer kernels against the routes they replaced, which
-live in tests/oracles.py: one ring call per value against per-field
-normalize; unrolled 2x2 products, sums and scalings; the module relation
-checked entry by entry; the similarity screen and witness over Q on
-cleared integers, with the closed-form witness that every pair gets once
-a form with a = 0 is moved; and composition and inversion on Hermite
-triples against the IdealLattice route.  Each must agree with its oracle
-in value and in type."""
+live in tests/oracles.py: one ring call per value or matrix row against
+per-field normalize; the one basis change q(Mv) and the one product in
+<1, tau> against the copies they replaced; unrolled 2x2 products, sums and
+scalings; the module relation checked entry by entry; the similarity
+screen and witness over Q on cleared integers, with the closed-form
+witness that every pair gets once a form with a = 0 is moved; and
+composition and inversion on Hermite triples against the IdealLattice
+route.  Each must agree with its oracle in value and in type."""
 
 from fractions import Fraction
 from math import gcd, isqrt
@@ -13,22 +14,33 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from binquad.clifford import QuadraticAlgebra, even_clifford, module_axiom_holds
+from binquad.clifford import QuadraticAlgebra, even_clifford, module_axiom_holds, tau_product
 from binquad.compose import compose, inverse_form
-from binquad.form import BinaryQuadraticForm, SimilarityVerdict, SimilarityWitness, _rational_similarity, bqf
-from binquad.mat2 import mmul
-from binquad.ring import QQ, ZZ, ModularRing
+from binquad.form import (
+    BinaryQuadraticForm,
+    SimilarityVerdict,
+    SimilarityWitness,
+    _rational_similarity,
+    basis_change,
+    bqf,
+)
+from binquad.mat2 import mat, mdet, mident, mmul
+from binquad.ring import QQ, ZZ, IntegerRing, ModularRing
 from oracles import (
+    coeffs_under,
     compose_by_lattices,
     disc_per_field,
     discriminant_per_field,
     inverse_by_lattices,
+    lattice_mul,
     madd,
     madd_genexpr,
+    mat_per_entry,
     mmul_genexpr,
     module_axiom_by_products,
     mscale,
     mscale_genexpr,
+    norm_triple,
     normalize_each,
     rational_screen_fractions,
     rational_similarity_fractions,
@@ -132,6 +144,72 @@ def test_modular_values_from_ints_take_no_single_value_normalize(monkeypatch):
             assert q.coeffs() == (a % n, b % n, c % n)
             assert q.discriminant() == (-d % n, d % n)
             assert even_clifford(q).disc() == d % n
+
+
+def test_mat2_rows_take_no_single_value_normalize(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("a single-value normalize ran")
+
+    monkeypatch.setattr(ModularRing, "normalize", refuse)
+    monkeypatch.setattr(IntegerRing, "normalize", refuse)
+    for R in (ZZ, ModularRing(2), ModularRing(9), ModularRing(2**89 - 1)):
+        m = R.modulus
+        red = (lambda v: v % m) if m else (lambda v: v)
+        A, B = ((1, -7), (10**30, 3)), ((2, 0), (-5, 2**70))
+        assert mat(R, A) == tuple(tuple(map(red, row)) for row in A)
+        assert mident(R) == ((1, 0), (0, 1))
+        prod = ((1 * 2 + 7 * 5, -7 * 2**70), (10**30 * 2 - 15, 3 * 2**70))
+        assert mmul(R, A, B) == tuple(tuple(map(red, row)) for row in prod)
+
+
+# numbers whose products never raise, so normalize alone can: ints, bools and
+# Fractions, integral or not
+exact = st.one_of(ints, st.booleans(), fractions)
+
+
+@given(all_rings, st.lists(anything, min_size=4, max_size=4), st.lists(exact, min_size=8, max_size=8))
+def test_mat2_rows_match_normalize_per_entry(R, vs, ws):
+    rows = ((vs[0], vs[1]), (vs[2], vs[3]))
+    assert outcome(mat, R, rows) == outcome(mat_per_entry, R, rows)
+    assert typed(mident(R)) == typed(mat_per_entry(R, ((1, 0), (0, 1))))
+    A, B = ((ws[0], ws[1]), (ws[2], ws[3])), ((ws[4], ws[5]), (ws[6], ws[7]))
+    assert outcome(mmul, R, A, B) == outcome(mmul_genexpr, R, A, B)
+
+
+@given(all_rings, st.data())
+def test_basis_change_matches_the_normalized_method(R, data):
+    q, M = BinaryQuadraticForm(R, *(elem(data, R) for _ in range(3))), matrix(data, R)
+    assert typed(R.normalize_all(*basis_change(q.a, q.b, q.c, M))) == typed(coeffs_under(q, M))
+    # unnormalized plain-int entries over every ring
+    raw = ((data.draw(ints), data.draw(ints)), (data.draw(ints), data.draw(ints)))
+    assert typed(R.normalize_all(*basis_change(q.a, q.b, q.c, raw))) == typed(coeffs_under(q, raw))
+    # act scales the action by u and normalizes once, as the method's
+    # normalized coefficients scaled and normalized again
+    if R == ZZ:
+        k, j = data.draw(ints), data.draw(ints)
+        M = mmul(R, ((1, k), (0, 1)), ((1, 0), (j, 1)))
+        u = data.draw(st.sampled_from([1, -1]))
+    else:
+        u = elem(data, R)
+        assume(R.is_unit(mdet(R, M)) and R.is_unit(u))
+    assert typed(q.act(M, u).coeffs()) == typed(R.normalize_all(*(u * x for x in coeffs_under(q, M))))
+
+
+@given(st.data())
+def test_norm_forms_are_the_action_on_the_norm(data):
+    t, nm, B = data.draw(ints), data.draw(ints), matrix(data, ZZ)
+    assert basis_change(1, t, nm, B) == norm_triple(t, nm, B)
+
+
+@given(all_rings, st.data())
+def test_algebra_product_matches_the_lattice_product(R, data):
+    C = QuadraticAlgebra(R, elem(data, R), elem(data, R))
+    z, w = (elem(data, R), elem(data, R)), (elem(data, R), elem(data, R))
+    assert typed(C.mul(z, w)) == typed(normalize_each(R, *lattice_mul(C.t, C.nm, z, w)))
+    t, nm = data.draw(ints), data.draw(ints)
+    z, w = (data.draw(ints), data.draw(ints)), (data.draw(ints), data.draw(ints))
+    assert tau_product(t, nm, z, w) == lattice_mul(t, nm, z, w)
+    assert typed(C.mul(z, w)) == typed(normalize_each(R, *lattice_mul(C.t, C.nm, z, w)))
 
 
 @given(rings, st.data())

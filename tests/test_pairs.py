@@ -9,7 +9,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binquad import form, pairs
+from binquad import clifford, form, integral, norm, pairs
 from binquad.clifford import QuadraticAlgebra
 from binquad.errors import NotAModule, NotAPerfectSquare, NotTraceable
 from binquad.form import BinaryQuadraticForm, bqf, similar
@@ -511,6 +511,20 @@ def test_no_search_is_left_in_the_library():
         "_diagonalize_rational",
     ):
         assert name not in text, name
+
+
+def test_the_action_and_the_tau_product_are_written_once():
+    # q(Mv) is form.basis_change and the <1, tau> product clifford.tau_product;
+    # the copies they replaced live in tests/oracles.py only
+    src = Path(pairs.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    text = "\n".join(texts.values())
+    for name in ("_coeffs_under", "_norm_triple", "def _mul("):
+        assert name not in text, name
+    for module, name in (("form.py", "def basis_change("), ("clifford.py", "def tau_product(")):
+        assert text.count(name) == 1 and name in texts[module], name
+    assert norm.tau_product is clifford.tau_product
+    assert norm.basis_change is form.basis_change and integral.basis_change is form.basis_change
 
 
 def test_pairs_over_an_unfactorable_modulus_answer_unknown_in_time():

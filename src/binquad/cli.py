@@ -45,10 +45,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_UNKNOWN = 3
+# one encoder for every answer, with the settings json.dumps passes it
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_ENCODER.encode(obj) + "\n")
 
 
 def _fail(kind: str, message: str, code: int) -> int:

@@ -144,7 +144,8 @@ class AlgebraWitness(Value):
     __slots__ = ("k", "eps")
 
     def __init__(self, k, eps):
-        Value.__init__(self, k, eps)
+        _set_k(self, k)
+        _set_eps(self, eps)
 
     def verify(self, C: QuadraticAlgebra, D: QuadraticAlgebra) -> bool:
         R = C.ring
@@ -163,6 +164,9 @@ class AlgebraWitness(Value):
 
     def to_json(self, ring: Ring) -> dict:
         return {"k": ring.elem_to_json(self.k), "eps": ring.elem_to_json(ring.normalize(self.eps))}
+
+
+_set_k, _set_eps = AlgebraWitness._setters
 
 
 def _witness_for_eps(C: QuadraticAlgebra, D: QuadraticAlgebra, eps: int) -> Optional[AlgebraWitness]:

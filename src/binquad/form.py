@@ -160,7 +160,8 @@ class SimilarityWitness(Value):
     __slots__ = ("m", "u")
 
     def __init__(self, m: tuple, u):
-        Value.__init__(self, m, u)
+        _set_m(self, m)
+        _set_u(self, u)
 
     def verify(self, q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> bool:
         """Compares coefficients, which pin a form over every commutative ring; over Q on
@@ -189,7 +190,10 @@ class SimilarityVerdict(Value):
     __slots__ = ("verdict", "witness", "reason", "bound")  # verdict: "similar" | "not_similar" | "unknown"
 
     def __init__(self, verdict: str, witness: Optional[SimilarityWitness] = None, reason=None, bound=None):
-        Value.__init__(self, verdict, witness, reason, bound)
+        _set_verdict(self, verdict)
+        _set_witness(self, witness)
+        _set_reason(self, reason)
+        _set_bound(self, bound)
 
     @property
     def is_similar(self) -> bool:
@@ -208,6 +212,10 @@ class SimilarityVerdict(Value):
         if self.bound is not None:
             out["bound"] = self.bound
         return out
+
+
+_set_m, _set_u = SimilarityWitness._setters
+_set_verdict, _set_witness, _set_reason, _set_bound = SimilarityVerdict._setters
 
 
 def reduce_triple(a: int, b: int, c: int):
@@ -258,9 +266,6 @@ def properly_equivalent(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> boo
     CYCLE_LIMIT).  Forms over other rings raise NotDefinite."""
     if not isinstance(_same_ring(q1, q2), IntegerRing):
         raise NotDefinite("proper equivalence is only decided over Z")
-    # Imported on first use: binquad.integral builds on this module.
-    from .integral import properly_equivalent_integral
-
     return properly_equivalent_integral(q1, q2)
 
 
@@ -337,11 +342,7 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdi
         return SimilarityVerdict("not_similar", reason="zero")
     if q1.coeffs() == q2.coeffs():
         return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
-    # binquad.modular and binquad.integral are imported on first use: they
-    # build on this module, and callers of one ring never compile the other.
     if isinstance(R, ModularRing):
-        from .modular import similar_mod
-
         return similar_mod(q1, q2)
     if isinstance(R, RationalRing):
         return _rational_similarity(q1, q2)
@@ -349,6 +350,9 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdi
         return SimilarityVerdict("not_similar", reason="discriminant")
     if q1.content() != q2.content():
         return SimilarityVerdict("not_similar", reason="content")
-    from .integral import similar_integral
-
     return similar_integral(q1, q2)
+
+
+# bound once, here: binquad.integral and binquad.modular import the names above
+from .integral import properly_equivalent_integral, similar_integral  # noqa: E402
+from .modular import similar_mod  # noqa: E402

@@ -172,11 +172,14 @@ def similar_integral(q1, q2) -> SimilarityVerdict:
     r = isqrt(max(D, 0))
     a, b, c = q1.coeffs()
     try:
+        plus = [_canonical((a, n * b, c), D, r) for n in (1, -1)]
+        if D < 0:  # -f reduces through the same s*f as f: the same T, the negated form
+            minus = [((-g[0], -g[1], -g[2]), T) for g, T in plus]
+        else:
+            minus = [_canonical((-a, -n * b, -c), D, r) for n in (1, -1)]
         targets = {}
-        for u in (1, -1):
-            for n in (1, -1):
-                g, T = _canonical((u * a, u * n * b, u * c), D, r)
-                targets.setdefault(g, (T, n, u))
+        for u, (g, T), n in zip((1, 1, -1, -1), plus + minus, (1, -1, 1, -1)):
+            targets.setdefault(g, (T, n, u))
         T2, hit = _find(q2.coeffs(), targets, D, r)
     except BudgetExceeded:
         T2 = hit = None  # T2 is None only past CYCLE_LIMIT

@@ -19,16 +19,16 @@ Each class gets one canonical form, reached by an explicit (M, lam).
 
 Z/n is the product of its prime powers, so the verdict over Z/n is the
 conjunction of the local verdicts, and the witness is glued from the
-local witnesses by CRT.
+local witnesses by CRT.  The local witnesses are residue kernels: they
+compute on int triples and 2x2 int tuples mod p^k, and the one
+SimilarityWitness is built from the glued ints.
 """
 
 from __future__ import annotations
 
 from math import gcd, prod
 
-from .form import BinaryQuadraticForm, SimilarityVerdict, SimilarityWitness
-from .mat2 import mat, mident, minv, mmul
-from .ring import ModularRing
+from .form import SimilarityVerdict, SimilarityWitness, basis_change
 
 # Trial division runs up to TRIAL_LIMIT, which factors every n <= 10^12;
 # a cofactor left over is accepted only when Miller-Rabin proves it prime.
@@ -150,41 +150,48 @@ def _val(x: int, p: int, k: int):
     return e, x
 
 
-def _diagonalize(q, p: int, k: int, R: ModularRing):
-    """(P, d1, d2) with q(P v) = d1*x^2 + d2*y^2 mod p^k = R.n and
-    v(d1) <= v(d2): complete the square on a coefficient of least
-    valuation, after moving it to a."""
-    a, b, c = (x % R.n for x in q.coeffs())
-    v = min(_val(x, p, k)[0] for x in (a, b, c))
+def _div2(X, Y, m: int):
+    """X * Y^-1 mod m, for 2x2 int tuples with det Y a unit mod m."""
+    ((a, b), (c, d)), ((e, f), (g, h)) = X, Y
+    di = pow(e * h - f * g, -1, m)
+    return (((a * h - b * g) * di % m, (b * e - a * f) * di % m), ((c * h - d * g) * di % m, (d * e - c * f) * di % m))
+
+
+def _diagonal_odd(f, p: int, k: int):
+    """(P, d1, d2) with f(P v) = d1*x^2 + d2*y^2 mod p^k, p odd, for an
+    int triple f, and v(d1) <= v(d2): complete the square on a
+    coefficient of least valuation, after moving it to a."""
+    pk = p**k
+    a, b, c = f[0] % pk, f[1] % pk, f[2] % pk
+    va, vb, vc = _val(a, p, k)[0], _val(b, p, k)[0], _val(c, p, k)[0]
+    v = min(va, vb, vc)
     if v == k:
-        return mident(R), 0, 0
-    P = mident(R)
-    if _val(a, p, k)[0] > v:
-        if _val(c, p, k)[0] == v:
-            P = mat(R, ((0, 1), (1, 0)))
-            a, c = c, a
+        return _I, 0, 0
+    P = _I
+    if va > v:
+        if vc == v:
+            P, a, c = ((0, 1), (1, 0)), c, a
         else:
             # only b has least valuation: (x, y) -> (x, x + y) gives a + b + c
-            P = mat(R, ((1, 0), (1, 1)))
-            a, b = R.normalize(a + b + c), R.normalize(b + 2 * c)
-    # 2*a*t = b mod p^k, so q(x - t*y, y) = a*x^2 + (c - a*t^2)*y^2
-    t = b // p**v * pow(2 * (a // p**v), -1, R.n)
-    P = mmul(R, P, mat(R, ((1, -t), (0, 1))))
-    return P, a, R.normalize(c - a * t * t)
+            P, a, b = ((1, 0), (1, 1)), (a + b + c) % pk, (b + 2 * c) % pk
+    # 2*a*t = b mod p^k, so f(x - t*y, y) = a*x^2 + (c - a*t^2)*y^2
+    t = b // p**v * pow(2 * (a // p**v), -1, pk)
+    (p00, p01), (p10, p11) = P
+    return ((p00, (p01 - p00 * t) % pk), (p10, (p11 - p10 * t) % pk)), a, (c - a * t * t) % pk
 
 
-def _local_witness(q1, q2, p: int, k: int):
-    """(lam, M) over Z/p^k with q2(M v) = lam * q1(v), or None when the
-    Jordan invariants differ."""
-    R = ModularRing(p**k)
-    P1, d11, d12 = _diagonalize(q1, p, k, R)
-    P2, d21, d22 = _diagonalize(q2, p, k, R)
+def _witness_odd(f1, f2, p: int, k: int):
+    """(lam, M) over Z/p^k, p odd, with f2(M v) = lam * f1(v) for int
+    triples f1 and f2, or None when the Jordan invariants differ."""
+    pk = p**k
+    P1, d11, d12 = _diagonal_odd(f1, p, k)
+    P2, d21, d22 = _diagonal_odd(f2, p, k)
     (e1, al1), (e2, al2) = _val(d11, p, k), _val(d12, p, k)
-    (f1, be1), (f2, be2) = _val(d21, p, k), _val(d22, p, k)
-    if (e1, e2) != (f1, f2):
+    (g1, be1), (g2, be2) = _val(d21, p, k), _val(d22, p, k)
+    if (e1, e2) != (g1, g2):
         return None
     # lam matches the first constituents exactly: beta1 = lam * alpha1.
-    lam = R.normalize(be1 * pow(al1, -1, R.n)) if e1 < k else 1
+    lam = be1 * pow(al1, -1, pk) % pk if e1 < k else 1
     s = 1
     if e2 < k:
         # beta2 * s^2 = lam * alpha2 mod p^(k - e2) needs a square root.
@@ -193,8 +200,8 @@ def _local_witness(q1, q2, p: int, k: int):
         if _legendre(x, p) != 1:
             return None
         s = _sqrt_unit(x, p, k - e2)
-    S = mat(R, ((1, 0), (0, s)))
-    return lam, mmul(R, P2, mmul(R, S, minv(R, P1)))
+    (a, b), (c, d) = P2
+    return lam, _div2(((a, b * s), (c, d * s)), P1, pk)  # P2 diag(1, s) P1^-1
 
 
 def _disc_classes_match(d1: int, d2: int, p: int, k: int) -> bool:
@@ -229,86 +236,89 @@ def _sqrt2(x: int, s: int) -> int:
     return r
 
 
-def _canonical2(q, k: int):
-    """(N, lam, M) with q.act(M, lam) == N over Z/2^k, and N one form per
-    similarity class: zero, or 2^e times (0, 1, 0), (1, 1, 1), or
-    (1, 0, 2^f w) with 0 < w < 2^min(t - f, 3)."""
-    e = min(_val(x, 2, k)[0] for x in q.coeffs())
+def _canonical_2adic(q, k: int):
+    """(N, lam, M) with N(v) = lam * q(M v) over Z/2^k, for an int triple
+    q, and N one int triple per similarity class: zero, or 2^e times
+    (0, 1, 0), (1, 1, 1), or (1, 0, 2^f w) with 0 < w < 2^min(t - f, 3)."""
+    e = min(_val(x, 2, k)[0] for x in q)
     if e == k:
         return (0, 0, 0), 1, _I
     t = k - e
-    R = ModularRing(2**t)
-    g, T, lam = BinaryQuadraticForm(R, *(x >> e for x in q.coeffs())), _I, 1
+    m = 1 << t
+    a, b, c = (q[0] >> e) % m, (q[1] >> e) % m, (q[2] >> e) % m
+    T, lam = _I, 1
 
     def move(M):
-        nonlocal g, T
-        g, T = g.act(M, 1), mmul(R, T, M)
+        nonlocal a, b, c, T
+        a, b, c = (x % m for x in basis_change(a, b, c, M))
+        ((t00, t01), (t10, t11)), ((x1, x2), (y1, y2)) = T, M
+        T = (((t00 * x1 + t01 * y1) % m, (t00 * x2 + t01 * y2) % m), ((t10 * x1 + t11 * y1) % m, (t10 * x2 + t11 * y2) % m))
 
     swap = ((0, 1), (1, 0))
-    a, b, c = g.coeffs()
     if b % 2 and a * c % 2 == 0:
         # xy: an isotropic vector (x, 1) to e1, then clear c and scale b to 1
         if c % 2:
             move(swap)
-        move(((_hensel2(*g.coeffs(), R.n), 1), (1, 0)))
-        move(((1, -g.c * R.inv(g.b)), (0, 1)))
-        move(((R.inv(g.b), 0), (0, 1)))
+        move(((_hensel2(a, b, c, m), 1), (1, 0)))
+        move(((1, -c * pow(b, -1, m)), (0, 1)))
+        move(((pow(b, -1, m), 0), (0, 1)))
     elif b % 2:
         # x^2 + xy + y^2: a vector (1, y) of value 1 to e1, then b = 1, c = 1
-        move(((1, 0), (_hensel2(c, b, a - 1, R.n), 1)))
-        move(((1, (1 - g.b) // 2), (0, 1)))
-        x = _hensel2(4 * g.c - 1, 1 - 4 * g.c, g.c - 1, R.n)
+        move(((1, 0), (_hensel2(c, b, a - 1, m), 1)))
+        move(((1, (1 - b) // 2), (0, 1)))
+        x = _hensel2(4 * c - 1, 1 - 4 * c, c - 1, m)
         move(((1, x), (0, 1 - 2 * x)))
     else:
         # <1, h> after completing the square on an odd a and scaling by 1/a
         if a % 2 == 0:
             move(swap)
-        move(((1, -(g.b // 2) * R.inv(g.a)), (0, 1)))
-        lam = R.inv(g.a)
-        g = BinaryQuadraticForm(R, 1, 0, lam * g.c)
-        f, w = _val(g.c, 2, t)
+        lam = pow(a, -1, m)
+        move(((1, -(b // 2) * lam), (0, 1)))
+        a, b, c = 1, 0, lam * c % m
+        f, w = _val(c, 2, t)
         if t == 1 and f == 0:
             move(((1, 1), (0, 1)))  # x^2 + y^2 = (x + y)^2 mod 2
         elif f < t:
             j = min(t - f, 3)
-            move(((1, 0), (0, _sqrt2(w % 2**j * R.inv(w), t - f))))
-    return tuple(x << e for x in g.coeffs()), lam, T
+            move(((1, 0), (0, _sqrt2(w % 2**j * pow(w, -1, m), t - f))))
+    return (a << e, b << e, c << e), lam, T
 
 
-def _dyadic_witness(q1, q2, k: int):
-    """(lam, M) over Z/2^k with q2(M v) = lam * q1(v), or None when the
-    canonical forms differ."""
-    (N1, lam1, M1), (N2, lam2, M2) = _canonical2(q1, k), _canonical2(q2, k)
+def _witness_2adic(f1, f2, k: int):
+    """(lam, M) over Z/2^k with f2(M v) = lam * f1(v) for int triples f1
+    and f2, or None when the canonical forms differ."""
+    (N1, lam1, M1), (N2, lam2, M2) = _canonical_2adic(f1, k), _canonical_2adic(f2, k)
     if N1 != N2:
         return None
-    R = ModularRing(2**k)
-    return R.normalize(lam1 * R.inv(lam2)), mmul(R, M2, minv(R, M1))
+    m = 1 << k
+    return lam1 * pow(lam2, -1, m) % m, _div2(M2, M1, m)
 
 
-def _crt(residues, moduli) -> int:
+def _crt(local, moduli):
+    """(lam, M) mod the product n of the moduli, glued from the local
+    witnesses mod each: every residue times n/m * (n/m)^-1 mod m, summed."""
     n = prod(moduli)
-    x = 0
-    for r, m in zip(residues, moduli):
-        x += r * (n // m) * pow(n // m, -1, m)
-    return x % n
+    lam = a = b = c = d = 0
+    for (l, ((m00, m01), (m10, m11))), m in zip(local, moduli):
+        e = n // m * pow(n // m, -1, m)
+        lam, a, b, c, d = lam + l * e, a + m00 * e, b + m01 * e, c + m10 * e, d + m11 * e
+    return lam % n, ((a % n, b % n), (c % n, d % n))
 
 
 def similar_mod(q1, q2) -> SimilarityVerdict:
     """Similarity over Z/n, for distinct forms that passed the zero
     screen: decided unless n cannot be factored within TRIAL_LIMIT."""
-    R = q1.ring
-    primes = factor(R.n)
+    primes = factor(q1.ring.n)
     if primes is None:
         return SimilarityVerdict("unknown", reason="factoring", bound=TRIAL_LIMIT)
     d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
     if not all(_disc_classes_match(d1, d2, p, k) for p, k in primes.items()):
         return SimilarityVerdict("not_similar", reason="discriminant")
-    local = [_dyadic_witness(q1, q2, k) if p == 2 else _local_witness(q1, q2, p, k) for p, k in primes.items()]
+    f1, f2 = q1.coeffs(), q2.coeffs()
+    local = [_witness_2adic(f1, f2, k) if p == 2 else _witness_odd(f1, f2, p, k) for p, k in primes.items()]
     if None in local:
         return SimilarityVerdict("not_similar", reason="jordan_invariants")
-    moduli = [p**k for p, k in primes.items()]
-    lam = _crt([w[0] for w in local], moduli)
-    M = mat(R, [[_crt([w[1][i][j] for w in local], moduli) for j in range(2)] for i in range(2)])
+    lam, M = _crt(local, [p**k for p, k in primes.items()])
     w = SimilarityWitness(M, lam)
     if not w.verify(q1, q2):
         raise AssertionError("Jordan splitting produced a bad witness")

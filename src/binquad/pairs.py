@@ -94,7 +94,8 @@ class PairWitness(Value):
     __slots__ = ("psi", "phi")
 
     def __init__(self, psi: tuple, phi: AlgebraWitness):
-        Value.__init__(self, psi, phi)
+        _set_psi(self, psi)
+        _set_phi(self, phi)
 
     def verify(self, p: CliffordPair, p2: CliffordPair) -> bool:
         """psi*M == (k + eps*M2)*psi, compared entry by entry."""
@@ -118,13 +119,20 @@ class PairVerdict(Value):
     __slots__ = ("verdict", "witness", "reason", "bound")  # verdict: "isomorphic" | "not_isomorphic" | "unknown"
 
     def __init__(self, verdict: str, witness: Optional[PairWitness] = None, reason=None, bound=None):
-        Value.__init__(self, verdict, witness, reason, bound)
+        _set_verdict(self, verdict)
+        _set_witness(self, witness)
+        _set_reason(self, reason)
+        _set_bound(self, bound)
 
     @property
     def is_isomorphic(self) -> bool:
         return self.verdict == "isomorphic"
 
     to_json = SimilarityVerdict.to_json  # verdict, then witness, reason and bound where set
+
+
+_set_psi, _set_phi = PairWitness._setters
+_set_verdict, _set_witness, _set_reason, _set_bound = PairVerdict._setters
 
 
 def _witness_from_similarity(p, p2, shift1, shift2, q2, simw) -> Optional[PairWitness]:

@@ -5,8 +5,10 @@ normalize route that one ring call per value replaced, the copies of the
 basis change q(Mv) and of the <1, tau> product that one function each
 replaced, the matrix-product and Fraction routes that the straight-line
 integer kernels replaced (the Q screen on Fraction discriminants among
-them), and the IdealLattice route that composition and the ideal class
-enumeration ran on before the integer lattice core.
+them), the IdealLattice route that composition and the ideal class
+enumeration ran on before the integer lattice core, and the ModularRing
+route of the local similarity witnesses over Z/n that the residue
+kernels replaced.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -19,7 +21,7 @@ import argparse
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Optional
 
 from binquad.clifford import QuadraticAlgebra, _witness_for_eps, even_clifford
@@ -36,6 +38,17 @@ from binquad.form import (
     value_set_mod,
 )
 from binquad.mat2 import mat, mdet, mident, minv, mmul
+from binquad.modular import (
+    TRIAL_LIMIT,
+    _I,
+    _disc_classes_match,
+    _hensel2,
+    _legendre,
+    _sqrt2,
+    _sqrt_unit,
+    _val,
+    factor,
+)
 from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading, ideal_is_principal, scalar_ideal
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
 from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
@@ -588,6 +601,145 @@ def principal_by_generator(I: IdealLattice) -> bool:
             if IdealLattice(alg, ((g0, gt0), (g1, gt1))).canonical().basis == Ic.basis:
                 return True
     return False
+
+
+# -- the ModularRing route that the residue kernels replaced ---------------
+#
+# similar over Z/n as it was: the local witnesses over ModularRing(p**k),
+# with forms and mat2 matrices, glued by one CRT call per value.
+
+
+def _diagonalize(q, p: int, k: int, R: ModularRing):
+    """(P, d1, d2) with q(P v) = d1*x^2 + d2*y^2 mod p^k = R.n and
+    v(d1) <= v(d2): complete the square on a coefficient of least
+    valuation, after moving it to a."""
+    a, b, c = (x % R.n for x in q.coeffs())
+    v = min(_val(x, p, k)[0] for x in (a, b, c))
+    if v == k:
+        return mident(R), 0, 0
+    P = mident(R)
+    if _val(a, p, k)[0] > v:
+        if _val(c, p, k)[0] == v:
+            P = mat(R, ((0, 1), (1, 0)))
+            a, c = c, a
+        else:
+            # only b has least valuation: (x, y) -> (x, x + y) gives a + b + c
+            P = mat(R, ((1, 0), (1, 1)))
+            a, b = R.normalize(a + b + c), R.normalize(b + 2 * c)
+    # 2*a*t = b mod p^k, so q(x - t*y, y) = a*x^2 + (c - a*t^2)*y^2
+    t = b // p**v * pow(2 * (a // p**v), -1, R.n)
+    P = mmul(R, P, mat(R, ((1, -t), (0, 1))))
+    return P, a, R.normalize(c - a * t * t)
+
+
+def _local_witness(q1, q2, p: int, k: int):
+    """(lam, M) over Z/p^k with q2(M v) = lam * q1(v), or None when the
+    Jordan invariants differ."""
+    R = ModularRing(p**k)
+    P1, d11, d12 = _diagonalize(q1, p, k, R)
+    P2, d21, d22 = _diagonalize(q2, p, k, R)
+    (e1, al1), (e2, al2) = _val(d11, p, k), _val(d12, p, k)
+    (f1, be1), (f2, be2) = _val(d21, p, k), _val(d22, p, k)
+    if (e1, e2) != (f1, f2):
+        return None
+    # lam matches the first constituents exactly: beta1 = lam * alpha1.
+    lam = R.normalize(be1 * pow(al1, -1, R.n)) if e1 < k else 1
+    s = 1
+    if e2 < k:
+        # beta2 * s^2 = lam * alpha2 mod p^(k - e2) needs a square root.
+        pj = p ** (k - e2)
+        x = lam * al2 * pow(be2, -1, pj) % pj
+        if _legendre(x, p) != 1:
+            return None
+        s = _sqrt_unit(x, p, k - e2)
+    S = mat(R, ((1, 0), (0, s)))
+    return lam, mmul(R, P2, mmul(R, S, minv(R, P1)))
+
+
+def _canonical2(q, k: int):
+    """(N, lam, M) with q.act(M, lam) == N over Z/2^k, and N one form per
+    similarity class: zero, or 2^e times (0, 1, 0), (1, 1, 1), or
+    (1, 0, 2^f w) with 0 < w < 2^min(t - f, 3)."""
+    e = min(_val(x, 2, k)[0] for x in q.coeffs())
+    if e == k:
+        return (0, 0, 0), 1, _I
+    t = k - e
+    R = ModularRing(2**t)
+    g, T, lam = BinaryQuadraticForm(R, *(x >> e for x in q.coeffs())), _I, 1
+
+    def move(M):
+        nonlocal g, T
+        g, T = g.act(M, 1), mmul(R, T, M)
+
+    swap = ((0, 1), (1, 0))
+    a, b, c = g.coeffs()
+    if b % 2 and a * c % 2 == 0:
+        # xy: an isotropic vector (x, 1) to e1, then clear c and scale b to 1
+        if c % 2:
+            move(swap)
+        move(((_hensel2(*g.coeffs(), R.n), 1), (1, 0)))
+        move(((1, -g.c * R.inv(g.b)), (0, 1)))
+        move(((R.inv(g.b), 0), (0, 1)))
+    elif b % 2:
+        # x^2 + xy + y^2: a vector (1, y) of value 1 to e1, then b = 1, c = 1
+        move(((1, 0), (_hensel2(c, b, a - 1, R.n), 1)))
+        move(((1, (1 - g.b) // 2), (0, 1)))
+        x = _hensel2(4 * g.c - 1, 1 - 4 * g.c, g.c - 1, R.n)
+        move(((1, x), (0, 1 - 2 * x)))
+    else:
+        # <1, h> after completing the square on an odd a and scaling by 1/a
+        if a % 2 == 0:
+            move(swap)
+        move(((1, -(g.b // 2) * R.inv(g.a)), (0, 1)))
+        lam = R.inv(g.a)
+        g = BinaryQuadraticForm(R, 1, 0, lam * g.c)
+        f, w = _val(g.c, 2, t)
+        if t == 1 and f == 0:
+            move(((1, 1), (0, 1)))  # x^2 + y^2 = (x + y)^2 mod 2
+        elif f < t:
+            j = min(t - f, 3)
+            move(((1, 0), (0, _sqrt2(w % 2**j * R.inv(w), t - f))))
+    return tuple(x << e for x in g.coeffs()), lam, T
+
+
+def _dyadic_witness(q1, q2, k: int):
+    """(lam, M) over Z/2^k with q2(M v) = lam * q1(v), or None when the
+    canonical forms differ."""
+    (N1, lam1, M1), (N2, lam2, M2) = _canonical2(q1, k), _canonical2(q2, k)
+    if N1 != N2:
+        return None
+    R = ModularRing(2**k)
+    return R.normalize(lam1 * R.inv(lam2)), mmul(R, M2, minv(R, M1))
+
+
+def _crt(residues, moduli) -> int:
+    n = prod(moduli)
+    x = 0
+    for r, m in zip(residues, moduli):
+        x += r * (n // m) * pow(n // m, -1, m)
+    return x % n
+
+
+def similar_mod_by_rings(q1, q2) -> SimilarityVerdict:
+    """similar_mod as it was: the local witnesses above, glued by one CRT
+    call per value."""
+    R = q1.ring
+    primes = factor(R.n)
+    if primes is None:
+        return SimilarityVerdict("unknown", reason="factoring", bound=TRIAL_LIMIT)
+    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+    if not all(_disc_classes_match(d1, d2, p, k) for p, k in primes.items()):
+        return SimilarityVerdict("not_similar", reason="discriminant")
+    local = [_dyadic_witness(q1, q2, k) if p == 2 else _local_witness(q1, q2, p, k) for p, k in primes.items()]
+    if None in local:
+        return SimilarityVerdict("not_similar", reason="jordan_invariants")
+    moduli = [p**k for p, k in primes.items()]
+    lam = _crt([w[0] for w in local], moduli)
+    M = mat(R, [[_crt([w[1][i][j] for w in local], moduli) for j in range(2)] for i in range(2)])
+    w = SimilarityWitness(M, lam)
+    if not w.verify(q1, q2):
+        raise AssertionError("Jordan splitting produced a bad witness")
+    return SimilarityVerdict("similar", witness=w)
 
 
 def build_parser() -> argparse.ArgumentParser:

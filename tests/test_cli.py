@@ -48,6 +48,18 @@ def test_disc_golden(capsys):
     assert out == '{"classical":-23,"paper":23}\n'
 
 
+def test_answers_take_one_encoder(monkeypatch, capsys):
+    # every answer goes through the CLI's one JSONEncoder, with json.dumps's bytes
+    def refuse(*args, **kwargs):
+        raise AssertionError("an answer built its own encoder")
+
+    argv = ["similar", form_json(2, 1, 3), form_json(3, -1, 2)]
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "__init__", refuse)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == '{"verdict":"similar","witness":{"m":[[0,-1],[1,0]],"u":1}}\n'
+
+
 def test_compose_proper_reduce(capsys):
     code, out = run_json(capsys, ["compose", form_json(2, 1, 3), form_json(2, 1, 3), "--proper-reduce"])
     assert code == 0

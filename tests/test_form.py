@@ -17,6 +17,7 @@ from binquad.form import (
     bqf,
     properly_equivalent,
     reduce_definite,
+    reduce_triple,
     similar,
     value_set_mod,
 )
@@ -360,6 +361,30 @@ def test_definite_decisions_call_no_reduce_definite(monkeypatch):
     assert properly_equivalent(q1, bqf(2, -1, 3))
     assert not properly_equivalent(bqf(2, 1, 3), bqf(2, -1, 3))
     assert not properly_equivalent(q1, q2)
+
+
+def test_definite_similarity_reduces_three_forms(monkeypatch):
+    # q1 under N = diag(1, +-1) and q2: at D < 0 the variants -q1 reduce
+    # through the same positive form, so they reuse its reduction, negated;
+    # the witnesses are those of the four separate reductions
+    import binquad.integral
+
+    calls = []
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return reduce_triple(a, b, c)
+
+    monkeypatch.setattr(binquad.integral, "reduce_triple", counted)
+    for q1, q2, m, u in (
+        ((4, 5, 3), (-2, -1, -3), [[-1, 0], [1, 1]], -1),
+        ((2, 1, 3), (3, -1, 2), [[0, -1], [1, 0]], 1),
+        ((-6, 2, -1), (1, 0, 5), [[-1, 1], [-1, 0]], -1),
+        ((3, 1, 2), (-2, 1, -3), [[0, 1], [-1, 0]], -1),
+    ):
+        calls.clear()
+        v = similar(bqf(*q1), bqf(*q2))
+        assert v.to_json(ZZ) == {"verdict": "similar", "witness": {"m": m, "u": u}} and len(calls) == 3
 
 
 def test_value_set_is_a_class_invariant():

@@ -4,17 +4,21 @@ per-field normalize; the one basis change q(Mv) and the one product in
 <1, tau> against the copies they replaced; unrolled 2x2 products, sums and
 scalings; the module relation checked entry by entry; the similarity
 screen and witness over Q on cleared integers, with the closed-form
-witness that every pair gets once a form with a = 0 is moved; and
+witness that every pair gets once a form with a = 0 is moved;
 composition and inversion on Hermite triples against the IdealLattice
-route.  Each must agree with its oracle in value and in type."""
+route; and the local similarity witnesses over Z/n on residues against
+the ModularRing route.  Each must agree with its oracle in value and in
+type."""
 
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from binquad.clifford import QuadraticAlgebra, even_clifford, module_axiom_holds, tau_product
+import binquad.mat2
+import binquad.modular
 from binquad.compose import compose, inverse_form
 from binquad.form import (
     BinaryQuadraticForm,
@@ -23,10 +27,16 @@ from binquad.form import (
     _rational_similarity,
     basis_change,
     bqf,
+    similar,
 )
 from binquad.mat2 import mat, mdet, mident, mmul
+from binquad.modular import _canonical_2adic, _diagonal_odd, _witness_2adic, _witness_odd, similar_mod
 from binquad.ring import QQ, ZZ, IntegerRing, ModularRing
 from oracles import (
+    _canonical2,
+    _diagonalize,
+    _dyadic_witness,
+    _local_witness,
     coeffs_under,
     compose_by_lattices,
     disc_per_field,
@@ -45,6 +55,7 @@ from oracles import (
     rational_screen_fractions,
     rational_similarity_fractions,
     similarity_verify_fractions,
+    similar_mod_by_rings,
 )
 
 rings = st.one_of(st.just(ZZ), st.just(QQ), st.integers(min_value=2, max_value=60).map(ModularRing))
@@ -370,3 +381,90 @@ def test_compose_and_inverse_match_the_lattice_route(kind, data):
     for q in (q1, q2):
         got, want = inverse_form(q), inverse_by_lattices(q)
         assert typed(got.coeffs()) == typed(want.coeffs()) and got == want
+
+
+# p^k for the odd primes with p^k <= 3^5, and 2^k for k <= 8, drawn half the time
+ODD_POWERS = [(p, k) for p in range(3, 244, 2) if all(p % d for d in range(3, p, 2)) for k in range(1, 6) if p**k <= 3**5]
+prime_powers = st.one_of(st.sampled_from(ODD_POWERS), st.sampled_from([(2, k) for k in range(1, 9)]))
+
+
+def unit(x: int, n: int) -> int:
+    """The least unit mod n from x up."""
+    while gcd(x, n) != 1:
+        x += 1
+    return x
+
+
+@st.composite
+def modular_pairs(draw, n):
+    """Two forms over Z/n: the second moved from the first by some M in GL2
+    and a unit u, or drawn on its own.  Coefficients carry powers of 2 and
+    3, and the first form a common factor, so forms of every valuation and
+    content appear at small p."""
+    R = ModularRing(n)
+    coeff = st.builds(lambda x, y: x * y, st.integers(0, n - 1), st.sampled_from((1, 2, 3, 4, 8, 9, 16, 27)))
+    g = draw(st.sampled_from((1, 1, 2, 3, 4, 8, 9)))
+    q1 = BinaryQuadraticForm(R, *(g * draw(coeff) for _ in range(3)))
+    if draw(st.booleans()):
+        # ((1, x), (0, 1)) ((1, 0), (y, 1)) diag(s, v), its columns swapped or not
+        x, y, s, v, u = (draw(st.integers(0, n - 1)) for _ in range(5))
+        s, v, u = unit(s, n), unit(v, n), unit(u, n)
+        cols = ((s * (1 + x * y), s * y), (v * x, v))
+        (c1, c2) = cols[::-1] if draw(st.booleans()) else cols
+        return q1, q1.act(((c1[0], c2[0]), (c1[1], c2[1])), u)
+    return q1, BinaryQuadraticForm(R, *(draw(coeff) for _ in range(3)))
+
+
+@settings(max_examples=300)
+@given(prime_powers, st.data())
+@example((3, 5), None)
+@example((2, 8), None)
+def test_local_witnesses_match_the_modular_ring_route(pk, data):
+    # the diagonal and canonical forms with their matrices, then (lam, M) or None
+    p, k = pk
+    q1, q2 = data.draw(modular_pairs(p**k)) if data else (bqf(1, 2, 3, ModularRing(p**k)), bqf(6, 0, 2 * p, ModularRing(p**k)))
+    if p == 2:
+        for q in (q1, q2):
+            assert typed(_canonical_2adic(q.coeffs(), k)) == typed(_canonical2(q, k))
+        got, want = _witness_2adic(q1.coeffs(), q2.coeffs(), k), _dyadic_witness(q1, q2, k)
+    else:
+        for q in (q1, q2):
+            assert typed(_diagonal_odd(q.coeffs(), p, k)) == typed(_diagonalize(q, p, k, ModularRing(p**k)))
+        got, want = _witness_odd(q1.coeffs(), q2.coeffs(), p, k), _local_witness(q1, q2, p, k)
+    assert typed(got) == typed(want)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 20), st.integers(1, 1100), st.data())
+@example(20, 504, None)
+def test_similar_mod_matches_the_modular_ring_route_at_mixed_n(k, m, data):
+    n = 2**k * (2 * m + 1)  # 2^20 * 1009 among them
+    q1, q2 = data.draw(modular_pairs(n)) if data else (bqf(3, 5, 14, ModularRing(n)), bqf(7, 1, 2, ModularRing(n)))
+    got, want = similar_mod(q1, q2), similar_mod_by_rings(q1, q2)
+    assert got == want
+    if got.witness is not None:
+        assert typed((got.witness.u, got.witness.m)) == typed((want.witness.u, want.witness.m))
+
+
+def test_similar_over_z_mod_n_builds_no_ring_and_no_mat2_matrix(monkeypatch):
+    # the local witnesses compute on residues; the one ring is the forms'
+    pairs = []
+    for n in (45, 2018, 2**20 * 1009):
+        R = ModularRing(n)
+        q = BinaryQuadraticForm(R, 3, 5, 14)
+        for M, u in ((((2, 1), (1, 1)), 1), (((0, 1), (1, 0)), 7), (((1, 4), (0, 1)), n - 1)):
+            pairs.append((q, q.act(M, u)))
+        pairs += [(q, BinaryQuadraticForm(R, 1, 0, 1)), (q, BinaryQuadraticForm(R, 2, 2, 6)), (q, q.neg())]
+    wants = [similar_mod_by_rings(q1, q2) for q1, q2 in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ring or mat2 matrix was built")
+
+    monkeypatch.setattr(ModularRing, "__init__", refuse)
+    for name in ("mmul", "minv", "mident"):
+        monkeypatch.setattr(binquad.mat2, name, refuse)
+        assert not hasattr(binquad.modular, name)
+    verdicts = [similar(q1, q2) for q1, q2 in pairs]
+    assert verdicts == wants and {v.verdict for v in verdicts} == {"similar", "not_similar"}
+    for (q1, q2), v in zip(pairs, verdicts):
+        assert not v.is_similar or v.witness.verify(q1, q2)

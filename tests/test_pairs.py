@@ -513,6 +513,19 @@ def test_no_search_is_left_in_the_library():
         assert name not in text, name
 
 
+def test_the_modular_witnesses_are_residue_kernels():
+    # the ModularRing route of the local witnesses lives in tests/oracles.py
+    # only; binquad.modular computes on ints mod p^k and builds no ring,
+    # form or mat2 matrix
+    src = Path(pairs.__file__).parent
+    text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
+    for name in ("_diagonalize", "_local_witness", "_canonical2", "_dyadic_witness"):
+        assert name not in text, name
+    modular = (src / "modular.py").read_text()
+    for name in ("ModularRing", "BinaryQuadraticForm", "mat2", ".act("):
+        assert name not in modular, name
+
+
 def test_the_action_and_the_tau_product_are_written_once():
     # q(Mv) is form.basis_change and the <1, tau> product clifford.tau_product;
     # the copies they replaced live in tests/oracles.py only

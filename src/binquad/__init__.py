@@ -1,18 +1,15 @@
 """Exact arithmetic for binary quadratic forms and their Clifford data:
-even Clifford algebras and bimodules, form/pair correspondence, duality,
+even Clifford algebras, form/pair correspondence, duality,
 ideal lattices with universal norm forms, Gauss composition, and
 class-group verification over Z, Z/n, and Q.
 """
 
 from .clifford import (
     AlgebraWitness,
-    CliffordModule,
     QuadraticAlgebra,
     algebra_isomorphic,
     automorphisms,
-    clifford_bimodule,
     even_clifford,
-    is_traceable,
     m_left,
     m_right,
     quat_conj,
@@ -35,7 +32,6 @@ from .form import (
     properly_equivalent,
     reduce_definite,
     similar,
-    value_set_mod,
 )
 from .norm import (
     IdealLattice,
@@ -47,7 +43,6 @@ from .norm import (
     ideal_is_principal,
     ideal_multiply,
     naive_norm_form,
-    scalar_ideal,
     universal_norm_form,
 )
 from .pairs import (

@@ -16,8 +16,6 @@ from .clifford import (
     algebra_isomorphic,
     automorphisms,
     even_clifford,
-    is_traceable,
-    m_left,
     quat_conj,
     quat_mul,
     quat_norm,
@@ -171,10 +169,10 @@ def criterion_traceability():
     for R in rings:
         for a, b, c in _grid(-10, 10):
             q = BinaryQuadraticForm(R, a, b, c)
-            if not is_traceable(even_clifford(q), m_left(q)):
+            if not form_to_pair(q).is_traceable():
                 return False, f"left action not traceable at {q}"
     split = QuadraticAlgebra(ZZ, 1, 0)
-    if is_traceable(split, ((1, 0), (0, 1))):
+    if CliffordPair(split, ((1, 0), (0, 1))).is_traceable():
         return False, "identity matrix passed as traceable for tau^2 = tau"
     return True, "full grid over 4 rings; split counterexample rejected"
 

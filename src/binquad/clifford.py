@@ -1,6 +1,5 @@
-"""Even Clifford algebras of binary forms, their bimodules, the standard
-involution, and the rank-4 quaternion algebra attached to a trivially
-valued form.
+"""Even Clifford algebras of binary forms and the rank-4 quaternion
+algebra attached to a trivially valued form.
 
 The even algebra of q = (a, b, c) is free on (1, tau) with
 tau^2 = b*tau - a*c; the odd part is the underlying rank-2 module with
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import NonScalarNorm, NotAModule, UnsupportedRing, UsageError
+from .errors import NonScalarNorm, UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm
 from .mat2 import mat
 from .ring import Ring, RingHom, Value, json_ring
@@ -41,34 +40,10 @@ class QuadraticAlgebra(Value):
         d, m = self.t * self.t - 4 * self.nm, self.ring.modulus
         return d % m if m else d
 
-    def elem(self, x, y=0):
-        R = self.ring
-        return (R.normalize(x), R.normalize(y))
-
-    def mul(self, z, w):
-        return self.ring.normalize_all(*tau_product(self.t, self.nm, z, w))
-
-    def add(self, z, w):
-        n = self.ring.normalize
-        return (n(z[0] + w[0]), n(z[1] + w[1]))
-
-    def conj(self, z):
-        """Standard involution: x + y*tau -> (x + y*t) - y*tau."""
-        n = self.ring.normalize
-        x, y = z
-        return (n(x + y * self.t), n(-y))
-
-    def trace(self, z):
-        return self.ring.normalize(2 * z[0] + z[1] * self.t)
-
     def norm(self, z):
         """x^2 + t*x*y + nm*y^2, the value of z * conj(z)."""
         x, y = z
         return self.ring.normalize(x * x + self.t * x * y + self.nm * y * y)
-
-    def regular_matrix(self):
-        """Left multiplication by tau on the algebra itself."""
-        return mat(self.ring, ((0, -self.nm), (1, self.t)))
 
     def map(self, hom: RingHom) -> "QuadraticAlgebra":
         return QuadraticAlgebra(hom.dst, hom(self.t), hom(self.nm))
@@ -96,23 +71,12 @@ def even_clifford(q: BinaryQuadraticForm) -> QuadraticAlgebra:
 
 def m_left(q: BinaryQuadraticForm):
     """tau*e1 = b*e1 - a*e2, tau*e2 = c*e1."""
-    return mat(q.ring, ((q.b, q.c), (-q.a, 0)))
+    return mat(q.ring, ((q.b, q.c), (-q.a, q.ring.zero)))
 
 
 def m_right(q: BinaryQuadraticForm):
     """e1*tau = a*e2, e2*tau = b*e2 - c*e1."""
-    return mat(q.ring, ((0, -q.c), (q.a, q.b)))
-
-
-class CliffordModule(Value):
-    __slots__ = ("alg", "left", "right")
-
-    def __init__(self, alg: QuadraticAlgebra, left: tuple, right: Optional[tuple] = None):
-        Value.__init__(self, alg, left, right)
-
-
-def clifford_bimodule(q: BinaryQuadraticForm) -> CliffordModule:
-    return CliffordModule(even_clifford(q), m_left(q), m_right(q))
+    return mat(q.ring, ((q.ring.zero, -q.c), (q.a, q.b)))
 
 
 def module_axiom_holds(C: QuadraticAlgebra, M) -> bool:
@@ -121,15 +85,6 @@ def module_axiom_holds(C: QuadraticAlgebra, M) -> bool:
     t, nm, n = C.t, C.nm, C.ring.normalize
     s, r = a + d - t, b * c + nm
     return n(b * s) == 0 and n(c * s) == 0 and n(a * (a - t) + r) == 0 and n(d * (d - t) + r) == 0
-
-
-def is_traceable(C: QuadraticAlgebra, M) -> bool:
-    """Whether the action matrix has the same trace as tau on the algebra."""
-    R = C.ring
-    M = mat(R, M)
-    if not module_axiom_holds(C, M):
-        raise NotAModule(f"matrix {M} does not satisfy the relation of {C}")
-    return R.normalize(M[0][0] + M[1][1]) == C.t
 
 
 class AlgebraWitness(Value):
@@ -155,12 +110,6 @@ class AlgebraWitness(Value):
         t_ok = D.t == R.normalize(e * C.t + 2 * self.k)
         nm_ok = D.nm == C.norm((self.k, e))
         return t_ok and nm_ok
-
-    def apply_elem(self, ring: Ring, z):
-        """Image in C of the element x + y*tau' of D: (x + k*y, eps*y)."""
-        n = ring.normalize
-        x, y = z
-        return (n(x + self.k * y), n(self.eps * y))
 
     def to_json(self, ring: Ring) -> dict:
         return {"k": ring.elem_to_json(self.k), "eps": ring.elem_to_json(ring.normalize(self.eps))}

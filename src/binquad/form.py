@@ -67,18 +67,17 @@ class BinaryQuadraticForm(Value):
     def coeffs(self):
         return (self.a, self.b, self.c)
 
-    # Plain Python arithmetic with one normalize per result, as in mat2.
+    # The value and the polar form are coefficients 0 and 1 of the one q(Mv).
 
     def evaluate(self, x, y):
+        """q(x, y): the paper's form as a map, which the tests and oracles evaluate."""
         n = self.ring.normalize
-        x, y = n(x), n(y)
-        return n(self.a * x * x + self.b * x * y + self.c * y * y)
+        return n(basis_change(self.a, self.b, self.c, ((n(x), 0), (n(y), 0)))[0])
 
     def polar(self, v, w):
         """b_q(v, w) = q(v+w) - q(v) - q(w); symmetric and bilinear."""
         n = self.ring.normalize
-        (x1, y1), (x2, y2) = (n(v[0]), n(v[1])), (n(w[0]), n(w[1]))
-        return n(2 * self.a * x1 * x2 + self.b * (x1 * y2 + y1 * x2) + 2 * self.c * y1 * y2)
+        return n(basis_change(self.a, self.b, self.c, ((n(v[0]), n(w[0])), (n(v[1]), n(w[1]))))[1])
 
     def discriminant(self):
         """(4ac - b^2, b^2 - 4ac): the sign-flipped pair of conventions."""
@@ -112,7 +111,7 @@ class BinaryQuadraticForm(Value):
         """Right action: coefficients of u * q(M v).
 
         a' = u*q(M e1), c' = u*q(M e2), b' = u*b_q(M e1, M e2); requires
-        det(M) and u to be units.
+        det(M) and u to be units.  Kept as the README's GL2 x units action.
         """
         R = self.ring
         M = mat(R, M)
@@ -127,10 +126,11 @@ class BinaryQuadraticForm(Value):
         return BinaryQuadraticForm(hom.dst, hom(self.a), hom(self.b), hom(self.c))
 
     def neg(self) -> "BinaryQuadraticForm":
+        """-q: the definite-reduction oracle reduces a negative definite q through it."""
         return BinaryQuadraticForm(self.ring, -self.a, -self.b, -self.c)
 
     def conjugate(self) -> "BinaryQuadraticForm":
-        """(a, -b, c): the image under x -> x, y -> -y."""
+        """(a, -b, c): the image under x -> x, y -> -y, a form's improper twin in the oracles."""
         return BinaryQuadraticForm(self.ring, self.a, -self.b, self.c)
 
     def to_json(self) -> dict:
@@ -151,6 +151,7 @@ _set_ring, _set_a, _set_b, _set_c = BinaryQuadraticForm._setters
 
 
 def bqf(a, b, c, ring: Ring = ZZ) -> BinaryQuadraticForm:
+    """(a, b, c) over Z unless a ring is given: the short constructor the tests write."""
     return BinaryQuadraticForm(ring, a, b, c)
 
 
@@ -183,6 +184,7 @@ class SimilarityWitness(Value):
 
     @staticmethod
     def from_json(obj, ring: Ring) -> "SimilarityWitness":
+        """The witness of a JSON verdict, which tests re-verify from the CLI's output."""
         return SimilarityWitness(mat_from_json(ring, obj["m"]), ring.elem_from_json(obj["u"]))
 
 
@@ -267,15 +269,6 @@ def properly_equivalent(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> boo
     if not isinstance(_same_ring(q1, q2), IntegerRing):
         raise NotDefinite("proper equivalence is only decided over Z")
     return properly_equivalent_integral(q1, q2)
-
-
-def value_set_mod(q: BinaryQuadraticForm, m: int) -> frozenset:
-    """The set of values of q on (Z/m)^2, an invariant of GL2(Z)-classes."""
-    vals = set()
-    for x in range(m):
-        for y in range(m):
-            vals.add((q.a * x * x + q.b * x * y + q.c * y * y) % m)
-    return frozenset(vals)
 
 
 def _moved(a, b, c):

@@ -32,6 +32,7 @@ def mdet(ring: Ring, A):
 
 
 def minv(ring: Ring, A):
+    """A^-1; no library caller, kept while perfbench's tracer counts it by name."""
     d = mdet(ring, A)
     if not ring.is_unit(d):
         raise NotInvertible(f"matrix determinant {d} is not a unit")

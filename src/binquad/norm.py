@@ -123,7 +123,7 @@ class IdealLattice(Value):
         return a * d - b * c
 
     def norm(self) -> int:
-        """Index in the full algebra lattice."""
+        """Index in the full algebra lattice, which the README's principality test compares."""
         return abs(self.det())
 
     def contains(self, z) -> bool:
@@ -132,6 +132,7 @@ class IdealLattice(Value):
         return (d * u - b * v) % det == 0 and (a * v - c * u) % det == 0
 
     def canonical(self) -> "IdealLattice":
+        """The lattice on its Hermite-canonical basis, a README capability."""
         return IdealLattice(self.alg, _canonical_basis(self.alg.t, *_hnf_cols(self.columns())))
 
     # The canonical basis is an injective function of the Hermite triple,
@@ -157,13 +158,6 @@ class IdealLattice(Value):
     def __str__(self):
         (a0, a1), (b0, b1) = self.columns()
         return f"<{a0}+{a1}tau, {b0}+{b1}tau> in {self.alg}"
-
-
-def scalar_ideal(alg: QuadraticAlgebra, n: int) -> IdealLattice:
-    n = abs(ZZ.normalize(n))
-    if n == 0:
-        raise UsageError("scalar ideal needs a nonzero scalar")
-    return IdealLattice(alg, ((n, 0), (0, n)))
 
 
 def form_to_ideal(q: BinaryQuadraticForm) -> IdealLattice:
@@ -230,7 +224,7 @@ def _is_invertible(t: int, nm: int, B) -> bool:
 
 
 def ideal_is_invertible(I: IdealLattice) -> bool:
-    """I * conj(I) equals the scalar ideal generated by the content."""
+    """I * conj(I) equals the scalar ideal generated by the content; a README capability."""
     return _is_invertible(I.alg.t, I.alg.nm, I.basis)
 
 
@@ -260,7 +254,7 @@ def _is_principal(t: int, nm: int, B) -> bool:
 
 
 def ideal_is_principal(I: IdealLattice) -> bool:
-    """Whether I = gamma * O for some gamma; definite algebras only.
+    """Whether I = gamma * O for some gamma; definite algebras only.  A README capability.
 
     gamma in I gives gamma*O inside I, since I is closed under tau, and
     gamma*O has index N(gamma) in O.  So gamma*O = I exactly when

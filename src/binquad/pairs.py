@@ -44,12 +44,6 @@ class CliffordPair(Value):
     def is_traceable(self) -> bool:
         return self.ring.normalize(self.m[0][0] + self.m[1][1]) == self.alg.t
 
-    def map(self, hom: RingHom) -> "CliffordPair":
-        return CliffordPair(
-            self.alg.map(hom),
-            tuple(tuple(hom(x) for x in row) for row in self.m),
-        )
-
     def to_json(self) -> dict:
         e = self.ring.elem_to_json
         return {
@@ -84,7 +78,8 @@ def form_to_pair(q: BinaryQuadraticForm) -> CliffordPair:
 
 def normalize_pair(p: CliffordPair):
     """Shift the generator so the action matrix gets a zero lower-right
-    entry m: returns (form_to_pair(pair_to_form(p)), m)."""
+    entry m: returns (form_to_pair(pair_to_form(p)), m).  Kept as the paper's
+    normalization of a pair, though only the tests call it."""
     return form_to_pair(pair_to_form(p)), p.m[1][1]
 
 
@@ -197,7 +192,8 @@ clifford_form_to_wood_form = dual_form
 
 
 def wood_pair(w: BinaryQuadraticForm) -> CliffordPair:
-    """The pair carved out of a form read as Wood data [A, B, C]."""
+    """The pair carved out of a form read as Wood data [A, B, C]; kept as the
+    paper's dictionary entry, though only the tests call it."""
     return form_to_pair(clifford_form_to_wood_form(w))
 
 

@@ -147,7 +147,7 @@ def _class_index(t: int, nm: int, reps, B):
 
 
 def ideal_class_representatives(D: int):
-    """One invertible ``IdealLattice`` per class, in ``_class_bases`` order."""
+    """One invertible ``IdealLattice`` per class, in ``_class_bases`` order; a README capability."""
     t, nm, bases = _class_bases(D)
     alg = QuadraticAlgebra(ZZ, t, nm)
     return [IdealLattice(alg, B) for B in bases]

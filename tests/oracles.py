@@ -1,14 +1,14 @@
-"""Brute-force oracles for the similarity and pair-isomorphism tests, the
-argparse parser that the CLI's verb table replaced, the mat2 sums,
-scalings and vector products that no request path calls, the per-field
-normalize route that one ring call per value replaced, the copies of the
-basis change q(Mv) and of the <1, tau> product that one function each
-replaced, the matrix-product and Fraction routes that the straight-line
-integer kernels replaced (the Q screen on Fraction discriminants among
-them), the IdealLattice route that composition and the ideal class
-enumeration ran on before the integer lattice core, and the ModularRing
-route of the local similarity witnesses over Z/n that the residue
-kernels replaced.
+"""Brute-force oracles for the similarity and pair-isomorphism tests, with
+the unit lists and value sets mod m that they enumerate, the argparse
+parser that the CLI's verb table replaced, the mat2 sums, scalings and
+vector products that no request path calls, the per-field normalize route
+that one ring call per value replaced, the copies of the basis change
+q(Mv) and of the <1, tau> product that one function each replaced, the
+matrix-product and Fraction routes that the straight-line integer kernels
+replaced (the Q screen on Fraction discriminants among them), the
+IdealLattice route that composition and the ideal class enumeration ran
+on before the integer lattice core, and the ModularRing route of the
+local similarity witnesses over Z/n that the residue kernels replaced.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -24,9 +24,9 @@ from itertools import product
 from math import gcd, isqrt, prod
 from typing import Optional
 
-from binquad.clifford import QuadraticAlgebra, _witness_for_eps, even_clifford
+from binquad.clifford import QuadraticAlgebra, _witness_for_eps, even_clifford, tau_product
 from binquad.compose import shanks
-from binquad.errors import NotComposable
+from binquad.errors import NotComposable, UnsupportedRing
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
 from binquad.form import (
@@ -35,7 +35,6 @@ from binquad.form import (
     SimilarityWitness,
     reduce_definite,
     reduce_triple,
-    value_set_mod,
 )
 from binquad.mat2 import mat, mdet, mident, minv, mmul
 from binquad.modular import (
@@ -49,7 +48,7 @@ from binquad.modular import (
     _val,
     factor,
 )
-from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading, ideal_is_principal, scalar_ideal
+from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading, ideal_is_principal
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
 from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
 
@@ -60,6 +59,15 @@ def spiral(bound: int):
     for k in range(1, bound + 1):
         out.extend((k, -k))
     return out
+
+
+def units(R: Ring) -> list:
+    """Every unit of Z or of Z/n (O(n)); other rings have no finite list."""
+    if isinstance(R, IntegerRing):
+        return [1, -1]
+    if isinstance(R, ModularRing):
+        return [u for u in range(1, R.n) if gcd(u, R.n) == 1]
+    raise UnsupportedRing(f"cannot enumerate units of {R!r}")
 
 
 def iter_unit_matrices(ring: Ring, bound: int):
@@ -80,7 +88,7 @@ def bounded_witness_search(q1, q2, bound: int) -> Optional[SimilarityWitness]:
     """M (entries up to the bound) and a unit u with q2(Mv) = u q1(v)."""
     R = q1.ring
     rational = isinstance(R, RationalRing)
-    units = None if rational else R.units()
+    unit_list = None if rational else units(R)
     for M in iter_unit_matrices(ZZ if rational else R, bound):
         if rational:
             M = mat(R, M)
@@ -104,7 +112,7 @@ def bounded_witness_search(q1, q2, bound: int) -> Optional[SimilarityWitness]:
             if all(rhs == u * lhs for lhs, rhs in pairs):
                 return SimilarityWitness(M, u)
         else:
-            for u in units:
+            for u in unit_list:
                 if a2 == R.mul(u, q1.a) and b2 == R.mul(u, q1.b) and c2 == R.mul(u, q1.c):
                     return SimilarityWitness(M, R.normalize(u))
     return None
@@ -177,6 +185,15 @@ def shanks_table(forms):
     return tuple(tuple(index[reduce_triple(*shanks(f1, f2))[0]] for f2 in triples) for f1 in triples)
 
 
+def value_set_mod(q: BinaryQuadraticForm, m: int) -> frozenset:
+    """The set of values of q on (Z/m)^2, an invariant of GL2(Z)-classes."""
+    vals = set()
+    for x in range(m):
+        for y in range(m):
+            vals.add((q.a * x * x + q.b * x * y + q.c * y * y) % m)
+    return frozenset(vals)
+
+
 def value_set_screen(q1, q2) -> Optional[str]:
     """`value_set_mod_m` for the least m <= 16 where the value sets of
     forms over Z mod m differ even up to sign, or None: exact invariants
@@ -195,14 +212,14 @@ def value_set_screen_mod(q1, q2) -> bool:
     R = q1.ring
     vals1 = frozenset(q1.evaluate(x, y) for x in range(R.n) for y in range(R.n))
     vals2 = frozenset(q2.evaluate(x, y) for x in range(R.n) for y in range(R.n))
-    return not any(frozenset(R.mul(u, v) for v in vals1) == vals2 for u in R.units())
+    return not any(frozenset(R.mul(u, v) for v in vals1) == vals2 for u in units(R))
 
 
 def discriminant_screen_units(q1, q2) -> bool:
     """Whether d2 = w^2 * d1 over Z/n fails for every unit w."""
     R = q1.ring
     d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
-    return not any(R.mul(R.mul(w, w), d1) == d2 for w in R.units())
+    return not any(R.mul(R.mul(w, w), d1) == d2 for w in units(R))
 
 
 @cache
@@ -249,8 +266,7 @@ def algebra_map_candidates(p: CliffordPair, p2: CliffordPair):
     out = []
     if not p.ring.two_is_regular():
         return out
-    units = p.ring.units() if isinstance(p.ring, ModularRing) else (1, -1)
-    for eps in units:
+    for eps in units(p.ring) if isinstance(p.ring, ModularRing) else (1, -1):
         w = _witness_for_eps(p2.alg, p.alg, eps)
         if w is not None:
             out.append(w)
@@ -464,8 +480,8 @@ def rational_similarity_fractions(q1, q2, d1, d2) -> SimilarityVerdict:
 # -- the lattice route that the integer lattice core replaced ---------------
 #
 # compose and inverse_form as they were: validated IdealLattice values, the
-# second transported along an AlgebraWitness, products and norms through
-# QuadraticAlgebra.mul/norm and its ring.
+# second transported along an AlgebraWitness, products through tau_product
+# and norms through QuadraticAlgebra.norm and its ring.
 
 
 def _canonical_basis_alg(alg: QuadraticAlgebra, p: int, s: int, r: int):
@@ -488,17 +504,18 @@ def transport_ideal(target: QuadraticAlgebra, I: IdealLattice, eps: int) -> Idea
     w = _witness_for_eps(target, I.alg, eps)
     if w is None:
         raise NotComposable(f"no algebra witness from {I.alg} to {target} with eps={eps}")
-    cols = [w.apply_elem(ZZ, c) for c in I.columns()]
+    cols = [(x + w.k * y, w.eps * y) for x, y in I.columns()]
     return IdealLattice(target, ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])))
 
 
 def ideal_multiply_alg(I: IdealLattice, J: IdealLattice) -> IdealLattice:
     alg = I.alg
-    return _canonical_lattice(alg, [alg.mul(x, y) for x in I.columns() for y in J.columns()])
+    return _canonical_lattice(alg, [tau_product(alg.t, alg.nm, x, y) for x in I.columns() for y in J.columns()])
 
 
 def ideal_conjugate_alg(I: IdealLattice) -> IdealLattice:
-    return _canonical_lattice(I.alg, [I.alg.conj(c) for c in I.columns()])
+    t = I.alg.t
+    return _canonical_lattice(I.alg, [(x + y * t, -y) for x, y in I.columns()])
 
 
 def naive_norm_form_alg(I: IdealLattice) -> BinaryQuadraticForm:
@@ -533,14 +550,15 @@ def inverse_by_lattices(q) -> BinaryQuadraticForm:
 #
 # ideal_class_representatives, pic_counts and ideal_is_invertible as they
 # were: every candidate, product and conjugate a validated IdealLattice,
-# invertibility a comparison with scalar_ideal.  principal_by_generator
+# invertibility a comparison with the scalar ideal.  principal_by_generator
 # decides principality by a generator search instead of the norm argument.
 
 
 def ideal_is_invertible_alg(I: IdealLattice) -> bool:
     """I * conj(I) equals the scalar ideal generated by the content."""
     prod = ideal_multiply_alg(I, ideal_conjugate_alg(I))
-    return prod == scalar_ideal(I.alg, naive_norm_form_alg(I).content())
+    g = naive_norm_form_alg(I).content()
+    return prod == IdealLattice(I.alg, ((g, 0), (0, g)))
 
 
 def _ideal_class_index_alg(reps, I: IdealLattice) -> Optional[int]:

@@ -7,9 +7,7 @@ from binquad.clifford import (
     QuadraticAlgebra,
     algebra_isomorphic,
     automorphisms,
-    clifford_bimodule,
     even_clifford,
-    is_traceable,
     m_left,
     m_right,
     quat_conj,
@@ -20,6 +18,7 @@ from binquad.clifford import (
 from binquad.errors import NotAModule, UnsupportedRing
 from binquad.form import bqf
 from binquad.mat2 import mmul
+from binquad.pairs import CliffordPair
 from binquad.ring import ModularRing, RingHom, ZZ
 
 small = st.integers(min_value=-6, max_value=6)
@@ -69,45 +68,54 @@ def test_right_action_matrix_against_full_clifford_product():
 @given(small, small, small)
 def test_bimodule_actions_commute(a, b, c):
     q = bqf(a, b, c)
-    mod = clifford_bimodule(q)
-    assert mmul(ZZ, mod.left, mod.right) == mmul(ZZ, mod.right, mod.left)
+    left, right = m_left(q), m_right(q)
+    assert mmul(ZZ, left, right) == mmul(ZZ, right, left)
+
+
+# The even algebra <1, tau | tau^2 = t*tau - nm> sits in the rank-4 algebra
+# of (1, t, nm) as the elements (x, y, 0, 0), where quat_* give its
+# involution, trace and norm.
 
 
 def test_even_arithmetic_examples():
-    C = QuadraticAlgebra(ZZ, 1, 6)
-    z = (2, 3)
-    assert C.conj(z) == (5, -3)
-    assert C.norm(z) == 64
-    assert C.mul(z, C.conj(z)) == (64, 0)  # multiply-out oracle
-    assert C.norm((0, 1)) == 6 and C.trace((0, 1)) == 1
-    assert C.conj((1, 0)) == (1, 0) and C.norm((1, 0)) == 1
+    C, q = QuadraticAlgebra(ZZ, 1, 6), bqf(1, 1, 6)
+    assert even_clifford(q) == C
+    z = (2, 3, 0, 0)
+    assert quat_conj(q, z) == (5, -3, 0, 0)
+    assert C.norm((2, 3)) == quat_norm(q, z) == 64
+    assert quat_mul(q, z, quat_conj(q, z)) == (64, 0, 0, 0)  # multiply-out oracle
+    assert C.norm((0, 1)) == 6 and quat_trace(q, (0, 1, 0, 0)) == 1
+    assert quat_conj(q, (1, 0, 0, 0)) == (1, 0, 0, 0) and C.norm((1, 0)) == 1
 
 
 def test_even_involution_identities():
     rng = random.Random(23)
     for _ in range(100):
-        C = QuadraticAlgebra(ZZ, rng.randint(-9, 9), rng.randint(-9, 9))
-        z = (rng.randint(-9, 9), rng.randint(-9, 9))
-        w = (rng.randint(-9, 9), rng.randint(-9, 9))
-        assert C.add(z, C.conj(z)) == (C.trace(z), 0)
-        assert C.mul(z, C.conj(z)) == (C.norm(z), 0)
-        assert C.conj(C.conj(z)) == z
-        assert C.conj(C.mul(z, w)) == C.mul(C.conj(w), C.conj(z))
+        t, nm = rng.randint(-9, 9), rng.randint(-9, 9)
+        C, q = QuadraticAlgebra(ZZ, t, nm), bqf(1, t, nm)
+        z = (rng.randint(-9, 9), rng.randint(-9, 9), 0, 0)
+        w = (rng.randint(-9, 9), rng.randint(-9, 9), 0, 0)
+        zc = quat_conj(q, z)
+        assert tuple(x + y for x, y in zip(z, zc)) == (quat_trace(q, z), 0, 0, 0)
+        assert quat_mul(q, z, zc) == (C.norm(z[:2]), 0, 0, 0)
+        assert quat_conj(q, zc) == z
+        assert quat_conj(q, quat_mul(q, z, w)) == quat_mul(q, quat_conj(q, w), zc)
 
 
 def test_is_traceable_examples():
     q = bqf(2, 1, 3)
-    assert is_traceable(even_clifford(q), m_left(q))
+    assert CliffordPair(even_clifford(q), m_left(q)).is_traceable()
     # tau^2 = tau with the identity action: module axiom holds, trace is off
     split = QuadraticAlgebra(ZZ, 1, 0)
-    assert not is_traceable(split, ((1, 0), (0, 1)))
+    assert not CliffordPair(split, ((1, 0), (0, 1))).is_traceable()
+    # tau acting on the algebra itself
     C = QuadraticAlgebra(ZZ, 3, 5)
-    assert is_traceable(C, C.regular_matrix())
+    assert CliffordPair(C, ((0, -5), (1, 3))).is_traceable()
 
 
 def test_is_traceable_rejects_non_modules():
     with pytest.raises(NotAModule):
-        is_traceable(QuadraticAlgebra(ZZ, 1, 6), ((1, 0), (0, 1)))
+        CliffordPair(QuadraticAlgebra(ZZ, 1, 6), ((1, 0), (0, 1)))
 
 
 def test_algebra_isomorphic_examples():

@@ -19,7 +19,6 @@ from binquad.form import (
     reduce_definite,
     reduce_triple,
     similar,
-    value_set_mod,
 )
 from binquad.mat2 import mdet, mmul
 from binquad.ring import ModularRing, QQ, ZZ
@@ -28,6 +27,7 @@ from oracles import (
     definite_reduction_oracle,
     rational_screen_fractions,
     rational_similarity_product,
+    value_set_mod,
 )
 
 small = st.integers(min_value=-8, max_value=8)
@@ -561,7 +561,7 @@ def test_rational_witness_needs_no_matrix_product(monkeypatch, capsys):
 def _values():
     """One value of each immutable type: a form, its algebra and pair, an
     ideal lattice, the witnesses and verdicts, a trace stage, a class group."""
-    from binquad.clifford import AlgebraWitness, QuadraticAlgebra, clifford_bimodule
+    from binquad.clifford import AlgebraWitness, QuadraticAlgebra
     from binquad.norm import form_to_ideal
     from binquad.pairs import dual_form_trace, form_to_pair, pairs_isomorphic
     from binquad.picard import class_group
@@ -572,7 +572,7 @@ def _values():
     pv = pairs_isomorphic(form_to_pair(q), form_to_pair(q.act(M, 1)))
     return [
         q, QuadraticAlgebra(ZZ, 1, 6), RingHom(ZZ, ModularRing(5)), form_to_pair(q), form_to_ideal(q),
-        clifford_bimodule(q), AlgebraWitness(0, 1), sv.witness, sv, pv.witness, pv, dual_form_trace(q)[1],
+        AlgebraWitness(0, 1), sv.witness, sv, pv.witness, pv, dual_form_trace(q)[1],
         class_group(-23),
     ]
 

@@ -29,7 +29,6 @@ from binquad.norm import (
     ideal_is_principal,
     ideal_multiply,
     naive_norm_form,
-    scalar_ideal,
     universal_norm_form,
 )
 from binquad.picard import reduced_forms
@@ -44,7 +43,7 @@ def test_form_to_ideal_examples():
     assert I.alg == QuadraticAlgebra(ZZ, 1, 6)
     # a = 1 embeds as the unit ideal
     J = form_to_ideal(bqf(1, 1, 6))
-    assert J == scalar_ideal(J.alg, 1)
+    assert J == IdealLattice(J.alg, ((1, 0), (0, 1)))
     # a = 0 needs a basis change first; the class is preserved
     K = form_to_ideal(bqf(0, 1, 0))
     assert universal_norm_form(K).discriminant()[1] == 1
@@ -78,7 +77,7 @@ def test_norm_forms_example():
 
 def test_norm_form_of_unit_ideal_is_the_algebra_norm():
     C = QuadraticAlgebra(ZZ, 1, 6)
-    assert universal_norm_form(scalar_ideal(C, 1)) == bqf(1, 1, 6) == identity_form(C)
+    assert universal_norm_form(IdealLattice(C, ((1, 0), (0, 1)))) == bqf(1, 1, 6) == identity_form(C)
 
 
 def test_scaling_leaves_universal_form_alone():
@@ -111,7 +110,7 @@ def test_recovery_up_to_proper_equivalence():
 
 def test_even_clifford_of_ideal_examples():
     C = QuadraticAlgebra(ZZ, 1, 6)
-    A, w = even_clifford_of_ideal(scalar_ideal(C, 1))
+    A, w = even_clifford_of_ideal(IdealLattice(C, ((1, 0), (0, 1))))
     assert A == C and (w.k, w.eps) == (0, 1)
     for coeffs in ((2, 1, 3), (3, 1, 2)):
         I = form_to_ideal(bqf(*coeffs))
@@ -137,7 +136,7 @@ def test_ideal_multiply_examples():
     assert P.norm() == 4
     assert properly_equivalent(universal_norm_form(P), bqf(1, 1, 6))
     # unit law, structurally
-    assert ideal_multiply(I, scalar_ideal(C, 1)) == I
+    assert ideal_multiply(I, IdealLattice(C, ((1, 0), (0, 1)))) == I
     # squaring lands in the class of the Dirichlet square
     sq = ideal_multiply(I, I)
     assert universal_norm_form(sq) == bqf(4, 5, 3)
@@ -168,7 +167,7 @@ def test_ideal_conjugate_examples():
     # sigma(1 - tau) = tau, so the conjugate is the lattice <2, tau>
     assert J == IdealLattice(I.alg, ((2, 0), (0, 1)))
     C = QuadraticAlgebra(ZZ, 1, 6)
-    assert ideal_conjugate(scalar_ideal(C, 1)) == scalar_ideal(C, 1)
+    assert ideal_conjugate(IdealLattice(C, ((1, 0), (0, 1)))) == IdealLattice(C, ((1, 0), (0, 1)))
     assert ideal_conjugate(ideal_conjugate(I)) == I
 
 
@@ -179,7 +178,8 @@ def test_conjugate_gives_the_inverse_class():
         assert universal_norm_form(ideal_conjugate(I)) == q.conjugate()
         prod = ideal_multiply(I, ideal_conjugate(I))
         assert universal_norm_form(prod) == identity_form(I.alg)
-        assert prod == scalar_ideal(I.alg, naive_norm_form(I).content())
+        g = naive_norm_form(I).content()
+        assert prod == IdealLattice(I.alg, ((g, 0), (0, g)))
 
 
 def test_invertibility_tracks_primitivity():
@@ -194,8 +194,8 @@ def test_invertibility_tracks_primitivity():
 
 def test_principality_search():
     C = QuadraticAlgebra(ZZ, 1, 6)
-    assert ideal_is_principal(scalar_ideal(C, 1))
-    assert ideal_is_principal(scalar_ideal(C, 3))
+    assert ideal_is_principal(IdealLattice(C, ((1, 0), (0, 1))))
+    assert ideal_is_principal(IdealLattice(C, ((3, 0), (0, 3))))
     assert not ideal_is_principal(form_to_ideal(bqf(2, 1, 3)))
 
 
@@ -203,7 +203,7 @@ def test_principality_ignores_basis_skew():
     # a skewed basis of the same lattice gives the same verdict, and the
     # search is bounded by the lattice, not by the basis it was given in
     C = QuadraticAlgebra(ZZ, 1, 6)
-    for I in (scalar_ideal(C, 1), form_to_ideal(bqf(2, 1, 3)), scalar_ideal(C, 3)):
+    for I in (IdealLattice(C, ((1, 0), (0, 1))), form_to_ideal(bqf(2, 1, 3)), IdealLattice(C, ((3, 0), (0, 3)))):
         (a0, a1), (b0, b1) = I.columns()
         k = 10**12
         J = IdealLattice(C, ((k * a0 + b0, a0), (k * a1 + b1, a1)))
@@ -403,6 +403,6 @@ def test_lattices_reject_non_integers(v):
     # int(v) would truncate 2.5 to a valid scalar and basis entry
     C = QuadraticAlgebra(ZZ, 1, 6)
     with pytest.raises(UsageError):
-        scalar_ideal(C, v)
+        IdealLattice(C, ((v, 0), (0, v)))
     with pytest.raises(UsageError):
         IdealLattice(C, ((v, 0), (0, 2)))

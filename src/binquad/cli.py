@@ -4,6 +4,10 @@ Every verb is a thin adapter around a library call: inputs are JSON
 (arguments or stdin), output is canonical JSON (sorted keys, exact
 integers and fractions only) on stdout.  Exit codes: 0 success, 1 usage
 or malformed input, 2 domain error, 3 undecided (Unknown) verdict.
+
+A verb imports the layers it runs inside its own function, so that a
+process answering `similar`, `disc` or `reduce` loads the form layer
+alone, not the pairs, ideal lattices, composition or class groups.
 """
 
 from __future__ import annotations
@@ -14,32 +18,10 @@ import sys
 from itertools import takewhile
 from types import SimpleNamespace
 
-from .clifford import (
-    QuadraticAlgebra,
-    even_clifford,
-    quat_conj,
-    quat_from_json,
-    quat_mul,
-    quat_norm,
-    quat_to_json,
-    quat_trace,
-)
-from .compose import compose, identity_form, inverse_form, proper_reduce
 from .errors import DomainError, UsageError
 from .form import BinaryQuadraticForm, reduce_definite, similar
 from .mat2 import mat_to_json
-from .norm import base_change_checks, form_to_ideal, naive_norm_form, universal_norm_form, IdealLattice
-from .pairs import (
-    CliffordPair,
-    clifford_form_to_wood_form,
-    dual_conic,
-    dual_form,
-    dual_form_trace,
-    form_to_pair,
-    pair_to_form,
-)
-from .picard import class_group
-from .ring import ModularRing, QQ, RingHom, ZZ, ring_from_json
+from .ring import ModularRing, QQ, ZZ
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,11 +68,15 @@ def _form(args, text: str) -> BinaryQuadraticForm:
     return BinaryQuadraticForm.from_json(_load_json(text), default_ring=args.ring)
 
 
-def _pair(args) -> CliffordPair:
+def _pair(args):
+    from .pairs import CliffordPair
+
     return CliffordPair.from_json(_load_json(args.pair), default_ring=args.ring)
 
 
 def _proper(args, out: BinaryQuadraticForm) -> dict:
+    from .compose import proper_reduce
+
     return (proper_reduce(out) if args.proper_reduce else out).to_json()
 
 
@@ -113,22 +99,79 @@ def _reduce(args):
     return {"form": r.to_json(), "matrix": mat_to_json(q.ring, M)}
 
 
+def _clifford(args):
+    from .clifford import even_clifford
+
+    return even_clifford(_form(args, args.form)).to_json()
+
+
+def _form2pair(args):
+    from .pairs import form_to_pair
+
+    return form_to_pair(_form(args, args.form)).to_json()
+
+
+def _pair2form(args):
+    from .pairs import pair_to_form
+
+    return pair_to_form(_pair(args)).to_json()
+
+
 def _dual(args):
+    from .pairs import dual_form, dual_form_trace
+
     q = _form(args, args.form)
     return [st.to_json() for st in dual_form_trace(q)] if args.trace else dual_form(q).to_json()
 
 
+def _dualconic(args):
+    from .pairs import dual_conic
+
+    return dual_conic(_form(args, args.form)).to_json()
+
+
+def _wood(args):
+    from .pairs import clifford_form_to_wood_form
+
+    return clifford_form_to_wood_form(_form(args, args.form)).to_json()
+
+
 def _normform(args):
+    from .norm import IdealLattice, naive_norm_form, universal_norm_form
+
     ideal = IdealLattice.from_json(_load_json(args.ideal))
     return {"naive": naive_norm_form(ideal).to_json(), "universal": universal_norm_form(ideal).to_json()}
 
 
+def _ideal(args):
+    from .norm import form_to_ideal
+
+    return form_to_ideal(_form(args, args.form)).to_json()
+
+
+def _compose(args):
+    from .compose import compose
+
+    return _proper(args, compose(_form(args, args.form1), _form(args, args.form2), twist=args.twist))
+
+
+def _inverse(args):
+    from .compose import inverse_form
+
+    return _proper(args, inverse_form(_form(args, args.form)))
+
+
 def _identity(args):
+    from .clifford import QuadraticAlgebra
+    from .compose import identity_form
+
     alg = QuadraticAlgebra.from_json(_load_json(args.algebra), default_ring=args.ring)
     return identity_form(alg).to_json()
 
 
 def _class_group(args):
+    from .picard import class_group
+
     try:
         D = int(args.D)
     except ValueError as e:
@@ -139,6 +182,8 @@ def _class_group(args):
 
 
 def _quat(args):
+    from .clifford import quat_conj, quat_from_json, quat_mul, quat_norm, quat_to_json, quat_trace
+
     q = _form(args, args.form)
     z = quat_from_json(q, _load_json(args.z))
     if args.w is not None:
@@ -148,6 +193,9 @@ def _quat(args):
 
 
 def _basechange(args):
+    from .norm import base_change_checks
+    from .ring import RingHom, ring_from_json
+
     q = _form(args, args.form)
     desc = _load_json(args.hom)
     if not isinstance(desc, dict) or not {"src", "dst"} <= set(desc):
@@ -169,25 +217,19 @@ def _verify(args):
 # answer is None, as it writes its own lines.
 VERBS = {
     "disc": (("form",), {}, "both sign conventions of the discriminant", _disc),
-    "clifford": (("form",), {}, "even Clifford algebra of a form",
-                 lambda a: even_clifford(_form(a, a.form)).to_json()),
-    "form2pair": (("form",), {}, "(algebra, action matrix) pair of a form",
-                  lambda a: form_to_pair(_form(a, a.form)).to_json()),
-    "pair2form": (("pair",), {}, "form read off a traceable pair", lambda a: pair_to_form(_pair(a)).to_json()),
+    "clifford": (("form",), {}, "even Clifford algebra of a form", _clifford),
+    "form2pair": (("form",), {}, "(algebra, action matrix) pair of a form", _form2pair),
+    "pair2form": (("pair",), {}, "form read off a traceable pair", _pair2form),
     "traceable": (("pair",), {}, "traceability of a pair", lambda a: dict(traceable=_pair(a).is_traceable())),
     "similar": (("form1", "form2"), {}, "similarity verdict with witness", _similar),
     "reduce": (("form",), {}, "reduced representative and SL2 witness", _reduce),
     "dual": (("form",), {"trace": False}, "dual form on the dual module, or its five-stage trace", _dual),
-    "dualconic": (("form",), {}, "dual conic over the rationals", lambda a: dual_conic(_form(a, a.form)).to_json()),
-    "wood": (("form",), {}, "the form in the opposite-sign normalization",
-             lambda a: clifford_form_to_wood_form(_form(a, a.form)).to_json()),
+    "dualconic": (("form",), {}, "dual conic over the rationals", _dualconic),
+    "wood": (("form",), {}, "the form in the opposite-sign normalization", _wood),
     "normform": (("ideal",), {}, "naive and universal norm forms of a lattice", _normform),
-    "ideal": (("form",), {}, "ideal lattice of a primitive form",
-              lambda a: form_to_ideal(_form(a, a.form)).to_json()),
-    "compose": (("form1", "form2"), {"proper_reduce": False, "twist": False}, "Gauss composition",
-                lambda a: _proper(a, compose(_form(a, a.form1), _form(a, a.form2), twist=a.twist))),
-    "inverse": (("form",), {"proper_reduce": False}, "inverse class representative",
-                lambda a: _proper(a, inverse_form(_form(a, a.form)))),
+    "ideal": (("form",), {}, "ideal lattice of a primitive form", _ideal),
+    "compose": (("form1", "form2"), {"proper_reduce": False, "twist": False}, "Gauss composition", _compose),
+    "inverse": (("form",), {"proper_reduce": False}, "inverse class representative", _inverse),
     "identity": (("algebra",), {}, "norm form of an algebra", _identity),
     "classgroup": (("D",), {}, "reduced forms and group structure", _class_group),
     "picard": (("D",), {}, "oriented and unoriented class counts", _class_group),

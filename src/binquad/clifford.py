@@ -46,7 +46,8 @@ class QuadraticAlgebra(Value):
         return self.ring.normalize(x * x + self.t * x * y + self.nm * y * y)
 
     def map(self, hom: RingHom) -> "QuadraticAlgebra":
-        return QuadraticAlgebra(hom.dst, hom(self.t), hom(self.nm))
+        """The algebra over hom.dst, for an algebra over hom.src, as BinaryQuadraticForm.map."""
+        return QuadraticAlgebra(hom.dst, self.t, self.nm)
 
     def to_json(self) -> dict:
         e = self.ring.elem_to_json
@@ -220,4 +221,5 @@ def quat_from_json(q: BinaryQuadraticForm, obj):
 
 
 def map_matrix(hom: RingHom, M):
-    return mat(hom.dst, tuple(tuple(hom(x) for x in row) for row in M))
+    """A matrix over hom.src mapped entrywise, one normalize_all call per row."""
+    return mat(hom.dst, M)

@@ -123,7 +123,10 @@ class BinaryQuadraticForm(Value):
         return BinaryQuadraticForm(R, *(u * x for x in basis_change(self.a, self.b, self.c, M)))
 
     def map(self, hom: RingHom) -> "BinaryQuadraticForm":
-        return BinaryQuadraticForm(hom.dst, hom(self.a), hom(self.b), hom(self.c))
+        """The form over hom.dst, for a form over hom.src: each arrow is the
+        destination's normalize on a value of the source, so the constructor's
+        one normalize_all call maps all three coefficients."""
+        return BinaryQuadraticForm(hom.dst, self.a, self.b, self.c)
 
     def neg(self) -> "BinaryQuadraticForm":
         """-q: the definite-reduction oracle reduces a negative definite q through it."""

@@ -26,16 +26,20 @@ SimilarityWitness is built from the glued ints.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .form import SimilarityVerdict, SimilarityWitness, basis_change
 
 # Trial division runs up to TRIAL_LIMIT, which factors every n <= 10^12;
-# a cofactor left over is accepted only when Miller-Rabin proves it prime.
+# a cofactor left over is prime when no d up to its square root divides it,
+# and is otherwise accepted only when Miller-Rabin proves it prime.
 TRIAL_LIMIT = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The bases above decide primality for every n below this bound.
 _MR_PROVEN = 318665857834031151167461
+# Miller-Rabin runs on cofactors from here on; below, trial division to the
+# square root is cheaper.
+_MR_FROM = 10**4
 
 _I = ((1, 0), (0, 1))
 
@@ -64,17 +68,22 @@ def _is_prime(n: int) -> bool:
 def factor(n: int):
     """{p: k} with n the product of the p^k, or None when the least
     prime factor of a cofactor that is not proven prime exceeds
-    TRIAL_LIMIT."""
+    TRIAL_LIMIT.  A cofactor below _MR_FROM is settled by trial division
+    alone: once d^2 exceeds it, it is prime."""
     out = {}
     d = 2
     while n > 1:
-        if n < _MR_PROVEN and _is_prime(n):
-            out[n] = out.get(n, 0) + 1
-            break
-        while n % d:
-            d += 1 if d == 2 else 2
-            if d > TRIAL_LIMIT:
-                return None
+        if _MR_FROM <= n < _MR_PROVEN and _is_prime(n):
+            d = n
+        else:
+            root = isqrt(n)
+            last = min(root, TRIAL_LIMIT)
+            while n % d:
+                d += 1 if d == 2 else 2
+                if d > last:
+                    if d <= root:
+                        return None
+                    d = n  # no factor up to sqrt(n)
         while n % d == 0:
             n //= d
             out[d] = out.get(d, 0) + 1

@@ -348,7 +348,10 @@ def fraction_sqrt(v: Fraction) -> Optional[Fraction]:
 class RingHom(Value):
     """One of the supported canonical homomorphisms.
 
-    Arrows: Z -> Z/n, Z -> Q, and Z/n -> Z/m with m | n.
+    Arrows: Z -> Z/n, Z -> Q, and Z/n -> Z/m with m | n.  On a normal
+    value of src each is dst.normalize alone, so the maps of forms, algebras
+    and matrices hand their fields to dst in one normalize_all call; calling
+    the arrow normalizes a single value into src first.
     """
 
     __slots__ = ("src", "dst")

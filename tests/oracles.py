@@ -7,8 +7,10 @@ q(Mv) and of the <1, tau> product that one function each replaced, the
 matrix-product and Fraction routes that the straight-line integer kernels
 replaced (the Q screen on Fraction discriminants among them), the
 IdealLattice route that composition and the ideal class enumeration ran
-on before the integer lattice core, and the ModularRing route of the
-local similarity witnesses over Z/n that the residue kernels replaced.
+on before the integer lattice core, the ModularRing route of the
+local similarity witnesses over Z/n that the residue kernels replaced,
+the per-value base change that one destination call per value replaced,
+and the plain trial division that factoring stops at the square root.
 
 None of these runs when binquad answers a request: the library decides
 every case by invariants, and the tests compare it with the searches and
@@ -357,6 +359,27 @@ def mat_per_entry(ring: Ring, rows):
     (a, b), (c, d) = rows
     n = ring.normalize
     return ((n(a), n(b)), (n(c), n(d)))
+
+
+def map_per_value(hom: RingHom, *vs) -> tuple:
+    """hom(v) for each value, src.normalize and then dst.normalize, as the
+    base change of forms, algebras and matrices did before it handed the
+    source values to the destination ring in one call."""
+    return tuple(hom(v) for v in vs)
+
+
+def factor_by_trial_division(n: int) -> dict:
+    """{p: k} for n > 1 by trial division by every d with d^2 <= n, smallest
+    p first; what is left above 1 is prime."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # -- the copies of q(Mv) and the <1, tau> product that one function replaced -

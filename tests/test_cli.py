@@ -382,6 +382,22 @@ def test_output_is_canonical_json(capsys):
     assert json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh process that imports binquad from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(binquad.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
+def fresh(code: str):
+    """The JSON that `python -c code` prints in a fresh process."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def test_parser_reuse_matches_fresh_processes(capsys):
     # One process serves every call below from the same verb table; options
     # of one call must not leak into the next, and each call must print and
@@ -398,10 +414,7 @@ def test_parser_reuse_matches_fresh_processes(capsys):
         ["similar", q1],
         ["verify", "--filter", "C07"],
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(binquad.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
-    )
+    env = fresh_env()
     for argv in calls:
         code = run(argv)
         got = capsys.readouterr()
@@ -411,21 +424,90 @@ def test_parser_reuse_matches_fresh_processes(capsys):
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+
+
 def test_import_pulls_in_no_dataclasses():
     # the request path's modules import no dataclasses and no inspect (with
     # ast, dis and tokenize behind it), and no argparse or the gettext it
     # imports: their import cost is paid by every fresh process
     code = (
-        "import binquad.cli, binquad.pairs, binquad.acceptance, sys\n"
-        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules)))"
+        "import binquad.cli, binquad.pairs, binquad.acceptance, json, sys\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules))))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(binquad.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    assert fresh(code) == []
+
+
+FORM_LAYER = ["binquad", "binquad.cli", "binquad.errors", "binquad.form", "binquad.integral", "binquad.mat2",
+              "binquad.modular", "binquad.ring"]
+EVERY_LAYER = sorted(FORM_LAYER + ["binquad.acceptance", "binquad.clifford", "binquad.compose", "binquad.norm",
+                                   "binquad.pairs", "binquad.picard"])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["similar", form_json(2, 1, 3), form_json(3, -1, 2)], FORM_LAYER),
+    (["similar", form_json(1, 0, 1), form_json(1, 1, 1)], FORM_LAYER),
+    (["disc", form_json(2, 1, 3)], FORM_LAYER),
+    (["reduce", form_json(3, 1, 2)], FORM_LAYER),
+    (["verify", "--filter", "C01"], EVERY_LAYER),
+])
+def test_a_verb_loads_the_layers_it_runs(argv, loaded):
+    # similar, disc and reduce run on the form layer alone, so a fresh
+    # process that answers them compiles no pairs, ideal lattices,
+    # composition or class groups; verify checks every layer
+    code = (
+        "import io, json, sys\nfrom contextlib import redirect_stdout\nfrom binquad.cli import run\n"
+        f"with redirect_stdout(io.StringIO()):\n    run({argv!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'binquad')))"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert fresh(code) == loaded
+
+
+# binquad.__all__ as the package listed it when it imported every layer
+ALL = [
+    "AlgebraWitness", "BinaryQuadraticForm", "ClassGroup", "CliffordPair", "IdealLattice", "IntegerRing",
+    "ModularRing", "PairVerdict", "PairWitness", "QQ", "QuadraticAlgebra", "RationalRing", "Ring", "RingHom",
+    "SimilarityVerdict", "SimilarityWitness", "ZZ", "algebra_isomorphic", "automorphisms", "base_change_checks",
+    "bqf", "class_group", "class_number", "clifford", "clifford_form_to_wood_form", "compose", "content",
+    "dirichlet_compose", "dual_conic", "dual_form", "dual_form_trace", "errors", "even_clifford",
+    "even_clifford_of_ideal", "form", "form_to_ideal", "form_to_pair", "ideal_class_representatives",
+    "ideal_conjugate", "ideal_is_invertible", "ideal_is_principal", "ideal_multiply", "identity_form", "integral",
+    "inverse_form", "m_left", "m_right", "mat2", "modular", "naive_norm_form", "norm", "normalize_pair",
+    "pair_to_form", "pairs", "pairs_isomorphic", "pic_counts", "picard", "proper_reduce", "properly_equivalent",
+    "quat_conj", "quat_mul", "quat_norm", "quat_trace", "reduce_definite", "reduced_forms", "ring",
+    "ring_from_json", "similar", "universal_norm_form", "wood_pair",
+]
+
+
+def test_star_import_binds_every_public_name_to_its_definition():
+    # a submodule name binds the module and every other name the object its
+    # module defines; binquad.compose is the function, as it was re-exported
+    code = (
+        "import json, sys\nfrom binquad import *\nimport binquad\nsame = []\n"
+        "for n in binquad.__all__:\n"
+        "    obj, home = globals()[n], sys.modules.get('binquad.' + n)\n"
+        "    want = home if home is not None and n != 'compose' else getattr(sys.modules[obj.__module__], n)\n"
+        "    same.append(obj is want is getattr(binquad, n))\n"
+        "print(json.dumps([binquad.__all__, same.count(True), callable(compose)]))"
+    )
+    assert fresh(code) == [ALL, len(ALL), True]
+    assert binquad.__all__ == ALL
+
+
+@pytest.mark.parametrize("first", [
+    "import binquad.picard",
+    "import binquad.acceptance",
+    "import binquad.compose",
+    "from binquad.cli import run; run(['compose', '{\"a\":2,\"b\":1,\"c\":3}', '{\"a\":2,\"b\":1,\"c\":3}'])",
+], ids=["picard", "acceptance", "compose-module", "compose-verb"])
+def test_compose_names_the_function_in_every_import_order(first):
+    # the submodule binquad.compose is bound on the package whenever a module
+    # first imports it; the package's compose stays the composition function
+    code = (
+        f"import io, json, sys\nfrom contextlib import redirect_stdout\nwith redirect_stdout(io.StringIO()):\n"
+        f"    {first}\nimport binquad\nfrom binquad import norm, picard\n"
+        "print(json.dumps([binquad.compose is sys.modules['binquad.compose'].compose, norm.__name__, picard.__name__]))"
+    )
+    assert fresh(code) == [True, "binquad.norm", "binquad.picard"]
 
 
 Q = form_json(1, 0, 1)

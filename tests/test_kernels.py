@@ -16,7 +16,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from binquad.clifford import QuadraticAlgebra, even_clifford, module_axiom_holds, tau_product
+from binquad.clifford import QuadraticAlgebra, even_clifford, map_matrix, module_axiom_holds, tau_product
 import binquad.mat2
 import binquad.modular
 from binquad.compose import compose, inverse_form
@@ -31,7 +31,7 @@ from binquad.form import (
 )
 from binquad.mat2 import mat, mdet, mident, mmul
 from binquad.modular import _canonical_2adic, _diagonal_odd, _witness_2adic, _witness_odd, similar_mod
-from binquad.ring import QQ, ZZ, IntegerRing, ModularRing
+from binquad.ring import QQ, ZZ, IntegerRing, ModularRing, RingHom
 from oracles import (
     _canonical2,
     _diagonalize,
@@ -44,6 +44,7 @@ from oracles import (
     inverse_by_lattices,
     lattice_mul,
     madd,
+    map_per_value,
     madd_genexpr,
     mat_per_entry,
     mmul_genexpr,
@@ -185,6 +186,33 @@ def test_mat2_rows_match_normalize_per_entry(R, vs, ws):
     assert typed(mident(R)) == typed(mat_per_entry(R, ((1, 0), (0, 1))))
     A, B = ((ws[0], ws[1]), (ws[2], ws[3])), ((ws[4], ws[5]), (ws[6], ws[7]))
     assert outcome(mmul, R, A, B) == outcome(mmul_genexpr, R, A, B)
+
+
+# the three arrows RingHom allows: Z -> Z/n, Z -> Q and Z/n -> Z/m with m | n
+homs = st.one_of(
+    st.one_of(st.integers(min_value=2, max_value=60), st.integers(min_value=2**64, max_value=2**200)).map(
+        lambda n: RingHom(ZZ, ModularRing(n))
+    ),
+    st.just(RingHom(ZZ, QQ)),
+    st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=2, max_value=12)).map(
+        lambda km: RingHom(ModularRing(km[0] * km[1]), ModularRing(km[1]))
+    ),
+)
+
+
+@given(homs, st.lists(ints, min_size=7, max_size=7))
+def test_base_change_matches_the_per_value_route(hom, vs):
+    # a form, an algebra and a matrix over hom.src reach hom.dst through one
+    # destination call per value or row, with the values and types that hom
+    # gives each value
+    S = hom.src
+    q, C = BinaryQuadraticForm(S, *vs[:3]), QuadraticAlgebra(S, *vs[3:5])
+    M = mat(S, ((vs[0], vs[5]), (vs[6], vs[2])))
+    q2, C2 = q.map(hom), C.map(hom)
+    assert q2.ring == C2.ring == hom.dst
+    assert typed(q2.coeffs()) == typed(map_per_value(hom, *q.coeffs()))
+    assert typed((C2.t, C2.nm)) == typed(map_per_value(hom, C.t, C.nm))
+    assert typed(map_matrix(hom, M)) == typed(tuple(map_per_value(hom, *row) for row in M))
 
 
 @given(all_rings, st.data())

@@ -3,7 +3,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binquad.clifford import QuadraticAlgebra
 from binquad.form import BinaryQuadraticForm, similar
@@ -14,6 +14,7 @@ from oracles import (
     bounded_witness_search,
     discriminant_screen_units,
     dyadic_orbit_labels,
+    factor_by_trial_division,
     orbit_labels,
     value_set_screen_mod,
 )
@@ -62,6 +63,20 @@ def test_factor_examples():
     assert factor(2**10 * 3) == {2: 10, 3: 1}
     # a prime above 10^12 is accepted because Miller-Rabin proves it
     assert factor(1000000000039) == {1000000000039: 1}
+
+
+@given(st.integers(min_value=-3, max_value=10**7))
+# primes, squares and products around the bound where Miller-Rabin takes over
+@example(9973)
+@example(9991)
+@example(10007)
+@example(10201)
+@example(9973 * 1009)
+@example(2**23)
+@example(3**14)
+def test_factor_matches_trial_division(n):
+    # the same primes with the same exponents, smallest first
+    assert list(factor(n).items()) == list(factor_by_trial_division(n).items())
 
 
 def test_factor_budget_is_reported_not_exceeded():

@@ -3,21 +3,15 @@ even Clifford algebras, form/pair correspondence, duality,
 ideal lattices with universal norm forms, Gauss composition, and
 class-group verification over Z, Z/n, and Q.
 
-The form layer (forms, reduction, similarity over Z, Z/n and Q) loads
-with the package.  Every other layer loads when one of its names is
-first read (PEP 562), so that a process imports only the layers it
-reaches: deciding similarity loads no ideal lattice, composition or
-class group code.
+Every layer loads when one of its names is first read (PEP 562), so
+that a process imports only the layers it reaches: `import binquad`
+loads none, and deciding similarity loads no ideal lattice, composition
+or class group code.
 """
 
 import sys
 from importlib import import_module
 from types import ModuleType
-
-# The form layer loads with the package.  form dispatches to integral and
-# modular, which build on form, and that cycle resolves only when form is
-# imported first, whichever binquad module a caller names.
-from . import form  # noqa: F401
 
 # each layer and the public names it defines
 _LAYERS = {

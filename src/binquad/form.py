@@ -1,9 +1,10 @@
-"""Binary quadratic forms, invariants, the basis-change action, Gauss
-reduction of definite integral forms, and the similarity dispatcher.
+"""Binary quadratic forms, invariants, Gauss reduction of definite
+integral forms, and the similarity dispatcher.
 
-`similar` screens, then hands each ring to one decision procedure:
+`similar` screens, then hands each ring's coefficients to one kernel:
 binquad.modular for Z/n, diagonalisation here for Q, and binquad.integral
-for Z, which also decides `properly_equivalent`.
+for Z, which also decides `properly_equivalent`.  A kernel answers a
+witness (M, u) or a reason; `similar` alone checks it and builds verdicts.
 
 A form is the map q(x, y) = a*x^2 + b*x*y + c*y^2 with coefficients in one
 of the supported rings.  Two forms are *similar* when q'(Mv) = u*q(v) for
@@ -18,30 +19,22 @@ from math import gcd, isqrt, lcm
 from typing import Optional
 
 from .errors import NotDefinite, NotInvertible, UsageError
+from .integral import properly_equivalent_integral, reduce_triple, similar_integral
 from .mat2 import mat, mat_from_json, mat_to_json, mdet, mident, mmul
+from .modular import similar_mod
 from .ring import (
     IntegerRing,
     ModularRing,
+    QQ,
     RationalRing,
     Ring,
     RingHom,
     Value,
     ZZ,
+    basis_change,
     content,
     json_ring,
 )
-
-
-def basis_change(a, b, c, M):
-    """(q(M e1), b_q(M e1, M e2), q(M e2)): the coefficients of q(M v) for q = (a, b, c), on
-    plain ints, residues or Fractions and not normalized, so each caller normalizes once."""
-    (x1, x2), (y1, y2) = M
-    ax1, cy1 = a * x1, c * y1
-    return (
-        x1 * (ax1 + b * y1) + cy1 * y1,
-        2 * (ax1 * x2 + cy1 * y2) + b * (x1 * y2 + y1 * x2),
-        x2 * (a * x2 + b * y2) + c * y2 * y2,
-    )
 
 
 class BinaryQuadraticForm(Value):
@@ -223,24 +216,6 @@ _set_m, _set_u = SimilarityWitness._setters
 _set_verdict, _set_witness, _set_reason, _set_bound = SimilarityVerdict._setters
 
 
-def reduce_triple(a: int, b: int, c: int):
-    """Gauss reduction of a positive definite int triple: the reduced
-    triple and the SL2(Z) matrix (a tuple of rows) carrying (a, b, c) to it."""
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    while True:
-        if a > c or (a == c and b < 0):
-            # swap step: (a, b, c) -> (c, -b, a)
-            a, b, c = c, -b, a
-            m00, m01, m10, m11 = m01, -m00, m11, -m10
-        elif not (-a < b <= a):
-            # translation step: k = floor((a-b)/2a) puts b + 2ak in (-a, a]
-            k = (a - b) // (2 * a)
-            a, b, c = a, b + 2 * a * k, a * k * k + b * k + c
-            m01, m11 = m00 * k + m01, m10 * k + m11
-        else:
-            return (a, b, c), ((m00, m01), (m10, m11))
-
-
 def reduce_definite(q: BinaryQuadraticForm):
     """Gauss reduction of a positive definite integral form.
 
@@ -271,7 +246,7 @@ def properly_equivalent(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> boo
     CYCLE_LIMIT).  Forms over other rings raise NotDefinite."""
     if not isinstance(_same_ring(q1, q2), IntegerRing):
         raise NotDefinite("proper equivalence is only decided over Z")
-    return properly_equivalent_integral(q1, q2)
+    return properly_equivalent_integral(q1.coeffs(), q2.coeffs())
 
 
 def _moved(a, b, c):
@@ -290,35 +265,32 @@ def _cleared(*xs):
     return [x.numerator * (L // x.denominator) for x in xs], L
 
 
-def _rational_similarity(q1, q2) -> SimilarityVerdict:
-    """Complete decision over Q for nonzero forms.
+def _rational_similarity(f1, f2):
+    """Complete decision over Q for nonzero Fraction triples: the witness (M, u), or the
+    reason as `similar`'s verdict fields.
 
-    Each q_i is cleared once, to L_i*q_i = (A_i, B_i, C_i) of discriminant D_i = d_i*L_i^2.
+    Each f_i is cleared once, to L_i*f_i = (A_i, B_i, C_i) of discriminant D_i = d_i*L_i^2.
     Similarity scales d by u^2 det(M)^2, so its vanishing and the square class of d1*d2
     survive: `discriminant` when exactly one D_i is 0 or D1*D2 is not a square integer.
     Every binary form over Q is alpha*<1, d>, so the other pairs are similar: with each
     cleared form moved by P_i to A_i' != 0 (see _moved), M' = ((1, t1 - s*t2), (0, s)),
     t_i = B_i'/(2A_i'), u = (A2'/L2)/(A1'/L1) and s = |A2'|*sqrt(D1*D2)/(|A1'|*|D2|) (1 in
-    rank 1) carry q2' to u*q1', and M = P2 M' P1^-1."""
-    R = q1.ring
-    (X1, L1), (X2, L2) = _cleared(*q1.coeffs()), _cleared(*q2.coeffs())
+    rank 1) carry f2' to u*f1', and M = P2 M' P1^-1."""
+    (X1, L1), (X2, L2) = _cleared(*f1), _cleared(*f2)
     D1, D2 = X1[1] * X1[1] - 4 * X1[0] * X1[2], X2[1] * X2[1] - 4 * X2[0] * X2[2]
     DD = D1 * D2
     r = isqrt(DD) if DD >= 0 else -1  # a negative D1*D2 is no square
     if (D1 == 0) != (D2 == 0) or r * r != DD:
-        return SimilarityVerdict("not_similar", reason="discriminant")
+        return dict(reason="discriminant")
     (_, P1i, (A1, B1, _)), (P2, _, (A2, B2, _)) = _moved(*X1), _moved(*X2)
     sn, sd = (abs(A2) * r, abs(A1 * D2)) if D2 else (1, 1)
     t = Fraction(B1 * A2 * sd - B2 * A1 * sn, 2 * A1 * A2 * sd)
-    u, M = Fraction(A2 * L1, A1 * L2), ((R.one, t), (R.zero, Fraction(sn, sd)))
+    M = ((QQ.one, t), (QQ.zero, Fraction(sn, sd)))
     if P2 is not None:
-        M = mmul(R, P2, M)
+        M = mmul(QQ, P2, M)
     if P1i is not None:
-        M = mmul(R, M, P1i)
-    w = SimilarityWitness(M, u)
-    if not w.verify(q1, q2):
-        raise AssertionError("rational diagonalisation produced a bad witness")
-    return SimilarityVerdict("similar", witness=w)
+        M = mmul(QQ, M, P1i)
+    return M, Fraction(A2 * L1, A1 * L2)
 
 
 def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdict:
@@ -332,23 +304,27 @@ def similar(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> SimilarityVerdi
     cases answer Unknown and name the budget they used up: a non-square
     D > 0 whose cycles outrun CYCLE_LIMIT (after the genus screen), and
     a modulus n that cannot be factored within binquad.modular.TRIAL_LIMIT.
+    Every witness, the identity's included, is checked before it is returned.
     """
     R = _same_ring(q1, q2)
+    f1, f2 = q1.coeffs(), q2.coeffs()
     if q1.is_zero() != q2.is_zero():
-        return SimilarityVerdict("not_similar", reason="zero")
-    if q1.coeffs() == q2.coeffs():
-        return SimilarityVerdict("similar", witness=SimilarityWitness(mident(R), R.one))
-    if isinstance(R, ModularRing):
-        return similar_mod(q1, q2)
-    if isinstance(R, RationalRing):
-        return _rational_similarity(q1, q2)
-    if q1.discriminant() != q2.discriminant():
-        return SimilarityVerdict("not_similar", reason="discriminant")
-    if q1.content() != q2.content():
-        return SimilarityVerdict("not_similar", reason="content")
-    return similar_integral(q1, q2)
-
-
-# bound once, here: binquad.integral and binquad.modular import the names above
-from .integral import properly_equivalent_integral, similar_integral  # noqa: E402
-from .modular import similar_mod  # noqa: E402
+        found = dict(reason="zero")
+    elif f1 == f2:
+        found = mident(R), R.one
+    elif isinstance(R, ModularRing):
+        found = similar_mod(f1, f2, R.n)
+    elif isinstance(R, RationalRing):
+        found = _rational_similarity(f1, f2)
+    elif q1.discriminant() != q2.discriminant():
+        found = dict(reason="discriminant")
+    elif q1.content() != q2.content():
+        found = dict(reason="content")
+    else:
+        found = similar_integral(f1, f2)
+    if type(found) is dict:
+        return SimilarityVerdict("unknown" if "bound" in found else "not_similar", **found)
+    w = SimilarityWitness(*found)
+    if not w.verify(q1, q2):
+        raise AssertionError(f"similarity over {R!r} produced a bad witness")
+    return SimilarityVerdict("similar", witness=w)

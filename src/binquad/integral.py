@@ -22,7 +22,8 @@ stabiliser of that line, (( +-1, k), (0, +-1)), cannot change further
 (Buell, *Binary Quadratic Forms*, 1989).  For D = 0 the one
 isotropic line gives (0, 0, m), and the canonical form is m*x^2.
 
-Forms are plain int triples and matrices plain 2x2 int tuples.  sqrt(D) is
+Forms are plain int triples, matrices plain 2x2 int tuples, and answers a
+witness (M, u) or the reason of `similar`'s verdict.  sqrt(D) is
 irrational for non-square D, so every comparison with it is exact against
 r = isqrt(D): x < sqrt(D) iff x <= r, and x > sqrt(D) iff x > r.
 """
@@ -32,10 +33,9 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import BudgetExceeded
-from .form import SimilarityVerdict, SimilarityWitness, basis_change, reduce_triple
 from .mat2 import mmul
 from .modular import _genus_separates
-from .ring import ZZ
+from .ring import ZZ, basis_change
 
 # Every reduction and every cycle walk stops after this many rho-steps.
 # A cycle is about as long as the regulator, which can reach sqrt(D); 10^4
@@ -43,6 +43,24 @@ from .ring import ZZ
 CYCLE_LIMIT = 10**4
 
 _I = ((1, 0), (0, 1))
+
+
+def reduce_triple(a: int, b: int, c: int):
+    """Gauss reduction of a positive definite int triple: the reduced
+    triple and the SL2(Z) matrix (a tuple of rows) carrying (a, b, c) to it."""
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    while True:
+        if a > c or (a == c and b < 0):
+            # swap step: (a, b, c) -> (c, -b, a)
+            a, b, c = c, -b, a
+            m00, m01, m10, m11 = m01, -m00, m11, -m10
+        elif not (-a < b <= a):
+            # translation step: k = floor((a-b)/2a) puts b + 2ak in (-a, a]
+            k = (a - b) // (2 * a)
+            a, b, c = a, b + 2 * a * k, a * k * k + b * k + c
+            m01, m11 = m00 * k + m01, m10 * k + m11
+        else:
+            return (a, b, c), ((m00, m01), (m10, m11))
 
 
 def _is_reduced(f, r: int) -> bool:
@@ -145,32 +163,33 @@ def _find(f, targets, D: int, r: int):
     return T, ((_I, targets[g]) if g in targets else None)
 
 
-def properly_equivalent_integral(q1, q2) -> bool:
-    """q2.act(M, 1) == q1 for some M in SL2(Z), for forms over Z.  Raises
+def properly_equivalent_integral(f1, f2) -> bool:
+    """f2(M v) == f1(v) for some M in SL2(Z), for int triples.  Raises
     BudgetExceeded past CYCLE_LIMIT."""
-    D = q1.discriminant()[1]
-    if q2.discriminant()[1] != D:
+    D = f1[1] * f1[1] - 4 * f1[0] * f1[2]
+    if f2[1] * f2[1] - 4 * f2[0] * f2[2] != D:
         return False
     r = isqrt(max(D, 0))
-    g1, _ = _canonical(q1.coeffs(), D, r)
-    return _find(q2.coeffs(), {g1: None}, D, r)[1] is not None
+    g1, _ = _canonical(f1, D, r)
+    return _find(f2, {g1: None}, D, r)[1] is not None
 
 
-def similar_integral(q1, q2) -> SimilarityVerdict:
-    """Similarity of nonzero forms over Z of one discriminant D and one
-    content.
+def similar_integral(f1, f2):
+    """Similarity of nonzero int triples of one discriminant D and one
+    content: the witness (M, u), or the reason as `similar`'s verdict
+    fields.
 
-    q2(M v) = u q1(v) with M in GL2(Z), u = +-1 iff q2 is properly
-    equivalent to u * q1(N v) for one of u = +-1 and N = diag(1, +-1):
-    q2 is matched against the canonical forms of these four variants.  A
+    f2(M v) = u f1(v) with M in GL2(Z), u = +-1 iff f2 is properly
+    equivalent to u * f1(N v) for one of u = +-1 and N = diag(1, +-1):
+    f2 is matched against the canonical forms of these four variants.  A
     non-similar verdict names `definite_reduction` for D < 0; for D >= 0 it
-    names `genus` when the genus characters of q2 are those of neither
-    u * q1, and otherwise `split_form` (square D) or `indefinite_cycle`.
+    names `genus` when the genus characters of f2 are those of neither
+    u * f1, and otherwise `split_form` (square D) or `indefinite_cycle`.
     Past CYCLE_LIMIT the genus characters are compared, and otherwise the
     verdict is unknown with reason `cycle_limit`."""
-    D = q1.discriminant()[1]
+    a, b, c = f1
+    D = b * b - 4 * a * c
     r = isqrt(max(D, 0))
-    a, b, c = q1.coeffs()
     try:
         plus = [_canonical((a, n * b, c), D, r) for n in (1, -1)]
         if D < 0:  # -f reduces through the same s*f as f: the same T, the negated form
@@ -180,21 +199,18 @@ def similar_integral(q1, q2) -> SimilarityVerdict:
         targets = {}
         for u, (g, T), n in zip((1, 1, -1, -1), plus + minus, (1, -1, 1, -1)):
             targets.setdefault(g, (T, n, u))
-        T2, hit = _find(q2.coeffs(), targets, D, r)
+        T2, hit = _find(f2, targets, D, r)
     except BudgetExceeded:
         T2 = hit = None  # T2 is None only past CYCLE_LIMIT
     if hit is None:
         if D < 0:
-            return SimilarityVerdict("not_similar", reason="definite_reduction")
-        if _genus_separates((a, b, c), q2.coeffs(), D):
-            return SimilarityVerdict("not_similar", reason="genus")
+            return dict(reason="definite_reduction")
+        if _genus_separates(f1, f2, D):
+            return dict(reason="genus")
         if T2 is None:
-            return SimilarityVerdict("unknown", reason="cycle_limit", bound=CYCLE_LIMIT)
-        return SimilarityVerdict("not_similar", reason="split_form" if r * r == D else "indefinite_cycle")
-    # q2.act(T2 T, 1) == q1.act(N T1, u), so M = T2 T T1^-1 N.
+            return dict(reason="cycle_limit", bound=CYCLE_LIMIT)
+        return dict(reason="split_form") if r * r == D else dict(reason="indefinite_cycle")
+    # f2(T2 T v) == u f1(N T1 v), so M = T2 T T1^-1 N.
     T, (T1, n, u) = hit
     (t00, t01), (t10, t11) = T1
-    w = SimilarityWitness(mmul(ZZ, mmul(ZZ, T2, T), ((t11, -t01 * n), (-t10, t00 * n))), u)
-    if not w.verify(q1, q2):
-        raise AssertionError("canonical-form transport produced a bad witness")
-    return SimilarityVerdict("similar", witness=w)
+    return mmul(ZZ, mmul(ZZ, T2, T), ((t11, -t01 * n), (-t10, t00 * n))), u

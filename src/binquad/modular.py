@@ -20,15 +20,16 @@ Each class gets one canonical form, reached by an explicit (M, lam).
 Z/n is the product of its prime powers, so the verdict over Z/n is the
 conjunction of the local verdicts, and the witness is glued from the
 local witnesses by CRT.  The local witnesses are residue kernels: they
-compute on int triples and 2x2 int tuples mod p^k, and the one
-SimilarityWitness is built from the glued ints.
+compute on int triples and 2x2 int tuples mod p^k, and similar_mod
+returns the glued ints, from which `similar` builds its verdict after
+checking the witness.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, prod
 
-from .form import SimilarityVerdict, SimilarityWitness, basis_change
+from .ring import basis_change
 
 # Trial division runs up to TRIAL_LIMIT, which factors every n <= 10^12;
 # a cofactor left over is prime when no d up to its square root divides it,
@@ -314,21 +315,18 @@ def _crt(local, moduli):
     return lam % n, ((a % n, b % n), (c % n, d % n))
 
 
-def similar_mod(q1, q2) -> SimilarityVerdict:
-    """Similarity over Z/n, for distinct forms that passed the zero
-    screen: decided unless n cannot be factored within TRIAL_LIMIT."""
-    primes = factor(q1.ring.n)
+def similar_mod(f1, f2, n: int):
+    """Similarity over Z/n of distinct int triples that passed the zero
+    screen: the witness (M, lam), or the reason as `similar`'s verdict
+    fields.  Decided unless n cannot be factored within TRIAL_LIMIT."""
+    primes = factor(n)
     if primes is None:
-        return SimilarityVerdict("unknown", reason="factoring", bound=TRIAL_LIMIT)
-    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+        return dict(reason="factoring", bound=TRIAL_LIMIT)
+    d1, d2 = f1[1] * f1[1] - 4 * f1[0] * f1[2], f2[1] * f2[1] - 4 * f2[0] * f2[2]
     if not all(_disc_classes_match(d1, d2, p, k) for p, k in primes.items()):
-        return SimilarityVerdict("not_similar", reason="discriminant")
-    f1, f2 = q1.coeffs(), q2.coeffs()
+        return dict(reason="discriminant")
     local = [_witness_2adic(f1, f2, k) if p == 2 else _witness_odd(f1, f2, p, k) for p, k in primes.items()]
     if None in local:
-        return SimilarityVerdict("not_similar", reason="jordan_invariants")
+        return dict(reason="jordan_invariants")
     lam, M = _crt(local, [p**k for p, k in primes.items()])
-    w = SimilarityWitness(M, lam)
-    if not w.verify(q1, q2):
-        raise AssertionError("Jordan splitting produced a bad witness")
-    return SimilarityVerdict("similar", witness=w)
+    return M, lam

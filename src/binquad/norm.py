@@ -9,7 +9,7 @@ coordinates of (alpha, beta) in (1, tau).  ``_product_basis`` and
 the products (``clifford.tau_product``) or conjugates: Hermite data
 (p, s, r) from ``_hnf_cols``, oriented by ``_canonical_basis``.  The norm
 form N(x*alpha + y*beta) is the norm N(x + y*tau) = x^2 + t*x*y + nm*y^2
-moved by B, ``form.basis_change(1, t, nm, B)``; ``_universal_form``
+moved by B, ``ring.basis_change(1, t, nm, B)``; ``_universal_form``
 divides it by its content, ``_is_invertible`` asks whether B * conj(B) is
 that content times O, and ``_is_principal`` whether the form represents
 the index.  A form (a, b, c) with a != 0 spans <a, b - tau> in its even
@@ -29,10 +29,10 @@ from typing import Optional
 
 from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, m_left, m_right, map_matrix, tau_product
 from .errors import IncompatibleAlgebras, NotDefinite, NotInvertible, NotPrimitive, UsageError, ZeroForm
-from .form import BinaryQuadraticForm, basis_change, similar
+from .form import BinaryQuadraticForm, similar
 from .mat2 import mat, mat_from_json, mat_to_json
 from .modular import factor
-from .ring import IntegerRing, ModularRing, RationalRing, RingHom, Value, ZZ
+from .ring import IntegerRing, ModularRing, RationalRing, RingHom, Value, ZZ, basis_change
 
 
 def _hnf_cols(cols):

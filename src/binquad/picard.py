@@ -14,7 +14,8 @@ from math import gcd, isqrt
 from .clifford import QuadraticAlgebra
 from .compose import shanks
 from .errors import BadDiscriminant
-from .form import BinaryQuadraticForm, reduce_triple
+from .form import BinaryQuadraticForm
+from .integral import reduce_triple
 from .modular import factor
 from .norm import IdealLattice, _conjugate_basis, _is_invertible, _is_principal, _product_basis
 from .ring import Value, ZZ

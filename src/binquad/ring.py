@@ -3,7 +3,7 @@
 Elements are plain Python values -- ``int`` for integers and for residues
 (kept in the canonical range ``[0, n)``), ``Fraction`` for rationals -- and
 a small ring object carries the arithmetic.  Everything is exact; no
-floats anywhere.
+floats anywhere.  ``basis_change``, the one q(Mv), works on plain values.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class Ring:
     def normalize_all(self, a, b, c=_TWO) -> tuple:
         """(normalize(a), normalize(b)[, normalize(c)]) in one call, raising as normalize does on
         the first bad value; each ring answers at once when all have its exact element type."""
-        return tuple(map(self.normalize, (a, b) if c is _TWO else (a, b, c)))
+        n = self.normalize
+        return (n(a), n(b)) if c is _TWO else (n(a), n(b), n(c))
 
     # add, sub, mul and neg normalize one result each; the seed definitions
     # that the arithmetic tests keep as their oracle are written in them.
@@ -343,6 +344,18 @@ def fraction_sqrt(v: Fraction) -> Optional[Fraction]:
     if rp * rp == p and rq * rq == q:
         return Fraction(rp, rq)
     return None
+
+
+def basis_change(a, b, c, M):
+    """(q(M e1), b_q(M e1, M e2), q(M e2)): the coefficients of q(M v) for q = (a, b, c), on
+    plain ints, residues or Fractions and not normalized, so each caller normalizes once."""
+    (x1, x2), (y1, y2) = M
+    ax1, cy1 = a * x1, c * y1
+    return (
+        x1 * (ax1 + b * y1) + cy1 * y1,
+        2 * (ax1 * x2 + cy1 * y2) + b * (x1 * y2 + y1 * x2),
+        x2 * (a * x2 + b * y2) + c * y2 * y2,
+    )
 
 
 class RingHom(Value):

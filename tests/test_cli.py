@@ -462,6 +462,19 @@ def test_a_verb_loads_the_layers_it_runs(argv, loaded):
     assert fresh(code) == loaded
 
 
+@pytest.mark.parametrize("first, loaded", [
+    ("binquad", ["binquad"]),
+    ("binquad.modular", ["binquad", "binquad.errors", "binquad.modular", "binquad.ring"]),
+    ("binquad.integral", ["binquad", "binquad.errors", "binquad.integral", "binquad.mat2", "binquad.modular",
+                          "binquad.ring"]),
+])
+def test_an_import_loads_only_the_layers_below_it(first, loaded):
+    # the package loads no layer, and the similarity kernels load as the
+    # first binquad import of a process, without form
+    code = f"import json, sys\nimport {first}\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('binquad'))))"
+    assert fresh(code) == loaded
+
+
 # binquad.__all__ as the package listed it when it imported every layer
 ALL = [
     "AlgebraWitness", "BinaryQuadraticForm", "ClassGroup", "CliffordPair", "IdealLattice", "IntegerRing",

@@ -517,12 +517,39 @@ def test_rational_witness_is_the_diagonalisation_product(f1, f2):
         q2 = q1.act(M, u) if m00 * m11 != m01 * m10 else q1.neg()
     if q1.is_zero() or q2.is_zero():
         return
-    v = _rational_similarity(q1, q2)
-    if not v.is_similar:
+    found = _rational_similarity(q1.coeffs(), q2.coeffs())
+    if type(found) is dict:
         return
-    w = v.witness
+    w = SimilarityWitness(*found)
     assert w == rational_similarity_product(q1, q2)
     assert {type(x) for x in (*w.m[0], *w.m[1], w.u)} == {Fraction}
+
+
+def test_similar_is_the_one_place_that_checks_a_witness(monkeypatch):
+    # the kernels answer with plain data; similar builds the witness and
+    # refuses it when the check fails, on every ring and route, the
+    # identity witness of two equal forms included
+    import binquad.form as form
+
+    third = Fraction(1, 3)
+    cases = [
+        (bqf(2, 1, 3), ((2, 1), (1, 1)), 1),  # D < 0
+        (bqf(1, 3, -2), ((1, 1), (0, 1)), -1),  # D = 17
+        (bqf(0, 3, 1), ((1, 1), (1, 2)), -1),  # D = 9
+        (BinaryQuadraticForm(ModularRing(45), 3, 5, 14), ((2, 1), (1, 1)), 7),
+        (BinaryQuadraticForm(QQ, third, -2, 5), ((1, 2), (3, 4)), Fraction(2, 5)),
+    ]
+    pairs = [(q, q.act(M, u)) for q, M, u in cases] + [(bqf(1, 0, 1), bqf(1, 0, 1))]
+    assert all(similar(q1, q2).is_similar for q1, q2 in pairs)
+    monkeypatch.setattr(SimilarityWitness, "verify", lambda self, q1, q2: False)
+    for q1, q2 in pairs:
+        with pytest.raises(AssertionError):
+            similar(q1, q2)
+    src = Path(form.__file__).parent
+    for module in ("integral.py", "modular.py"):
+        text = (src / module).read_text()
+        for name in ("SimilarityWitness", "SimilarityVerdict", ".form"):
+            assert name not in text, (module, name)
 
 
 def test_rational_witness_needs_no_matrix_product(monkeypatch, capsys):

@@ -25,13 +25,12 @@ from binquad.form import (
     SimilarityVerdict,
     SimilarityWitness,
     _rational_similarity,
-    basis_change,
     bqf,
     similar,
 )
 from binquad.mat2 import mat, mdet, mident, mmul
 from binquad.modular import _canonical_2adic, _diagonal_odd, _witness_2adic, _witness_odd, similar_mod
-from binquad.ring import QQ, ZZ, IntegerRing, ModularRing, RingHom
+from binquad.ring import QQ, ZZ, IntegerRing, ModularRing, RingHom, basis_change
 from oracles import (
     _canonical2,
     _diagonalize,
@@ -361,13 +360,14 @@ def test_closed_form_rational_witness_matches_fraction_route(data):
     # the screen on cleared integer discriminants refuses exactly the pairs
     # that the screen on Fraction discriminants refuses
     d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
-    new = _rational_similarity(q1, q2)
+    new = _rational_similarity(q1.coeffs(), q2.coeffs())
     if rational_screen_fractions(d1, d2) is not None:
-        assert new == SimilarityVerdict("not_similar", reason="discriminant")
+        assert new == dict(reason="discriminant")
         return
     old = rational_similarity_fractions(q1, q2, d1, d2)
-    assert new.to_json(QQ) == old.to_json(QQ)
-    assert typed(new.witness.m) == typed(old.witness.m) and typed(new.witness.u) == typed(old.witness.u)
+    (M, u) = new
+    assert SimilarityVerdict("similar", witness=SimilarityWitness(M, u)).to_json(QQ) == old.to_json(QQ)
+    assert typed(M) == typed(old.witness.m) and typed(u) == typed(old.witness.u)
 
 
 @st.composite
@@ -470,10 +470,14 @@ def test_local_witnesses_match_the_modular_ring_route(pk, data):
 def test_similar_mod_matches_the_modular_ring_route_at_mixed_n(k, m, data):
     n = 2**k * (2 * m + 1)  # 2^20 * 1009 among them
     q1, q2 = data.draw(modular_pairs(n)) if data else (bqf(3, 5, 14, ModularRing(n)), bqf(7, 1, 2, ModularRing(n)))
-    got, want = similar_mod(q1, q2), similar_mod_by_rings(q1, q2)
-    assert got == want
-    if got.witness is not None:
-        assert typed((got.witness.u, got.witness.m)) == typed((want.witness.u, want.witness.m))
+    # the kernel answers (M, lam) or the reason; n <= 2^20 * 2201 always factors
+    got, want = similar_mod(q1.coeffs(), q2.coeffs(), n), similar_mod_by_rings(q1, q2)
+    if want.witness is None:
+        assert want.verdict == "not_similar" and got == dict(reason=want.reason)
+    else:
+        M, lam = got
+        assert SimilarityWitness(M, lam) == want.witness
+        assert typed((lam, M)) == typed((want.witness.u, want.witness.m))
 
 
 def test_similar_over_z_mod_n_builds_no_ring_and_no_mat2_matrix(monkeypatch):

@@ -9,7 +9,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binquad import clifford, form, integral, norm, pairs
+from binquad import clifford, form, integral, modular, norm, pairs, ring
 from binquad.clifford import QuadraticAlgebra
 from binquad.errors import NotAModule, NotAPerfectSquare, NotTraceable
 from binquad.form import BinaryQuadraticForm, bqf, similar
@@ -527,17 +527,18 @@ def test_the_modular_witnesses_are_residue_kernels():
 
 
 def test_the_action_and_the_tau_product_are_written_once():
-    # q(Mv) is form.basis_change and the <1, tau> product clifford.tau_product;
+    # q(Mv) is ring.basis_change and the <1, tau> product clifford.tau_product;
     # the copies they replaced live in tests/oracles.py only
     src = Path(pairs.__file__).parent
     texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     text = "\n".join(texts.values())
     for name in ("_coeffs_under", "_norm_triple", "def _mul("):
         assert name not in text, name
-    for module, name in (("form.py", "def basis_change("), ("clifford.py", "def tau_product(")):
+    for module, name in (("ring.py", "def basis_change("), ("clifford.py", "def tau_product(")):
         assert text.count(name) == 1 and name in texts[module], name
     assert norm.tau_product is clifford.tau_product
-    assert norm.basis_change is form.basis_change and integral.basis_change is form.basis_change
+    for caller in (form, integral, modular, norm):
+        assert caller.basis_change is ring.basis_change, caller.__name__
 
 
 def test_pairs_over_an_unfactorable_modulus_answer_unknown_in_time():

@@ -1,5 +1,6 @@
 import ast
 import re
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 from binquad.acceptance import CRITERIA
@@ -21,6 +22,7 @@ KEPT = {
     "form.BinaryQuadraticForm.act": "the GL2 x units action that the README names",
     "form.BinaryQuadraticForm.conjugate": "(a, -b, c), which the reduction oracle compares",
     "form.bqf": "the short constructor of about 300 test call sites",
+    "form.SimilarityWitness": "the witness that similar returns",
     "mat2.minv": "perfbench's tracer counts it by name until ROADMAP item 8 drops it",
     "norm.IdealLattice.columns": "the basis as elements, read by the lattice's own checks",
     "norm.IdealLattice.contains": "membership, read by the lattice's closure check",
@@ -98,3 +100,18 @@ def test_every_public_name_is_reached_or_kept():
                 unreached.append(key)
     assert unreached == []
     assert sorted(set(KEPT) - defined) == []
+
+
+def test_module_imports_form_no_cycle():
+    # the module-level `from .x import` statements of src/binquad order the
+    # layers, so that any module can be the first a process imports;
+    # static_order raises CycleError on a cycle
+    graph = {}
+    for p in SRC.glob("*.py"):
+        graph[p.stem] = {
+            name
+            for node in ast.parse(p.read_text()).body if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [a.name for a in node.names])
+        }
+    order = list(TopologicalSorter(graph).static_order())
+    assert order.index("errors") < order.index("ring") < order.index("form")

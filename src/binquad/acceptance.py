@@ -2,7 +2,9 @@
 CLI (`binquad verify`) and wrapped by the pytest suite.
 
 All checks are exact (tolerance zero).  Each criterion function returns
-(ok, detail); `run` prints one line per criterion.
+(ok, detail); `run` prints one line per criterion.  Each criterion imports
+the layers it checks in its own body, so a process that runs one
+criterion loads only that criterion's layers.
 """
 
 from __future__ import annotations
@@ -11,32 +13,8 @@ import random
 from itertools import product
 from math import gcd
 
-from .clifford import (
-    QuadraticAlgebra,
-    algebra_isomorphic,
-    automorphisms,
-    even_clifford,
-    quat_conj,
-    quat_mul,
-    quat_norm,
-    quat_trace,
-)
-from .compose import compose, dirichlet_compose, identity_form, inverse_form
 from .errors import UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm, properly_equivalent, similar
-from .norm import (
-    IdealLattice,
-    _form_basis,
-    base_change_checks,
-    even_clifford_of_ideal,
-    form_to_ideal,
-    ideal_conjugate,
-    ideal_multiply,
-    naive_norm_form,
-    universal_norm_form,
-)
-from .pairs import CliffordPair, dual_form, dual_form_trace, form_to_pair, pair_to_form, pairs_isomorphic
-from .picard import class_group, class_number, pic_counts, reduced_forms
 from .ring import ModularRing, RingHom, ZZ
 
 
@@ -50,6 +28,8 @@ def _valid_discriminants(lo: int, hi: int = -3):
 
 def criterion_discriminant_identity():
     """4ac - b^2 equals minus the algebra discriminant, over all rings."""
+    from .clifford import even_clifford
+
     rings = [ZZ, ModularRing(5), ModularRing(7), ModularRing(9)]
     n = 0
     for R in rings:
@@ -85,8 +65,9 @@ def _unit_det_matrix_pool(bound: int):
     return g[np.abs(det) == 1]
 
 
-def _oracle_isomorphic(psi_pool, p: CliffordPair, p2: CliffordPair) -> bool:
-    """Vectorized bounded search for psi with psi*M = (k + eps*M')*psi."""
+def _oracle_isomorphic(psi_pool, p, p2) -> bool:
+    """Vectorized bounded search, for Clifford pairs p and p2, for psi with
+    psi*M = (k + eps*M')*psi."""
     import numpy as np
 
     from .clifford import _witness_for_eps
@@ -122,6 +103,9 @@ def _oracle_isomorphic(psi_pool, p: CliffordPair, p2: CliffordPair) -> bool:
 def criterion_bijection_round_trips():
     """Form/pair correspondence: exact round trip, randomized shifted
     pairs, and similarity vs pair isomorphism against the brute oracle."""
+    from .clifford import QuadraticAlgebra
+    from .pairs import CliffordPair, form_to_pair, pair_to_form, pairs_isomorphic
+
     for a, b, c in _grid(-6, 6):
         q = BinaryQuadraticForm(ZZ, a, b, c)
         if pair_to_form(form_to_pair(q)) != q:
@@ -165,6 +149,9 @@ def criterion_bijection_round_trips():
 
 def criterion_traceability():
     """Left action matrices are traceable; the split counterexample is not."""
+    from .clifford import QuadraticAlgebra
+    from .pairs import CliffordPair, form_to_pair
+
     rings = [ZZ, ModularRing(5), ModularRing(7), ModularRing(9)]
     for R in rings:
         for a, b, c in _grid(-10, 10):
@@ -180,6 +167,8 @@ def criterion_traceability():
 def criterion_duality_involution():
     """dual of dual is the identity; the five-stage trace matches the
     expected relation sets."""
+    from .pairs import dual_form, dual_form_trace
+
     for a, b, c in _grid(-10, 10):
         q = BinaryQuadraticForm(ZZ, a, b, c)
         if dual_form(dual_form(q)) != q:
@@ -250,6 +239,9 @@ def criterion_composition_vs_oracle():
     """Tensor composition agrees with the classical oracle (Shanks'
     composition, dirichlet_compose) in the proper class, and the group
     laws hold."""
+    from .compose import compose, dirichlet_compose, inverse_form
+    from .picard import reduced_forms
+
     pairs_checked = 0
     for D in _valid_discriminants(-200):
         forms = reduced_forms(D)
@@ -281,6 +273,8 @@ def criterion_composition_vs_oracle():
 
 def criterion_class_numbers():
     """Classical class numbers and the cyclic group of discriminant -47."""
+    from .picard import class_group, class_number
+
     expected = {-3: 1, -4: 1, -15: 2, -20: 2, -23: 3, -47: 5, -71: 7}
     for D, h in expected.items():
         got = class_number(D)
@@ -295,6 +289,8 @@ def criterion_class_numbers():
 def criterion_picard_bijections():
     """Oriented and unoriented counts from ideal lattices (`pic_counts`)
     equal those read off the element orders (`class_group`)."""
+    from .picard import class_group, pic_counts
+
     for D in _valid_discriminants(-100):
         g = class_group(D)
         lattice, forms = pic_counts(D), (g.order, g.unoriented)
@@ -306,6 +302,8 @@ def criterion_picard_bijections():
 def criterion_quaternion_axioms():
     """Associativity, scalar trace/norm, the rank-4 characteristic
     identity, and norm multiplicativity on random elements."""
+    from .clifford import quat_conj, quat_mul, quat_norm, quat_trace
+
     rng = random.Random(65537)
     forms = []
     while len(forms) < 20:
@@ -341,6 +339,20 @@ def criterion_quaternion_axioms():
 def criterion_universal_norm():
     """Norm-form recovery, algebra stability, content multiplicativity,
     and the conjugate-inverse law."""
+    from .clifford import QuadraticAlgebra
+    from .compose import identity_form
+    from .norm import (
+        IdealLattice,
+        _form_basis,
+        even_clifford_of_ideal,
+        form_to_ideal,
+        ideal_conjugate,
+        ideal_multiply,
+        naive_norm_form,
+        universal_norm_form,
+    )
+    from .picard import reduced_forms
+
     recovered = 0
     for a, b, c in _grid(-8, 8):
         if a <= 0 or c <= 0 or b * b - 4 * a * c >= 0:
@@ -374,6 +386,8 @@ def criterion_universal_norm():
 
 def criterion_base_change():
     """Even algebra and both action matrices commute with Z -> Z/n."""
+    from .norm import base_change_checks
+
     homs = [RingHom(ZZ, ModularRing(n)) for n in (2, 3, 5, 7, 12)]
     n = 0
     for a, b, c in _grid(-6, 6):
@@ -392,6 +406,8 @@ def criterion_base_change():
 def criterion_automorphisms():
     """Exactly identity and conjugation; identity only when oriented;
     refusal when 2 divides zero."""
+    from .clifford import QuadraticAlgebra, algebra_isomorphic, automorphisms
+
     rng = random.Random(31337)
     for _ in range(100):
         C = QuadraticAlgebra(ZZ, rng.randint(-20, 20), rng.randint(-20, 20))

@@ -108,12 +108,19 @@ class IdealLattice(Value):
     def __init__(self, alg: QuadraticAlgebra, basis: tuple):
         if not isinstance(alg.ring, IntegerRing):
             raise UsageError(f"ideal lattices live over Z, not {alg.ring!r}")
-        Value.__init__(self, alg, mat(ZZ, basis))
-        if self.det() == 0:
-            raise UsageError(f"basis {self.basis} is not full rank")
-        for col in self.columns():
-            if not self.contains(tau_product(alg.t, alg.nm, (0, 1), col)):
-                raise UsageError(f"lattice {self.basis} is not closed under tau")
+        basis = mat(ZZ, basis)
+        (a, b), (c, d) = basis
+        det = a * d - b * c
+        if det == 0:
+            raise UsageError(f"basis {basis} is not full rank")
+        # tau * (u + v*tau) = -nm*v + (u + t*v)*tau must lie in the lattice
+        t, nm = alg.t, alg.nm
+        for u, v in ((a, c), (b, d)):
+            x, y = -nm * v, u + t * v
+            if (d * x - b * y) % det or (a * y - c * x) % det:
+                raise UsageError(f"lattice {basis} is not closed under tau")
+        _set_alg(self, alg)
+        _set_basis(self, basis)
 
     def columns(self):
         return tuple(zip(*self.basis))
@@ -125,11 +132,6 @@ class IdealLattice(Value):
     def norm(self) -> int:
         """Index in the full algebra lattice, which the README's principality test compares."""
         return abs(self.det())
-
-    def contains(self, z) -> bool:
-        (a, b), (c, d) = self.basis
-        (u, v), det = z, self.det()
-        return (d * u - b * v) % det == 0 and (a * v - c * u) % det == 0
 
     def canonical(self) -> "IdealLattice":
         """The lattice on its Hermite-canonical basis, a README capability."""
@@ -158,6 +160,9 @@ class IdealLattice(Value):
     def __str__(self):
         (a0, a1), (b0, b1) = self.columns()
         return f"<{a0}+{a1}tau, {b0}+{b1}tau> in {self.alg}"
+
+
+_set_alg, _set_basis = IdealLattice._setters
 
 
 def form_to_ideal(q: BinaryQuadraticForm) -> IdealLattice:

@@ -7,7 +7,8 @@ q(Mv) and of the <1, tau> product that one function each replaced, the
 matrix-product and Fraction routes that the straight-line integer kernels
 replaced (the Q screen on Fraction discriminants among them), the
 IdealLattice route that composition and the ideal class enumeration ran
-on before the integer lattice core, the ModularRing route of the
+on before the integer lattice core, the lattice constructor's checks
+through its own methods, the ModularRing route of the
 local similarity witnesses over Z/n that the residue kernels replaced,
 the per-value base change that one destination call per value replaced,
 and the plain trial division that factoring stops at the square root.
@@ -28,7 +29,7 @@ from typing import Optional
 
 from binquad.clifford import QuadraticAlgebra, _witness_for_eps, even_clifford, tau_product
 from binquad.compose import shanks
-from binquad.errors import NotComposable, UnsupportedRing
+from binquad.errors import NotComposable, UnsupportedRing, UsageError
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
 from binquad.form import (
@@ -52,7 +53,7 @@ from binquad.modular import (
 )
 from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading, ideal_is_principal
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
-from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
+from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, Value, ZZ, fraction_sqrt
 
 
 def spiral(bound: int):
@@ -567,6 +568,33 @@ def compose_by_lattices(q1, q2, twist: bool = False) -> BinaryQuadraticForm:
 def inverse_by_lattices(q) -> BinaryQuadraticForm:
     """Norm form of the conjugated lattice."""
     return universal_norm_form_alg(ideal_conjugate_alg(form_to_ideal_lattice(q)))
+
+
+class CheckedLattice(Value):
+    """IdealLattice's constructor as it was: the generic Value set-up, then
+    the rank check through det and the closure check, column by column,
+    through tau_product and a membership test."""
+
+    __slots__ = ("alg", "basis")
+
+    def __init__(self, alg: QuadraticAlgebra, basis: tuple):
+        if not isinstance(alg.ring, IntegerRing):
+            raise UsageError(f"ideal lattices live over Z, not {alg.ring!r}")
+        Value.__init__(self, alg, mat(ZZ, basis))
+        if self.det() == 0:
+            raise UsageError(f"basis {self.basis} is not full rank")
+        for col in zip(*self.basis):
+            if not self.contains(tau_product(alg.t, alg.nm, (0, 1), col)):
+                raise UsageError(f"lattice {self.basis} is not closed under tau")
+
+    def det(self) -> int:
+        (a, b), (c, d) = self.basis
+        return a * d - b * c
+
+    def contains(self, z) -> bool:
+        (a, b), (c, d) = self.basis
+        (u, v), det = z, self.det()
+        return (d * u - b * v) % det == 0 and (a * v - c * u) % det == 0
 
 
 # -- the class enumeration that Hermite bases replaced ------------------------

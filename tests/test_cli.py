@@ -439,8 +439,10 @@ def test_import_pulls_in_no_dataclasses():
 
 FORM_LAYER = ["binquad", "binquad.cli", "binquad.errors", "binquad.form", "binquad.integral", "binquad.mat2",
               "binquad.modular", "binquad.ring"]
-EVERY_LAYER = sorted(FORM_LAYER + ["binquad.acceptance", "binquad.clifford", "binquad.compose", "binquad.norm",
-                                   "binquad.pairs", "binquad.picard"])
+
+
+def _verify_layers(*layers):
+    return sorted(FORM_LAYER + ["binquad.acceptance"] + [f"binquad.{layer}" for layer in layers])
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -448,12 +450,16 @@ EVERY_LAYER = sorted(FORM_LAYER + ["binquad.acceptance", "binquad.clifford", "bi
     (["similar", form_json(1, 0, 1), form_json(1, 1, 1)], FORM_LAYER),
     (["disc", form_json(2, 1, 3)], FORM_LAYER),
     (["reduce", form_json(3, 1, 2)], FORM_LAYER),
-    (["verify", "--filter", "C01"], EVERY_LAYER),
+    (["verify", "--filter", "C01"], _verify_layers("clifford")),
+    (["verify", "--filter", "C05"], _verify_layers("clifford", "pairs")),
+    (["verify", "--filter", "C08"], _verify_layers("clifford", "compose", "norm", "picard")),
+    (["verify", "--filter", "C11"], _verify_layers("clifford", "norm")),
 ])
 def test_a_verb_loads_the_layers_it_runs(argv, loaded):
     # similar, disc and reduce run on the form layer alone, so a fresh
     # process that answers them compiles no pairs, ideal lattices,
-    # composition or class groups; verify checks every layer
+    # composition or class groups; verify loads the layers of the
+    # criteria it runs
     code = (
         "import io, json, sys\nfrom contextlib import redirect_stdout\nfrom binquad.cli import run\n"
         f"with redirect_stdout(io.StringIO()):\n    run({argv!r})\n"
@@ -467,10 +473,12 @@ def test_a_verb_loads_the_layers_it_runs(argv, loaded):
     ("binquad.modular", ["binquad", "binquad.errors", "binquad.modular", "binquad.ring"]),
     ("binquad.integral", ["binquad", "binquad.errors", "binquad.integral", "binquad.mat2", "binquad.modular",
                           "binquad.ring"]),
+    ("binquad.acceptance", sorted(set(FORM_LAYER) - {"binquad.cli"} | {"binquad.acceptance"})),
 ])
 def test_an_import_loads_only_the_layers_below_it(first, loaded):
-    # the package loads no layer, and the similarity kernels load as the
-    # first binquad import of a process, without form
+    # the package loads no layer, the similarity kernels load as the first
+    # binquad import of a process, without form, and the acceptance suite
+    # loads the form layer alone until a criterion runs
     code = f"import json, sys\nimport {first}\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('binquad'))))"
     assert fresh(code) == loaded
 

@@ -34,7 +34,7 @@ from binquad.norm import (
 from binquad.picard import reduced_forms
 from binquad.ring import ModularRing, QQ, RingHom, ZZ
 
-from oracles import ideal_is_invertible_alg, principal_by_generator
+from oracles import CheckedLattice, ideal_is_invertible_alg, principal_by_generator
 
 
 def test_form_to_ideal_examples():
@@ -67,6 +67,34 @@ def test_lattice_validation():
         IdealLattice(C, ((1, 2), (2, 4)))  # rank 1
     with pytest.raises(UsageError):
         IdealLattice(QuadraticAlgebra(QQ, 1, 6), ((1, 0), (0, 1)))
+
+
+def _built(cls, alg, basis):
+    """The stored (alg, basis) of a lattice, or the message it was refused with."""
+    try:
+        I = cls(alg, basis)
+    except UsageError as e:
+        return str(e)
+    return I.alg, I.basis
+
+
+_entries = st.integers(-12, 12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-9, 9), st.integers(-9, 9),
+       st.one_of(st.tuples(st.tuples(_entries, _entries), st.tuples(_entries, _entries)),
+                 st.builds(lambda p, s, r: ((p, s), (0, r)), st.integers(-6, 6), _entries, st.integers(-6, 6))))
+@example(1, 6, ((1, 0), (0, 1)))  # the whole algebra
+@example(1, 6, ((2, 1), (0, -1)))  # closed, det -2
+@example(1, 6, ((1, 0), (0, 2)))  # full rank, not closed under tau
+@example(1, 6, ((1, 2), (2, 4)))  # det 0
+@example(0, 0, ((0, 0), (0, 0)))
+def test_lattice_checks_match_the_method_route(t, nm, basis):
+    # the one-pass checks on plain ints store what the checks through det,
+    # columns and membership stored, or refuse with the same message
+    C = QuadraticAlgebra(ZZ, t, nm)
+    assert _built(IdealLattice, C, basis) == _built(CheckedLattice, C, basis)
 
 
 def test_norm_forms_example():

@@ -24,8 +24,7 @@ KEPT = {
     "form.bqf": "the short constructor of about 300 test call sites",
     "form.SimilarityWitness": "the witness that similar returns",
     "mat2.minv": "perfbench's tracer counts it by name until ROADMAP item 8 drops it",
-    "norm.IdealLattice.columns": "the basis as elements, read by the lattice's own checks",
-    "norm.IdealLattice.contains": "membership, read by the lattice's closure check",
+    "norm.IdealLattice.columns": "the basis as elements, read by the lattice's comparison, hash and canonical basis",
     "norm.IdealLattice.canonical": "the Hermite-canonical basis that the README names",
     "norm.ideal_is_invertible": "a README capability",
     "norm.ideal_is_principal": "a README capability",

@@ -218,8 +218,3 @@ def quat_from_json(q: BinaryQuadraticForm, obj):
     if not isinstance(obj, list) or len(obj) != 4:
         raise UsageError(f"expected a 4-entry quaternion element, got {obj!r}")
     return tuple(q.ring.elem_from_json(v) for v in obj)
-
-
-def map_matrix(hom: RingHom, M):
-    """A matrix over hom.src mapped entrywise, one normalize_all call per row."""
-    return mat(hom.dst, M)

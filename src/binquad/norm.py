@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Optional
 
-from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, m_left, m_right, map_matrix, tau_product
+from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, m_left, m_right, tau_product
 from .errors import IncompatibleAlgebras, NotDefinite, NotInvertible, NotPrimitive, UsageError, ZeroForm
 from .form import BinaryQuadraticForm, similar
 from .mat2 import mat, mat_from_json, mat_to_json
@@ -287,8 +287,8 @@ def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:
     checks = {}
     q2 = q.map(hom)
     checks["even_clifford"] = even_clifford(q2) == even_clifford(q).map(hom)
-    checks["bimodule_left"] = m_left(q2) == map_matrix(hom, m_left(q))
-    checks["bimodule_right"] = m_right(q2) == map_matrix(hom, m_right(q))
+    checks["bimodule_left"] = m_left(q2) == mat(hom.dst, m_left(q))
+    checks["bimodule_right"] = m_right(q2) == mat(hom.dst, m_right(q))
     checks["norm_form"] = _norm_form_check(q, q2)
     return checks
 

@@ -56,6 +56,8 @@ class CliffordPair(Value):
     def from_json(obj, default_ring: Optional[Ring] = None) -> "CliffordPair":
         ring = json_ring(obj, ("alg", "m"), "a pair", default_ring)
         alg = QuadraticAlgebra.from_json(obj["alg"], default_ring=ring)
+        if "ring" in obj and alg.ring != ring:
+            raise UsageError(f"the pair lives over {ring!r} but its algebra over {alg.ring!r}")
         return CliffordPair(alg, mat_from_json(ring, obj["m"]))
 
 

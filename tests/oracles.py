@@ -1,21 +1,38 @@
-"""Brute-force oracles for the similarity and pair-isomorphism tests, with
-the unit lists and value sets mod m that they enumerate, the argparse
-parser that the CLI's verb table replaced, the mat2 sums, scalings and
-vector products that no request path calls, the per-field normalize route
-that one ring call per value replaced, the copies of the basis change
-q(Mv) and of the <1, tau> product that one function each replaced, the
-matrix-product and Fraction routes that the straight-line integer kernels
-replaced (the Q screen on Fraction discriminants among them), the
-IdealLattice route that composition and the ideal class enumeration ran
-on before the integer lattice core, the lattice constructor's checks
-through its own methods, the ModularRing route of the
-local similarity witnesses over Z/n that the residue kernels replaced,
-the per-value base change that one destination call per value replaced,
-and the plain trial division that factoring stops at the square root.
+"""The test oracles, at most one independent oracle per algorithm of the
+library, and the replaced routes that no independent oracle can stand in
+for.  None of these runs when binquad answers a request.
 
-None of these runs when binquad answers a request: the library decides
-every case by invariants, and the tests compare it with the searches and
-orbit enumerations below.
+Independent oracles:
+
+- similarity over Z: `bounded_witness_search` (non-square D > 0),
+  `column_search` (square D, complete at bound s) and
+  `definite_reduction_oracle` (D < 0, with proper equivalence);
+- similarity over Q: `bounded_witness_search`, which finds no witness for
+  a pair the screen refuses;
+- similarity over Z/n: the exact classes of `orbit_labels` and
+  `dyadic_orbit_labels`, and for the `discriminant` reason
+  `discriminant_screen_units`;
+- the genus characters: the value sets mod m <= 16 of `value_set_screen`,
+  which they subsume;
+- pair isomorphism: `pairs_isomorphic_search`;
+- class groups: the Cayley table of Shanks compositions, `shanks_table`;
+- principality of ideal lattices: a generator search,
+  `principal_by_generator`;
+- dual conics: Fraction arithmetic over Q, `dual_conic_fractions`;
+- `Ring.normalize_all`: `normalize_each`, one `normalize` per value;
+- `modular.factor`: `factor_by_trial_division`;
+- the CLI's verb-table parser: the argparse parser it replaced,
+  `build_parser`.
+
+The arithmetic of rings, matrices, forms, algebras and pairs has its
+oracle in the seed definitions of tests/test_ring.py and
+tests/test_arithmetic.py.
+
+Replaced routes, kept for the bytes they pin (see their section below):
+the Fraction product of the witness over Q, `rational_similarity_product`;
+composition and inversion through IdealLattice values,
+`compose_by_lattices` and `inverse_by_lattices`; and the local witnesses
+over ModularRing, `similar_mod_by_rings`.
 """
 
 from __future__ import annotations
@@ -29,7 +46,7 @@ from typing import Optional
 
 from binquad.clifford import QuadraticAlgebra, _witness_for_eps, even_clifford, tau_product
 from binquad.compose import shanks
-from binquad.errors import NotComposable, UnsupportedRing, UsageError
+from binquad.errors import NotComposable, UnsupportedRing
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
 from binquad.form import (
@@ -51,9 +68,9 @@ from binquad.modular import (
     _val,
     factor,
 )
-from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading, ideal_is_principal
+from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading
 from binquad.pairs import CliffordPair, PairWitness, dual_conic
-from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, Value, ZZ, fraction_sqrt
+from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
 
 
 def spiral(bound: int):
@@ -74,12 +91,8 @@ def units(R: Ring) -> list:
 
 
 def iter_unit_matrices(ring: Ring, bound: int):
-    """Unit-determinant matrices with entries up to the bound (all of Z/n
-    when n <= 2 * bound + 1)."""
-    if isinstance(ring, ModularRing) and ring.n <= 2 * bound + 1:
-        rng = list(range(ring.n))
-    else:
-        rng = spiral(bound)
+    """Unit-determinant matrices with entries up to the bound."""
+    rng = spiral(bound)
     for m00, m10 in product(rng, repeat=2):
         for m01, m11 in product(rng, repeat=2):
             M = mat(ring, ((m00, m01), (m10, m11)))
@@ -135,33 +148,6 @@ def column_search(q1, q2, bound: int) -> Optional[SimilarityWitness]:
     return None
 
 
-def rational_similarity_product(q1, q2) -> SimilarityWitness:
-    """The witness over Q as a product of matrices: complete squares to get
-    q_i(P_i v) = alpha_i*x^2 + beta_i*y^2 (on a; on c after swapping x and
-    y; on q(x, x + y) when a = c = 0), then u = alpha2/alpha1 and
-    M = P2 diag(1, s) P1^-1 with s^2 = alpha2*beta1/(alpha1*beta2), s = 1
-    in rank 1.  For nonzero forms that pass the discriminant screen."""
-    R = q1.ring
-
-    def diagonalize(q):
-        a, b, c = q.coeffs()
-        if a != 0:
-            t = b / (2 * a)
-            return mat(R, ((1, -t), (0, 1))), a, c - a * t * t
-        if c != 0:
-            t = b / (2 * c)
-            return mat(R, ((0, 1), (1, -t))), c, -c * t * t
-        h = Fraction(1, 2)
-        return mat(R, ((1, -h), (1, h))), b, -b / 4
-
-    P1, al1, be1 = diagonalize(q1)
-    P2, al2, be2 = diagonalize(q2)
-    s = fraction_sqrt(al2 * be1 / (al1 * be2)) if be2 != 0 else 1
-    (p00, p01), (p10, p11) = P2
-    M = mmul(R, ((p00, s * p01), (p10, s * p11)), minv(R, P1))
-    return SimilarityWitness(M, R.normalize(al2 / al1))
-
-
 def definite_reduction_oracle(q1, q2):
     """(similar, properly equivalent) for definite forms over Z, from the
     Gauss reductions of the positive definite one of q and -q: similar iff
@@ -207,15 +193,6 @@ def value_set_screen(q1, q2) -> Optional[str]:
         if s2 != s1 and s2 != frozenset((-v) % m for v in s1):
             return f"value_set_mod_{m}"
     return None
-
-
-def value_set_screen_mod(q1, q2) -> bool:
-    """Whether the value sets over Z/n differ by every unit: an O(n^2)
-    invariant that certifies non-similarity."""
-    R = q1.ring
-    vals1 = frozenset(q1.evaluate(x, y) for x in range(R.n) for y in range(R.n))
-    vals2 = frozenset(q2.evaluate(x, y) for x in range(R.n) for y in range(R.n))
-    return not any(frozenset(R.mul(u, v) for v in vals1) == vals2 for u in units(R))
 
 
 def discriminant_screen_units(q1, q2) -> bool:
@@ -282,13 +259,12 @@ def pairs_isomorphic_search(p: CliffordPair, p2: CliffordPair, bound: int = 12) 
     candidates = algebra_map_candidates(p, p2)
     if not candidates:
         return None
-    if isinstance(R, ModularRing) and R.n <= 2 * bound + 1:
-        rng = range(R.n)
-    else:
-        rng = range(-bound, bound + 1)
+    rng = range(-bound, bound + 1)
+    (n00, n01), (n10, n11) = p2.m
+    # phi(tau)' = k + eps*M2 acting on the second pair's module
     images = [
-        (phi, madd(R, mscale(R, phi.k, mident(R)), mscale(R, R.normalize(phi.eps), p2.m)))
-        for phi in candidates
+        (phi, mat(R, ((phi.k + e * n00, e * n01), (e * n10, phi.k + e * n11))))
+        for phi, e in ((phi, R.normalize(phi.eps)) for phi in candidates)
     ]
     M = p.m
     for e00, e01, e10, e11 in product(rng, repeat=4):
@@ -316,57 +292,33 @@ def dual_conic_fractions(q):
     return BinaryQuadraticForm(QQ, c / det, -b / det, a / det)
 
 
-# -- mat2 operations that no request path calls ------------------------------
-
-
-def madd(ring: Ring, A, B):
-    ((a, b), (c, d)), ((e, f), (g, h)), n = A, B, ring.normalize
-    return ((n(a + e), n(b + f)), (n(c + g), n(d + h)))
-
-
-def mscale(ring: Ring, k, A):
-    ((a, b), (c, d)), n = A, ring.normalize
-    k = n(k)
-    return ((n(k * a), n(k * b)), (n(k * c), n(k * d)))
-
-
-def mapply(ring: Ring, A, v):
-    n = ring.normalize
-    x, y = n(v[0]), n(v[1])
-    return (n(A[0][0] * x + A[0][1] * y), n(A[1][0] * x + A[1][1] * y))
-
-
-# -- the per-field route that one ring call per value replaced --------------
+def principal_by_generator(I: IdealLattice) -> bool:
+    """Principality as decided before the norm argument: some gamma in I
+    of norm [O : I] spans, together with gamma*tau, the lattice I."""
+    alg = I.alg
+    Ic = I.canonical()
+    (a0, a1), (b0, b1) = Ic.columns()
+    m = Ic.norm()
+    A, C = alg.norm((a0, a1)), alg.norm((b0, b1))
+    B = alg.norm((a0 + b0, a1 + b1)) - A - C
+    disc = B * B - 4 * A * C
+    # 4A*f(x, y) = (2Ax + By)^2 - disc*y^2 bounds y; 4C*f bounds x alike
+    xmax, ymax = isqrt(4 * C * m // -disc) + 1, isqrt(4 * A * m // -disc) + 1
+    for y in range(-ymax, ymax + 1):
+        for x in range(-xmax, xmax + 1):
+            g0, g1 = x * a0 + y * b0, x * a1 + y * b1
+            if alg.norm((g0, g1)) != m:
+                continue
+            gt0, gt1 = -alg.nm * g1, g0 + alg.t * g1
+            if IdealLattice(alg, ((g0, gt0), (g1, gt1))).canonical().basis == Ic.basis:
+                return True
+    return False
 
 
 def normalize_each(ring: Ring, *vs) -> tuple:
     """ring.normalize of each value in turn: the fields of a form (a, b, c)
     or an algebra (t, nm) as their constructors set them one by one."""
     return tuple(ring.normalize(v) for v in vs)
-
-
-def discriminant_per_field(q) -> tuple:
-    """(4ac - b^2, b^2 - 4ac), each through ring.normalize."""
-    n, classical = q.ring.normalize, q.b * q.b - 4 * q.a * q.c
-    return (n(-classical), n(classical))
-
-
-def disc_per_field(C):
-    return C.ring.normalize(C.t * C.t - 4 * C.nm)
-
-
-def mat_per_entry(ring: Ring, rows):
-    """ring.normalize of each entry in row order, as mat2.mat did."""
-    (a, b), (c, d) = rows
-    n = ring.normalize
-    return ((n(a), n(b)), (n(c), n(d)))
-
-
-def map_per_value(hom: RingHom, *vs) -> tuple:
-    """hom(v) for each value, src.normalize and then dst.normalize, as the
-    base change of forms, algebras and matrices did before it handed the
-    source values to the destination ring in one call."""
-    return tuple(hom(v) for v in vs)
 
 
 def factor_by_trial_division(n: int) -> dict:
@@ -383,122 +335,43 @@ def factor_by_trial_division(n: int) -> dict:
     return out
 
 
-# -- the copies of q(Mv) and the <1, tau> product that one function replaced -
+# -- replaced routes that stay -----------------------------------------------
+#
+# A witness over Q or Z/n is one of many valid ones, and Shanks' composition
+# checks composition at D > 0 only up to similarity, so no independent oracle
+# reaches the bytes these routes pin.  The two witness routes alone kill the
+# faults of tests/mutants.py that give other valid witnesses; the lattice
+# route is the one exact check of composition at D > 0 and square D.
 
 
-def coeffs_under(q, M):
-    """(q(M e1), b_q(M e1, M e2), q(M e2)), each normalized in q's ring: the
-    form method that act and the witness check called."""
-    (x1, x2), (y1, y2) = M
-    a, b, c = q.a, q.b, q.c
-    ax1, cy1, n = a * x1, c * y1, q.ring.normalize
-    return (
-        n(x1 * (ax1 + b * y1) + cy1 * y1),
-        n(2 * (ax1 * x2 + cy1 * y2) + b * (x1 * y2 + y1 * x2)),
-        n(x2 * (a * x2 + b * y2) + c * y2 * y2),
-    )
+# -- the Fraction route that the closed-form witness over Q replaced ---------
 
 
-def norm_triple(t: int, nm: int, B):
-    """Coefficients of N(x*alpha + y*beta) for the columns alpha, beta of B,
-    with N(x + y*tau) = x^2 + t*x*y + nm*y^2: the lattice core's own copy."""
-    (x1, x2), (y1, y2) = B
-    return (
-        x1 * x1 + t * x1 * y1 + nm * y1 * y1,
-        2 * x1 * x2 + t * (x1 * y2 + y1 * x2) + 2 * nm * y1 * y2,
-        x2 * x2 + t * x2 * y2 + nm * y2 * y2,
-    )
-
-
-def lattice_mul(t: int, nm: int, z, w):
-    """(x1 + y1*tau)(x2 + y2*tau) with tau^2 = t*tau - nm: the lattice core's
-    own copy of the product."""
-    (x1, y1), (x2, y2) = z, w
-    yy = y1 * y2
-    return (x1 * x2 - nm * yy, x1 * y2 + y1 * x2 + t * yy)
-
-
-# -- the routes the straight-line kernels replaced --------------------------
-
-
-def madd_genexpr(ring: Ring, A, B):
-    n = ring.normalize
-    return tuple(tuple(n(A[i][j] + B[i][j]) for j in range(2)) for i in range(2))
-
-
-def mscale_genexpr(ring: Ring, k, A):
-    n = ring.normalize
-    k = n(k)
-    return tuple(tuple(n(k * A[i][j]) for j in range(2)) for i in range(2))
-
-
-def mmul_genexpr(ring: Ring, A, B):
-    n = ring.normalize
-    return tuple(
-        tuple(n(A[i][0] * B[0][j] + A[i][1] * B[1][j]) for j in range(2)) for i in range(2)
-    )
-
-
-def module_axiom_by_products(C, M) -> bool:
-    """M^2 == t*M - nm*I, through matrix products and sums."""
-    R = C.ring
-    M = mat(R, M)
-    lhs = mmul_genexpr(R, M, M)
-    rhs = madd_genexpr(R, mscale_genexpr(R, C.t, M), mscale_genexpr(R, -C.nm, mident(R)))
-    return lhs == rhs
-
-
-def similarity_verify_fractions(w: SimilarityWitness, q, q2) -> bool:
-    """q2(Mv) == u*q(v), compared coefficient by coefficient in the ring's
-    own arithmetic (Fractions over Q)."""
-    R, u, n = q.ring, w.u, q.ring.normalize
-    if R != q2.ring or not R.is_unit(mdet(R, w.m)) or not R.is_unit(u):
-        return False
-    return coeffs_under(q2, w.m) == (n(u * q.a), n(u * q.b), n(u * q.c))
-
-
-def _diagonalize_rational(q):
-    """(P, P^-1, alpha) with q(P v) = alpha*x^2 + beta*y^2, alpha != 0 and
-    alpha*beta = -D/4, for a nonzero form over Q: complete the square on a;
-    on c after swapping x and y when a = 0; on q(x, x + y) when a = c = 0."""
-    a, b, c = q.coeffs()
-    if a != 0:
-        t = b / (2 * a)
-        return ((1, -t), (0, 1)), ((1, t), (0, 1)), a
-    if c != 0:
-        t = b / (2 * c)
-        return ((0, 1), (1, -t)), ((t, 1), (1, 0)), c
-    # (x, y) -> (x, x + y), then x -> x - y/2
-    h = Fraction(1, 2)
-    return ((1, -h), (1, h)), ((h, h), (-1, 1)), b
-
-
-def rational_screen_fractions(d1, d2) -> Optional[str]:
-    """The screen over Q on Fraction discriminants d_i = b_i^2 - 4a_ic_i:
-    `discriminant` when exactly one vanishes or d1*d2 is not a square in Q,
-    else None."""
-    if (d1 == 0) != (d2 == 0) or fraction_sqrt(d1 * d2) is None:
-        return "discriminant"
-    return None
-
-
-def rational_similarity_fractions(q1, q2, d1, d2) -> SimilarityVerdict:
-    """The decision over Q in Fraction arithmetic: u = alpha2/alpha1,
-    s = |u| sqrt(d1/d2) (1 when d2 = 0), and M = ((1, t1 - s*t2), (0, s))
-    when a1*a2 != 0, else P2 diag(1, s) P1^-1."""
+def rational_similarity_product(q1, q2) -> SimilarityWitness:
+    """The witness over Q as a product of matrices: complete squares to get
+    q_i(P_i v) = alpha_i*x^2 + beta_i*y^2 (on a; on c after swapping x and
+    y; on q(x, x + y) when a = c = 0), then u = alpha2/alpha1 and
+    M = P2 diag(1, s) P1^-1 with s^2 = alpha2*beta1/(alpha1*beta2), s = 1
+    in rank 1.  For nonzero forms that pass the discriminant screen."""
     R = q1.ring
-    _, P1i, al1 = _diagonalize_rational(q1)
-    P2, _, al2 = _diagonalize_rational(q2)
-    u = al2 / al1
-    s = abs(u) * fraction_sqrt(d1 / d2) if d2 != 0 else R.one
-    if q1.a != 0 and q2.a != 0:
-        M = mat(R, ((1, P1i[0][1] + s * P2[0][1]), (0, s)))
-    else:
-        M = mmul_genexpr(R, mmul_genexpr(R, P2, ((1, 0), (0, s))), P1i)
-    w = SimilarityWitness(M, u)
-    if not similarity_verify_fractions(w, q1, q2):
-        raise AssertionError("rational diagonalisation produced a bad witness")
-    return SimilarityVerdict("similar", witness=w)
+
+    def diagonalize(q):
+        a, b, c = q.coeffs()
+        if a != 0:
+            t = b / (2 * a)
+            return mat(R, ((1, -t), (0, 1))), a, c - a * t * t
+        if c != 0:
+            t = b / (2 * c)
+            return mat(R, ((0, 1), (1, -t))), c, -c * t * t
+        h = Fraction(1, 2)
+        return mat(R, ((1, -h), (1, h))), b, -b / 4
+
+    P1, al1, be1 = diagonalize(q1)
+    P2, al2, be2 = diagonalize(q2)
+    s = fraction_sqrt(al2 * be1 / (al1 * be2)) if be2 != 0 else 1
+    (p00, p01), (p10, p11) = P2
+    M = mmul(R, ((p00, s * p01), (p10, s * p11)), minv(R, P1))
+    return SimilarityWitness(M, R.normalize(al2 / al1))
 
 
 # -- the lattice route that the integer lattice core replaced ---------------
@@ -542,17 +415,11 @@ def ideal_conjugate_alg(I: IdealLattice) -> IdealLattice:
     return _canonical_lattice(I.alg, [(x + y * t, -y) for x, y in I.columns()])
 
 
-def naive_norm_form_alg(I: IdealLattice) -> BinaryQuadraticForm:
-    alpha, beta = I.columns()
-    alg = I.alg
-    A = alg.norm(alpha)
-    C = alg.norm(beta)
-    B = alg.norm((alpha[0] + beta[0], alpha[1] + beta[1])) - A - C
-    return BinaryQuadraticForm(ZZ, A, B, C)
-
-
 def universal_norm_form_alg(I: IdealLattice) -> BinaryQuadraticForm:
-    n = naive_norm_form_alg(I)
+    """N(x*alpha + y*beta) through QuadraticAlgebra.norm, divided by its content."""
+    (alpha, beta), alg = I.columns(), I.alg
+    A, C = alg.norm(alpha), alg.norm(beta)
+    n = BinaryQuadraticForm(ZZ, A, alg.norm((alpha[0] + beta[0], alpha[1] + beta[1])) - A - C, C)
     g = n.content()
     return BinaryQuadraticForm(ZZ, n.a // g, n.b // g, n.c // g)
 
@@ -568,108 +435,6 @@ def compose_by_lattices(q1, q2, twist: bool = False) -> BinaryQuadraticForm:
 def inverse_by_lattices(q) -> BinaryQuadraticForm:
     """Norm form of the conjugated lattice."""
     return universal_norm_form_alg(ideal_conjugate_alg(form_to_ideal_lattice(q)))
-
-
-class CheckedLattice(Value):
-    """IdealLattice's constructor as it was: the generic Value set-up, then
-    the rank check through det and the closure check, column by column,
-    through tau_product and a membership test."""
-
-    __slots__ = ("alg", "basis")
-
-    def __init__(self, alg: QuadraticAlgebra, basis: tuple):
-        if not isinstance(alg.ring, IntegerRing):
-            raise UsageError(f"ideal lattices live over Z, not {alg.ring!r}")
-        Value.__init__(self, alg, mat(ZZ, basis))
-        if self.det() == 0:
-            raise UsageError(f"basis {self.basis} is not full rank")
-        for col in zip(*self.basis):
-            if not self.contains(tau_product(alg.t, alg.nm, (0, 1), col)):
-                raise UsageError(f"lattice {self.basis} is not closed under tau")
-
-    def det(self) -> int:
-        (a, b), (c, d) = self.basis
-        return a * d - b * c
-
-    def contains(self, z) -> bool:
-        (a, b), (c, d) = self.basis
-        (u, v), det = z, self.det()
-        return (d * u - b * v) % det == 0 and (a * v - c * u) % det == 0
-
-
-# -- the class enumeration that Hermite bases replaced ------------------------
-#
-# ideal_class_representatives, pic_counts and ideal_is_invertible as they
-# were: every candidate, product and conjugate a validated IdealLattice,
-# invertibility a comparison with the scalar ideal.  principal_by_generator
-# decides principality by a generator search instead of the norm argument.
-
-
-def ideal_is_invertible_alg(I: IdealLattice) -> bool:
-    """I * conj(I) equals the scalar ideal generated by the content."""
-    prod = ideal_multiply_alg(I, ideal_conjugate_alg(I))
-    g = naive_norm_form_alg(I).content()
-    return prod == IdealLattice(I.alg, ((g, 0), (0, g)))
-
-
-def _ideal_class_index_alg(reps, I: IdealLattice) -> Optional[int]:
-    for i, J in enumerate(reps):
-        if ideal_is_principal(ideal_multiply_alg(I, ideal_conjugate_alg(J))):
-            return i
-    return None
-
-
-def ideal_class_representatives_alg(D: int):
-    t = D % 2
-    alg = QuadraticAlgebra(ZZ, t, (t * t - D) // 4)
-    reps = []
-    for a in range(1, isqrt(-D // 3) + 2):
-        for s in range(a):
-            if (s * s - t * s + alg.nm) % a != 0:
-                continue
-            I = IdealLattice(alg, ((a, s), (0, -1)))
-            if ideal_is_invertible_alg(I) and _ideal_class_index_alg(reps, I) is None:
-                reps.append(I)
-    return reps
-
-
-def ideal_classes_alg(D: int):
-    """(representatives, (oriented, unoriented)) by the lattice route."""
-    reps = ideal_class_representatives_alg(D)
-    seen = set()
-    orbits = 0
-    for i, I in enumerate(reps):
-        if i in seen:
-            continue
-        j = _ideal_class_index_alg(reps, ideal_conjugate_alg(I))
-        if j is None:
-            raise AssertionError(f"lattice {I} matches no enumerated class")
-        seen.update((i, j))
-        orbits += 1
-    return reps, (len(reps), orbits)
-
-
-def principal_by_generator(I: IdealLattice) -> bool:
-    """Principality as decided before the norm argument: some gamma in I
-    of norm [O : I] spans, together with gamma*tau, the lattice I."""
-    alg = I.alg
-    Ic = I.canonical()
-    (a0, a1), (b0, b1) = Ic.columns()
-    m = Ic.norm()
-    A, C = alg.norm((a0, a1)), alg.norm((b0, b1))
-    B = alg.norm((a0 + b0, a1 + b1)) - A - C
-    disc = B * B - 4 * A * C
-    # 4A*f(x, y) = (2Ax + By)^2 - disc*y^2 bounds y; 4C*f bounds x alike
-    xmax, ymax = isqrt(4 * C * m // -disc) + 1, isqrt(4 * A * m // -disc) + 1
-    for y in range(-ymax, ymax + 1):
-        for x in range(-xmax, xmax + 1):
-            g0, g1 = x * a0 + y * b0, x * a1 + y * b1
-            if alg.norm((g0, g1)) != m:
-                continue
-            gt0, gt1 = -alg.nm * g1, g0 + alg.t * g1
-            if IdealLattice(alg, ((g0, gt0), (g1, gt1))).canonical().basis == Ic.basis:
-                return True
-    return False
 
 
 # -- the ModularRing route that the residue kernels replaced ---------------

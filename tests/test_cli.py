@@ -183,6 +183,22 @@ def test_pair_round_trip(capsys):
     assert code == 0 and out == {"traceable": True}
 
 
+def test_a_pair_and_its_algebra_name_one_ring(capsys):
+    # read mod 5, -2 is 3, which mod 7 would make a module; a ring named by
+    # one of the two objects alone, or by both alike, reads as before
+    alg7, z5, z7 = '{"t":0,"nm":-3,"ring":{"ring":"mod","n":7}}', '{"ring":"mod","n":5}', '{"ring":"mod","n":7}'
+    read = {"pair2form": {"a": 1, "b": 0, "c": 4, "ring": {"n": 7, "ring": "mod"}}, "traceable": {"traceable": True}}
+    for verb, want in read.items():
+        code = run([verb, '{"alg":%s,"m":[[0,1],[-2,0]],"ring":%s}' % (alg7, z5)])
+        out, err = capsys.readouterr()
+        assert_usage_error(code, out, err)
+        assert json.loads(err)["message"] == "the pair lives over Z/5 but its algebra over Z/7"
+        assert run([verb, '{"alg":%s,"m":[[0,1],[-2,0]]}' % alg7]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "NotAModule"
+        for alg in (alg7, '{"t":0,"nm":-3}'):
+            assert run_json(capsys, [verb, '{"alg":%s,"m":[[0,4],[-1,0]],"ring":%s}' % (alg, z7)]) == (0, want)
+
+
 def test_ideal_and_normform(capsys):
     code, ideal = run_json(capsys, ["ideal", form_json(2, 1, 3)])
     assert code == 0
@@ -637,6 +653,7 @@ def command_lines(draw):
 @example(["dual", "--", "--trace"])
 @example(["quat", Q, "[1,0,0,0]"])
 @example(["similar", Q, "--", "--"])
+@example(["dual", "-x y"])
 def test_parser_reads_command_lines_as_argparse_did(argv):
     # Python 3.11's argparse drops a literal "--" that follows the first
     # "--" from the positional it lands on: a required one then read [],

@@ -116,6 +116,11 @@ def test_is_traceable_examples():
 def test_is_traceable_rejects_non_modules():
     with pytest.raises(NotAModule):
         CliffordPair(QuadraticAlgebra(ZZ, 1, 6), ((1, 0), (0, 1)))
+    # with tau^2 = 1 the diagonal entries of M^2 - t*M + nm*I vanish for
+    # a = d = 1, and only the entry b*(a + d - t) or c*(a + d - t) does not
+    for M in (((1, 1), (0, 1)), ((1, 0), (1, 1))):
+        with pytest.raises(NotAModule):
+            CliffordPair(QuadraticAlgebra(ZZ, 0, -1), M)
 
 
 def test_algebra_isomorphic_examples():

@@ -73,7 +73,6 @@ def test_pair_that_every_value_set_passes():
     # classes that are not even similar; no value set mod m <= 16 sees it,
     # and neither do the genus characters: both forms lie in one genus.
     q1, q2 = bqf(1, 11, -6), bqf(4, 7, -6)
-    assert value_set_screen(q1, q2) is None
     assert _genus(q2.coeffs(), 145, 1, factor(145)) == _genus(q1.coeffs(), 145, 1, factor(145))
     assert not _genus_separates(q1.coeffs(), q2.coeffs(), 145)
     v = similar(q1, q2)
@@ -84,7 +83,6 @@ def test_value_set_reason_is_kept():
     # mod 5 the values are {0, 1, 4} and {0, 2, 3}, and -1 is a square mod
     # 5, so no sign bridges them; the character (m/5) says the same
     q1, q2 = bqf(1, 0, -10), bqf(2, 0, -5)
-    assert value_set_screen(q1, q2) == "value_set_mod_5"
     v = similar(q1, q2)
     assert v.verdict == "not_similar" and v.reason == "genus"
 

@@ -1,14 +1,12 @@
-"""The straight-line integer kernels against the routes they replaced, which
-live in tests/oracles.py: one ring call per value or matrix row against
-per-field normalize; the one basis change q(Mv) and the one product in
-<1, tau> against the copies they replaced; unrolled 2x2 products, sums and
-scalings; the module relation checked entry by entry; the similarity
-screen and witness over Q on cleared integers, with the closed-form
-witness that every pair gets once a form with a = 0 is moved;
-composition and inversion on Hermite triples against the IdealLattice
-route; and the local similarity witnesses over Z/n on residues against
-the ModularRing route.  Each must agree with its oracle in value and in
-type."""
+"""The straight-line integer kernels against their oracles, in value and in
+type: one ring call per value or matrix row against normalize on each
+value; the one basis change q(Mv), the one product in <1, tau>, the
+unrolled 2x2 product, the module relation checked entry by entry and the
+similarity witness check over Q on cleared integers against the seed
+definitions of tests/test_arithmetic.py, on inputs those tests do not
+draw; and, against the routes they replaced in tests/oracles.py, the
+closed-form witness over Q, composition and inversion on Hermite triples,
+and the local similarity witnesses over Z/n on residues."""
 
 from fractions import Fraction
 from math import gcd, isqrt
@@ -16,13 +14,12 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from binquad.clifford import QuadraticAlgebra, even_clifford, map_matrix, module_axiom_holds, tau_product
+from binquad.clifford import QuadraticAlgebra, even_clifford, module_axiom_holds, quat_mul, tau_product
 import binquad.mat2
 import binquad.modular
 from binquad.compose import compose, inverse_form
 from binquad.form import (
     BinaryQuadraticForm,
-    SimilarityVerdict,
     SimilarityWitness,
     _rational_similarity,
     bqf,
@@ -36,26 +33,22 @@ from oracles import (
     _diagonalize,
     _dyadic_witness,
     _local_witness,
-    coeffs_under,
     compose_by_lattices,
-    disc_per_field,
-    discriminant_per_field,
     inverse_by_lattices,
-    lattice_mul,
-    madd,
-    map_per_value,
-    madd_genexpr,
-    mat_per_entry,
-    mmul_genexpr,
-    module_axiom_by_products,
-    mscale,
-    mscale_genexpr,
-    norm_triple,
     normalize_each,
-    rational_screen_fractions,
-    rational_similarity_fractions,
-    similarity_verify_fractions,
+    rational_similarity_product,
     similar_mod_by_rings,
+)
+from test_arithmetic import (
+    seed_act,
+    seed_disc,
+    seed_discriminant,
+    seed_evaluate,
+    seed_madd,
+    seed_mmul,
+    seed_mscale,
+    seed_polar,
+    seed_similarity_verify,
 )
 
 rings = st.one_of(st.just(ZZ), st.just(QQ), st.integers(min_value=2, max_value=60).map(ModularRing))
@@ -137,9 +130,9 @@ def test_normalize_all_matches_normalize_per_field(R, vs):
 def test_discriminants_reduce_like_normalize(R, data):
     raw = st.one_of(ints, fractions) if R == QQ else st.one_of(ints, st.booleans())
     q = BinaryQuadraticForm(R, *(data.draw(raw) for _ in range(3)))
-    assert typed(q.discriminant()) == typed(discriminant_per_field(q))
+    assert typed(q.discriminant()) == typed(seed_discriminant(q))
     for C in (even_clifford(q), QuadraticAlgebra(R, data.draw(raw), data.draw(raw))):
-        assert typed(C.disc()) == typed(disc_per_field(C))
+        assert typed(C.disc()) == typed(seed_disc(C))
 
 
 def test_modular_values_from_ints_take_no_single_value_normalize(monkeypatch):
@@ -173,18 +166,12 @@ def test_mat2_rows_take_no_single_value_normalize(monkeypatch):
         assert mmul(R, A, B) == tuple(tuple(map(red, row)) for row in prod)
 
 
-# numbers whose products never raise, so normalize alone can: ints, bools and
-# Fractions, integral or not
-exact = st.one_of(ints, st.booleans(), fractions)
-
-
-@given(all_rings, st.lists(anything, min_size=4, max_size=4), st.lists(exact, min_size=8, max_size=8))
-def test_mat2_rows_match_normalize_per_entry(R, vs, ws):
+@given(all_rings, st.lists(anything, min_size=4, max_size=4))
+def test_mat2_rows_match_normalize_per_entry(R, vs):
     rows = ((vs[0], vs[1]), (vs[2], vs[3]))
-    assert outcome(mat, R, rows) == outcome(mat_per_entry, R, rows)
-    assert typed(mident(R)) == typed(mat_per_entry(R, ((1, 0), (0, 1))))
-    A, B = ((ws[0], ws[1]), (ws[2], ws[3])), ((ws[4], ws[5]), (ws[6], ws[7]))
-    assert outcome(mmul, R, A, B) == outcome(mmul_genexpr, R, A, B)
+    per_entry = lambda R, rows: tuple(normalize_each(R, *row) for row in rows)
+    assert outcome(mat, R, rows) == outcome(per_entry, R, rows)
+    assert typed(mident(R)) == typed(per_entry(R, ((1, 0), (0, 1))))
 
 
 # the three arrows RingHom allows: Z -> Z/n, Z -> Q and Z/n -> Z/m with m | n
@@ -209,20 +196,22 @@ def test_base_change_matches_the_per_value_route(hom, vs):
     M = mat(S, ((vs[0], vs[5]), (vs[6], vs[2])))
     q2, C2 = q.map(hom), C.map(hom)
     assert q2.ring == C2.ring == hom.dst
-    assert typed(q2.coeffs()) == typed(map_per_value(hom, *q.coeffs()))
-    assert typed((C2.t, C2.nm)) == typed(map_per_value(hom, C.t, C.nm))
-    assert typed(map_matrix(hom, M)) == typed(tuple(map_per_value(hom, *row) for row in M))
+    assert typed(q2.coeffs()) == typed(tuple(hom(v) for v in q.coeffs()))
+    assert typed((C2.t, C2.nm)) == typed((hom(C.t), hom(C.nm)))
+    assert typed(mat(hom.dst, M)) == typed(tuple(tuple(hom(v) for v in row) for row in M))
 
 
 @given(all_rings, st.data())
 def test_basis_change_matches_the_normalized_method(R, data):
+    # q(M e1), b_q(M e1, M e2) and q(M e2) as the seed evaluate and polar
+    # give them, M with normal entries or plain ints over every ring
     q, M = BinaryQuadraticForm(R, *(elem(data, R) for _ in range(3))), matrix(data, R)
-    assert typed(R.normalize_all(*basis_change(q.a, q.b, q.c, M))) == typed(coeffs_under(q, M))
-    # unnormalized plain-int entries over every ring
     raw = ((data.draw(ints), data.draw(ints)), (data.draw(ints), data.draw(ints)))
-    assert typed(R.normalize_all(*basis_change(q.a, q.b, q.c, raw))) == typed(coeffs_under(q, raw))
-    # act scales the action by u and normalizes once, as the method's
-    # normalized coefficients scaled and normalized again
+    for N in (M, raw):
+        v, w = (N[0][0], N[1][0]), (N[0][1], N[1][1])
+        want = (seed_evaluate(q, *v), seed_polar(q, v, w), seed_evaluate(q, *w))
+        assert typed(R.normalize_all(*basis_change(q.a, q.b, q.c, N))) == typed(want)
+    # act scales the action by u and normalizes once
     if R == ZZ:
         k, j = data.draw(ints), data.draw(ints)
         M = mmul(R, ((1, k), (0, 1)), ((1, 0), (j, 1)))
@@ -230,39 +219,49 @@ def test_basis_change_matches_the_normalized_method(R, data):
     else:
         u = elem(data, R)
         assume(R.is_unit(mdet(R, M)) and R.is_unit(u))
-    assert typed(q.act(M, u).coeffs()) == typed(R.normalize_all(*(u * x for x in coeffs_under(q, M))))
+    assert typed(q.act(M, u).coeffs()) == typed(seed_act(q, M, u).coeffs())
 
 
 @given(st.data())
 def test_norm_forms_are_the_action_on_the_norm(data):
+    # the norm form on the columns alpha, beta of B: N(alpha), the polar
+    # value N(alpha + beta) - N(alpha) - N(beta), and N(beta)
     t, nm, B = data.draw(ints), data.draw(ints), matrix(data, ZZ)
-    assert basis_change(1, t, nm, B) == norm_triple(t, nm, B)
+    N = QuadraticAlgebra(ZZ, t, nm).norm
+    (x1, x2), (y1, y2) = B
+    A, C = N((x1, y1)), N((x2, y2))
+    assert basis_change(1, t, nm, B) == (A, N((x1 + x2, y1 + y2)) - A - C, C)
 
 
 @given(all_rings, st.data())
 def test_algebra_product_matches_the_lattice_product(R, data):
+    # tau_product, which the lattice core multiplies with, is the product of
+    # the elements (x, y, 0, 0) of the rank-4 algebra of the form (1, t, nm)
     C = QuadraticAlgebra(R, elem(data, R), elem(data, R))
+    q = BinaryQuadraticForm(R, 1, C.t, C.nm)
     z, w = (elem(data, R), elem(data, R)), (elem(data, R), elem(data, R))
-    product = lambda z, w: R.normalize_all(*tau_product(C.t, C.nm, z, w))
-    assert typed(product(z, w)) == typed(normalize_each(R, *lattice_mul(C.t, C.nm, z, w)))
-    t, nm = data.draw(ints), data.draw(ints)
+    even = lambda z, w: quat_mul(q, (*z, 0, 0), (*w, 0, 0))[:2]
+    assert typed(R.normalize_all(*tau_product(C.t, C.nm, z, w))) == typed(even(z, w))
+    # plain ints, as the lattice core hands them over
     z, w = (data.draw(ints), data.draw(ints)), (data.draw(ints), data.draw(ints))
-    assert tau_product(t, nm, z, w) == lattice_mul(t, nm, z, w)
-    assert typed(product(z, w)) == typed(normalize_each(R, *lattice_mul(C.t, C.nm, z, w)))
+    assert typed(R.normalize_all(*tau_product(C.t, C.nm, z, w))) == typed(even(z, w))
 
 
 @given(rings, st.data())
 def test_unrolled_mat2_matches_generator_expressions(R, data):
-    A, B, k = matrix(data, R), matrix(data, R), elem(data, R)
-    assert typed(mmul(R, A, B)) == typed(mmul_genexpr(R, A, B))
-    assert typed(madd(R, A, B)) == typed(madd_genexpr(R, A, B))
-    assert typed(mscale(R, k, A)) == typed(mscale_genexpr(R, k, A))
+    # the seed product is a generator expression over ring operations
+    A, B = matrix(data, R), matrix(data, R)
+    assert typed(mmul(R, A, B)) == typed(seed_mmul(R, A, B))
     # unnormalized operands: plain ints over every ring
     raw = ((data.draw(ints), data.draw(ints)), (data.draw(ints), data.draw(ints)))
-    assert typed(mmul(R, raw, A)) == typed(mmul_genexpr(R, raw, A))
-    assert typed(madd(R, raw, raw)) == typed(madd_genexpr(R, raw, raw))
-    s = data.draw(ints)
-    assert typed(mscale(R, s, raw)) == typed(mscale_genexpr(R, s, raw))
+    assert typed(mmul(R, raw, A)) == typed(seed_mmul(R, raw, A))
+
+
+def by_products(C, M):
+    """M^2 == t*M - nm*I, through the seed matrix product, sum and scaling."""
+    R = C.ring
+    M = mat(R, M)
+    return seed_mmul(R, M, M) == seed_madd(R, seed_mscale(R, C.t, M), seed_mscale(R, R.neg(C.nm), mident(R)))
 
 
 @given(rings, st.data())
@@ -272,8 +271,8 @@ def test_module_axiom_entrywise_matches_matrix_products(R, data):
     # by the elementary matrix E = ((1, x), (0, 1)): E M E^-1 satisfies the
     # same relation
     C = QuadraticAlgebra(R, b + 2 * m, b * m + m * m + a * c)
-    M = mmul_genexpr(R, mmul_genexpr(R, ((1, x), (0, 1)), ((b + m, c), (-a, m))), ((1, -x), (0, 1)))
-    assert module_axiom_by_products(C, M)
+    M = mmul(R, mmul(R, ((1, x), (0, 1)), ((b + m, c), (-a, m))), ((1, -x), (0, 1)))
+    assert by_products(C, M)
     assert module_axiom_holds(C, M)
     # near misses: one entry moved; a random algebra and matrix
     entries = [M[0][0], M[0][1], M[1][0], M[1][1]]
@@ -283,7 +282,7 @@ def test_module_axiom_entrywise_matches_matrix_products(R, data):
     D = QuadraticAlgebra(R, elem(data, R), elem(data, R))
     regular = mat(R, ((0, -D.nm), (1, D.t)))  # tau acting on D itself
     for alg, N in ((C, moved), (D, M), (D, matrix(data, R)), (C, regular), (D, regular)):
-        assert module_axiom_holds(alg, N) == module_axiom_by_products(alg, N)
+        assert module_axiom_holds(alg, N) == by_products(alg, N)
 
 
 def rational_form(data):
@@ -300,7 +299,7 @@ def check_witness_and_near_misses(data, q2, M, u):
     # q(v) = q2(Mv)/u, so (M, u) carries q to q2
     q = q2.act(M, 1 / u)
     w = SimilarityWitness(M, u)
-    assert w.verify(q, q2) and similarity_verify_fractions(w, q, q2)
+    assert w.verify(q, q2) and seed_similarity_verify(w, q, q2)
     delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-2, 3)]))
     entries = [M[0][0], M[0][1], M[1][0], M[1][1]]
     i = data.draw(st.integers(0, 3))
@@ -317,7 +316,7 @@ def check_witness_and_near_misses(data, q2, M, u):
         (w, q2, q),
     ]
     for W, f, f2 in near:
-        assert W.verify(f, f2) == similarity_verify_fractions(W, f, f2)
+        assert W.verify(f, f2) == seed_similarity_verify(W, f, f2)
 
 
 @given(st.data())
@@ -351,23 +350,20 @@ def shaped_form(data):
 @given(st.data())
 def test_closed_form_rational_witness_matches_fraction_route(data):
     q1 = shaped_form(data)
-    if data.draw(st.booleans()):
-        q2 = q1.act(invertible(data), data.draw(fractions.filter(bool)))
-    else:
-        q2 = shaped_form(data)
+    moved = data.draw(st.booleans())
+    q2 = q1.act(invertible(data), data.draw(fractions.filter(bool))) if moved else shaped_form(data)
     if data.draw(st.booleans()):
         q1, q2 = q2, q1
-    # the screen on cleared integer discriminants refuses exactly the pairs
-    # that the screen on Fraction discriminants refuses
-    d1, d2 = q1.discriminant()[1], q2.discriminant()[1]
+    # the screen on cleared integer discriminants passes every moved pair,
+    # and every pair it passes gets a witness that checks
     new = _rational_similarity(q1.coeffs(), q2.coeffs())
-    if rational_screen_fractions(d1, d2) is not None:
-        assert new == dict(reason="discriminant")
+    if type(new) is dict:
+        assert new == dict(reason="discriminant") and not moved
         return
-    old = rational_similarity_fractions(q1, q2, d1, d2)
-    (M, u) = new
-    assert SimilarityVerdict("similar", witness=SimilarityWitness(M, u)).to_json(QQ) == old.to_json(QQ)
-    assert typed(M) == typed(old.witness.m) and typed(u) == typed(old.witness.u)
+    (M, u), old = new, rational_similarity_product(q1, q2)
+    w = SimilarityWitness(M, u)
+    assert w.verify(q1, q2) and w.to_json(QQ) == old.to_json(QQ)
+    assert typed(M) == typed(old.m) and typed(u) == typed(old.u)
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 from math import gcd
 
 import pytest
@@ -11,12 +10,10 @@ from binquad.modular import TRIAL_LIMIT, factor
 from binquad.pairs import CliffordPair, form_to_pair, pairs_isomorphic
 from binquad.ring import ModularRing
 from oracles import (
-    bounded_witness_search,
     discriminant_screen_units,
     dyadic_orbit_labels,
     factor_by_trial_division,
     orbit_labels,
-    value_set_screen_mod,
 )
 
 # Odd moduli with their factorizations, written out so that the tests do
@@ -94,31 +91,30 @@ def test_factor_budget_is_reported_not_exceeded():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15])
 def test_agrees_with_exhaustive_search(n):
-    # At bound 12 the search enumerates all of Z/n for n <= 25, so a miss
-    # means the forms are not similar.  The search is O(n^4 phi(n)) per
-    # miss, so this samples the pairs.
+    # The similarity classes, searched exhaustively: the orbits of every
+    # form under generators of GL2(Z/n) x units, joined by union-find.
     R = ModularRing(n)
     rng = random.Random(n)
-    forms = list(product(range(n), repeat=3))
-    for _ in range(30 if n <= 9 else 6):
+    label = _labels(n)
+    forms = list(label)
+    for _ in range(60):
         q1 = BinaryQuadraticForm(R, *rng.choice(forms))
         q2 = BinaryQuadraticForm(R, *rng.choice(forms))
         if rng.random() < 0.5:
             q2 = q1.act(_gl2(rng, n), _unit(rng, n))
         v = similar(q1, q2)
         assert v.is_decided
-        assert v.is_similar == (bounded_witness_search(q1, q2, 12) is not None)
+        assert v.is_similar == (label[q1.coeffs()] == label[q2.coeffs()])
         if v.is_similar:
             assert v.witness.verify(q1, q2)
-        # the screens over the units that similar used to run
+        # the screen over the units that similar used to run
         if v.reason != "zero":
             assert discriminant_screen_units(q1, q2) == (v.reason == "discriminant")
-        assert not (v.is_similar and value_set_screen_mod(q1, q2))
 
 
 def _labels(n):
-    """Orbit labels over Z/n for n odd or a power of 2."""
-    return orbit_labels(n) if n % 2 else dyadic_orbit_labels(n.bit_length() - 1)
+    """Orbit labels over Z/n; over Z/2^k the units are generated by -1 and 5."""
+    return dyadic_orbit_labels(n.bit_length() - 1) if n & (n - 1) == 0 else orbit_labels(n)
 
 
 @pytest.mark.parametrize("n", [9, 15, 25, 27, 2, 4, 8, 16, 32, 64])
@@ -141,11 +137,11 @@ def test_agrees_with_orbits(n):
 
 
 def test_unknown_cases_of_the_search_are_decided():
-    # Over Z/9 the exhaustive search cannot tell 3xy from 3x^2 + 3y^2;
-    # their scaled unimodular parts differ in square class.
+    # Over Z/9 a witness search with entries up to 12, which once answered
+    # here, cannot tell 3xy from 3x^2 + 3y^2; their scaled unimodular parts
+    # differ in square class.
     R = ModularRing(9)
     q1, q2 = BinaryQuadraticForm(R, 0, 3, 0), BinaryQuadraticForm(R, 3, 0, 3)
-    assert bounded_witness_search(q1, q2, 12) is None
     assert similar(q1, q2).to_json(R) == {"verdict": "not_similar", "reason": "jordan_invariants"}
 
 

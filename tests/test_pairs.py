@@ -446,7 +446,6 @@ def test_pair_search_is_off_the_request_path(monkeypatch):
         "spiral",
         "column_search",
         "value_set_screen",
-        "value_set_screen_mod",
         "discriminant_screen_units",
         "algebra_map_candidates",
         "pairs_isomorphic_search",
@@ -527,8 +526,8 @@ def test_the_modular_witnesses_are_residue_kernels():
 
 
 def test_the_action_and_the_tau_product_are_written_once():
-    # q(Mv) is ring.basis_change and the <1, tau> product clifford.tau_product;
-    # the copies they replaced live in tests/oracles.py only
+    # q(Mv) is ring.basis_change and the <1, tau> product clifford.tau_product,
+    # and no copy of either is left in the library
     src = Path(pairs.__file__).parent
     texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     text = "\n".join(texts.values())

@@ -17,10 +17,11 @@ KEPT = {
     "cli.main": "the console script named in pyproject.toml",
     "errors.BinquadError": "the base class that callers catch",
     "clifford.QuadraticAlgebra.norm": "AlgebraWitness.verify reads it, on the witness-check path",
-    "form.BinaryQuadraticForm.evaluate": "q(x, y), the form as a map, which the oracles evaluate",
-    "form.BinaryQuadraticForm.polar": "b_q(v, w), the polar form the oracles evaluate",
+    "form.BinaryQuadraticForm.evaluate": "q(x, y), the form as a map, which bounded_witness_search and column_search "
+                                         "evaluate",
+    "form.BinaryQuadraticForm.polar": "b_q(v, w), which bounded_witness_search and column_search evaluate",
     "form.BinaryQuadraticForm.act": "the GL2 x units action that the README names",
-    "form.BinaryQuadraticForm.conjugate": "(a, -b, c), which the reduction oracle compares",
+    "form.BinaryQuadraticForm.conjugate": "(a, -b, c), which definite_reduction_oracle compares",
     "form.bqf": "the short constructor of about 300 test call sites",
     "form.SimilarityWitness": "the witness that similar returns",
     "mat2.minv": "perfbench's tracer counts it by name until ROADMAP item 8 drops it",
@@ -114,3 +115,16 @@ def test_module_imports_form_no_cycle():
         }
     order = list(TopologicalSorter(graph).static_order())
     assert order.index("errors") < order.index("ring") < order.index("form")
+
+
+def test_every_mutant_applies_to_the_source():
+    # the catalogue of tests/mutants.py, which is run by hand, keeps step with
+    # src: each fault's old text occurs once in its file, and its tests exist
+    from mutants import CATALOGUE
+
+    texts = {}
+    for name, file, old, _, tests in CATALOGUE:
+        text = texts.setdefault(file, (ROOT / file).read_text())
+        assert text.count(old) == 1, name
+        assert all((ROOT / "tests" / t).is_file() for t in tests), name
+    assert len({entry[0] for entry in CATALOGUE}) == len(CATALOGUE)

@@ -14,12 +14,22 @@ from itertools import product
 from math import gcd
 
 from .errors import UnsupportedRing, UsageError
-from .form import BinaryQuadraticForm, properly_equivalent, similar
+from .form import BinaryQuadraticForm, _cleared, properly_equivalent, similar
 from .ring import ModularRing, RingHom, ZZ
 
 
 def _grid(lo: int, hi: int):
     return product(range(lo, hi + 1), repeat=3)
+
+
+def _ring_grids():
+    """(ring, coefficient grid): the box [-10, 10]^3 over Z, and over Z/5,
+    Z/7 and Z/9 the n consecutive integers from -10 per coefficient, a
+    complete residue system, so each form is built once and still from
+    raw integers that the constructor reduces."""
+    yield ZZ, _grid(-10, 10)
+    for n in (5, 7, 9):
+        yield ModularRing(n), _grid(-10, n - 11)
 
 
 def _valid_discriminants(lo: int, hi: int = -3):
@@ -30,10 +40,9 @@ def criterion_discriminant_identity():
     """4ac - b^2 equals minus the algebra discriminant, over all rings."""
     from .clifford import even_clifford
 
-    rings = [ZZ, ModularRing(5), ModularRing(7), ModularRing(9)]
     n = 0
-    for R in rings:
-        for a, b, c in _grid(-10, 10):
+    for R, grid in _ring_grids():
+        for a, b, c in grid:
             q = BinaryQuadraticForm(R, a, b, c)
             flipped, _ = q.discriminant()
             if flipped != R.neg(even_clifford(q).disc()):
@@ -152,9 +161,8 @@ def criterion_traceability():
     from .clifford import QuadraticAlgebra
     from .pairs import CliffordPair, form_to_pair
 
-    rings = [ZZ, ModularRing(5), ModularRing(7), ModularRing(9)]
-    for R in rings:
-        for a, b, c in _grid(-10, 10):
+    for R, grid in _ring_grids():
+        for a, b, c in grid:
             q = BinaryQuadraticForm(R, a, b, c)
             if not form_to_pair(q).is_traceable():
                 return False, f"left action not traceable at {q}"
@@ -210,16 +218,12 @@ def criterion_dual_conic():
         q = BinaryQuadraticForm(ZZ, a, b, c)
         if 4 * a * c - b * b == 0:
             continue
-        qq = dual_conic(dual_conic(q))
-        # projective equality against the rational promotion of q
-        lam = None
-        for lhs, rhs in zip(qq.coeffs(), (a, b, c)):
-            if rhs != 0:
-                lam = lhs / rhs
-                break
-        if lam is None or lam == 0:
+        # projective equality: the cleared double dual is nonzero and its
+        # 2x2 minors against (a, b, c), itself nonzero here, all vanish
+        (x, y, z), _ = _cleared(*dual_conic(dual_conic(q)).coeffs())
+        if x == y == z == 0:
             return False, f"double dual degenerate at {q}"
-        if any(lhs != lam * rhs for lhs, rhs in zip(qq.coeffs(), (a, b, c))):
+        if x * b != y * a or x * c != z * a or y * c != z * b:
             return False, f"double dual not projectively {q}"
         n += 1
     samples = [(1, 4, 4), (1, 2, 1), (4, 4, 1), (9, -12, 4), (0, 0, 1)]

@@ -13,6 +13,7 @@ witness; no search runs.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Optional
 
@@ -35,7 +36,8 @@ class CliffordPair(Value):
     def __init__(self, alg: QuadraticAlgebra, m: tuple):
         Value.__init__(self, alg, mat(alg.ring, m))
         if not module_axiom_holds(alg, self.m):
-            raise NotAModule(f"action matrix {self.m} violates the relation of {self.alg}")
+            m = json.dumps(mat_to_json(alg.ring, self.m))
+            raise NotAModule(f"action matrix {m} violates the relation of {alg}")
 
     @property
     def ring(self) -> Ring:
@@ -69,7 +71,8 @@ def pair_to_form(p: CliffordPair) -> BinaryQuadraticForm:
     entry of the module relation gives a*c = nm', over every ring.
     """
     if not p.is_traceable():
-        raise NotTraceable(f"pair {p} is not traceable")
+        m = json.dumps(mat_to_json(p.ring, p.m))
+        raise NotTraceable(f"action matrix {m} is not traceable for {p.alg}")
     (m00, m01), (m10, m11) = p.m
     return BinaryQuadraticForm(p.ring, -m10, m00 - m11, m01)
 

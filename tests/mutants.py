@@ -146,6 +146,14 @@ CATALOGUE = [
     ("alg-module-axiom-nm-sign", CLIFFORD, "s, r = a + d - t, b * c + nm", "s, r = a + d - t, b * c - nm", T_ALG),
     ("alg-module-axiom-drops-c-times-s", CLIFFORD, " and n(c * s) == 0", "", T_ALG),
     ("pairs-dual-conic-sign", PAIRS, "Fraction(-4 * L * B, d4)", "Fraction(4 * L * B, d4)", ["test_pairs.py", "test_acceptance.py"]),
+    # -- the criteria of acceptance.py over their grids -------------------------
+    ("alg-disc-reduced-mod-m-plus-1", CLIFFORD, "        return d % m if m else d", "        return d % (m + 1) if m else d",
+     ["test_acceptance.py"]),
+    ("alg-module-axiom-d-unnormalized", CLIFFORD, " and n(d * (d - t) + r) == 0", " and d * (d - t) + r == 0",
+     ["test_acceptance.py"]),
+    ("pairs-traceable-reads-m10", PAIRS, "normalize(self.m[0][0] + self.m[1][1])", "normalize(self.m[0][0] + self.m[1][0])",
+     ["test_acceptance.py"]),
+    ("pairs-dual-conic-a-over-2-d4", PAIRS, "Fraction(4 * L * C, d4)", "Fraction(4 * L * C, 2 * d4)", ["test_acceptance.py"]),
     # -- norm.py and compose.py: the integer lattice core -----------------------
     ("lattice-orientation-rule-widened", NORM, "    if s == 0 and (r * t) % p == 0:", "    if s == 0:", T_LATTICE),
     ("lattice-form-basis-k-off-by-one", NORM, "    k = (b - eps * t) // 2", "    k = (b - eps * t) // 2 + 1", T_LATTICE),

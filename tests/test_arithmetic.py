@@ -3,6 +3,7 @@ definitions it had when every sum and product went through a ring
 operation.  Those definitions are kept below as the oracle: each result
 must match in value and in type over Z, Z/n and Q."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from binquad.clifford import (
 )
 from binquad.errors import BinquadError, NonScalarNorm, NotAModule, NotInvertible, NotTraceable
 from binquad.form import BinaryQuadraticForm, SimilarityWitness
-from binquad.mat2 import mat, mdet, mident, minv, mmul
+from binquad.mat2 import mat, mat_to_json, mdet, mident, minv, mmul
 from binquad.pairs import (
     CliffordPair,
     PairWitness,
@@ -179,7 +180,7 @@ def seed_is_traceable(C, M):
     M = mat(R, M)
     rhs = seed_madd(R, seed_mscale(R, C.t, M), seed_mscale(R, R.neg(C.nm), mident(R)))
     if seed_mmul(R, M, M) != rhs:
-        raise NotAModule(f"action matrix {M} violates the relation of {C}")
+        raise NotAModule(f"action matrix {json.dumps(mat_to_json(R, M))} violates the relation of {C}")
     return R.add(M[0][0], M[1][1]) == C.t
 
 
@@ -255,7 +256,7 @@ def seed_pair_is_traceable(p):
 
 def seed_normalize_pair(p):
     if not seed_pair_is_traceable(p):
-        raise NotTraceable(f"pair {p} is not traceable")
+        raise NotTraceable(f"action matrix {json.dumps(mat_to_json(p.ring, p.m))} is not traceable for {p.alg}")
     R = p.ring
     shift = p.m[1][1]
     M2 = seed_madd(R, p.m, seed_mscale(R, R.neg(shift), mident(R)))

@@ -199,6 +199,32 @@ def test_a_pair_and_its_algebra_name_one_ring(capsys):
             assert run_json(capsys, [verb, '{"alg":%s,"m":[[0,4],[-1,0]],"ring":%s}' % (alg, z7)]) == (0, want)
 
 
+@pytest.mark.parametrize("ring,name", [('{"ring":"int"}', "Z"), ('{"ring":"mod","n":7}', "Z/7"), ('{"ring":"rat"}', "Q")],
+                         ids=["int", "mod", "rat"])
+def test_pair_errors_print_json_elements(capsys, ring, name):
+    # a matrix that breaks tau^2 = -1, and a module of tau^2 = tau of trace 2
+    cases = [
+        ("NotAModule", '{"alg":{"t":0,"nm":1},"m":[[1,0],[0,1]],"ring":%s}' % ring,
+         f"action matrix [[1, 0], [0, 1]] violates the relation of <1,tau | tau^2 = 0*tau - 1> over {name}"),
+        ("NotTraceable", '{"alg":{"t":1,"nm":0},"m":[[1,0],[0,1]],"ring":%s}' % ring,
+         f"action matrix [[1, 0], [0, 1]] is not traceable for <1,tau | tau^2 = 1*tau - 0> over {name}"),
+    ]
+    if name == "Q":
+        half = '{"num":1,"den":2}'
+        cases += [
+            ("NotAModule", '{"alg":{"t":0,"nm":1},"m":[[%s,0],[0,1]],"ring":%s}' % (half, ring),
+             'action matrix [[{"num": 1, "den": 2}, 0], [0, 1]] violates the relation of <1,tau | tau^2 = 0*tau - 1> over Q'),
+            ("NotTraceable", '{"alg":{"t":0,"nm":{"num":-1,"den":4}},"m":[[%s,0],[0,%s]],"ring":%s}' % (half, half, ring),
+             'action matrix [[{"num": 1, "den": 2}, 0], [0, {"num": 1, "den": 2}]] is not traceable for '
+             "<1,tau | tau^2 = 0*tau - -1/4> over Q"),
+        ]
+    for error, pair, message in cases:
+        assert run(["pair2form", pair]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": error, "message": message}
+        assert "Fraction(" not in err and "Pair(" not in err and "Algebra(" not in err
+
+
 def test_ideal_and_normform(capsys):
     code, ideal = run_json(capsys, ["ideal", form_json(2, 1, 3)])
     assert code == 0

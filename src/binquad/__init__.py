@@ -15,9 +15,9 @@ from types import ModuleType
 
 # each layer and the public names it defines
 _LAYERS = {
-    "clifford": "AlgebraWitness QuadraticAlgebra algebra_isomorphic automorphisms even_clifford m_left m_right "
-                "quat_conj quat_mul quat_norm quat_trace",
-    "compose": "compose dirichlet_compose identity_form inverse_form proper_reduce",
+    "clifford": "AlgebraWitness QuadraticAlgebra algebra_isomorphic automorphisms even_clifford identity_form m_left "
+                "m_right quat_conj quat_mul quat_norm quat_trace",
+    "compose": "compose dirichlet_compose inverse_form proper_reduce",
     "form": "BinaryQuadraticForm SimilarityVerdict SimilarityWitness bqf properly_equivalent reduce_definite similar",
     "norm": "IdealLattice base_change_checks even_clifford_of_ideal form_to_ideal ideal_conjugate ideal_is_invertible "
             "ideal_is_principal ideal_multiply naive_norm_form universal_norm_form",

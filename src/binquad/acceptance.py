@@ -10,6 +10,7 @@ criterion loads only that criterion's layers.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
 from math import gcd
 
@@ -343,8 +344,7 @@ def criterion_quaternion_axioms():
 def criterion_universal_norm():
     """Norm-form recovery, algebra stability, content multiplicativity,
     and the conjugate-inverse law."""
-    from .clifford import QuadraticAlgebra
-    from .compose import identity_form
+    from .clifford import QuadraticAlgebra, identity_form
     from .norm import (
         IdealLattice,
         _form_basis,
@@ -452,12 +452,8 @@ CRITERIA = [
 ]
 
 
-def run(name_filter=None, out=None) -> bool:
+def run(name_filter=None) -> bool:
     """Run the suite; print one line per criterion; True iff all pass."""
-    if out is None:
-        import sys
-
-        out = sys.stdout.write
     picked = [c for c in CRITERIA if not name_filter or name_filter in c[1] or name_filter == c[0]]
     if not picked:
         raise UsageError(f"no criterion matches the filter {name_filter!r}")
@@ -465,5 +461,5 @@ def run(name_filter=None, out=None) -> bool:
     for key, name, fn in picked:
         ok, detail = fn()
         all_ok = all_ok and ok
-        out(f"{key} {name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
+        sys.stdout.write(f"{key} {name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
     return all_ok

@@ -162,8 +162,7 @@ def _inverse(args):
 
 
 def _identity(args):
-    from .clifford import QuadraticAlgebra
-    from .compose import identity_form
+    from .clifford import QuadraticAlgebra, identity_form
 
     alg = QuadraticAlgebra.from_json(_load_json(args.algebra), default_ring=args.ring)
     return identity_form(alg).to_json()
@@ -208,7 +207,7 @@ def _basechange(args):
 def _verify(args):
     from . import acceptance
 
-    return None, EXIT_OK if acceptance.run(name_filter=args.filter, out=sys.stdout.write) else EXIT_DOMAIN
+    return None, EXIT_OK if acceptance.run(name_filter=args.filter) else EXIT_DOMAIN
 
 
 # verb: (positionals, flags, help, answer).  A positional "w?" may be left out; a flag

@@ -9,6 +9,7 @@ tau acting on the left by [[b, c], [-a, 0]] and on the right by
 
 from __future__ import annotations
 
+import json
 from typing import Optional
 
 from .errors import NonScalarNorm, UnsupportedRing, UsageError
@@ -59,10 +60,17 @@ class QuadraticAlgebra(Value):
         return QuadraticAlgebra(ring, ring.elem_from_json(obj["t"]), ring.elem_from_json(obj["nm"]))
 
     def __str__(self):
-        return f"<1,tau | tau^2 = {self.t}*tau - {self.nm}> over {self.ring!r}"
+        e = self.ring.elem_to_json
+        sign, nm = ("+", -self.nm) if self.nm < 0 else ("-", self.nm)
+        return f"<1,tau | tau^2 = {json.dumps(e(self.t))}*tau {sign} {json.dumps(e(nm))}> over {self.ring!r}"
 
 
 _set_ring, _set_t, _set_nm = QuadraticAlgebra._setters
+
+
+def identity_form(C: QuadraticAlgebra) -> BinaryQuadraticForm:
+    """The norm form (1, t, nm) of the algebra; the composition identity."""
+    return BinaryQuadraticForm(C.ring, C.ring.one, C.t, C.nm)
 
 
 def even_clifford(q: BinaryQuadraticForm) -> QuadraticAlgebra:

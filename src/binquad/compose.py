@@ -17,16 +17,10 @@ Two routes are implemented and kept deliberately independent:
 
 from __future__ import annotations
 
-from .clifford import QuadraticAlgebra
 from .errors import NotComposable, NotPrimitive, UsageError
 from .form import BinaryQuadraticForm, reduce_definite
 from .norm import _conjugate_basis, _form_basis, _nonzero_leading, _product_basis, _universal_form
 from .ring import IntegerRing, ZZ
-
-
-def identity_form(C: QuadraticAlgebra) -> BinaryQuadraticForm:
-    """The norm form (1, t, nm) of the algebra; the composition identity."""
-    return BinaryQuadraticForm(C.ring, C.ring.one, C.t, C.nm)
 
 
 def _require_composable(q1: BinaryQuadraticForm, q2: BinaryQuadraticForm):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Optional
 
-from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, m_left, m_right, tau_product
+from .clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, identity_form, m_left, m_right, tau_product
 from .errors import IncompatibleAlgebras, NotDefinite, NotInvertible, NotPrimitive, UsageError, ZeroForm
 from .form import BinaryQuadraticForm, similar
 from .mat2 import mat, mat_from_json, mat_to_json
@@ -300,4 +300,4 @@ def _norm_form_check(q: BinaryQuadraticForm, q2: BinaryQuadraticForm) -> Optiona
     )
     if not field or not q.is_primitive():
         return None
-    return similar(q2, BinaryQuadraticForm(R, 1, q2.b, R.mul(q2.a, q2.c))).is_similar
+    return similar(q2, identity_form(even_clifford(q2))).is_similar

@@ -27,7 +27,7 @@ from .clifford import (
 from .errors import NotAModule, NotAPerfectSquare, NotTraceable, UsageError
 from .form import BinaryQuadraticForm, SimilarityVerdict, _cleared, similar
 from .mat2 import mat, mat_from_json, mat_to_json, mdet
-from .ring import IntegerRing, QQ, RationalRing, Ring, RingHom, Value, fraction_sqrt, json_ring
+from .ring import IntegerRing, QQ, RationalRing, Ring, Value, fraction_sqrt, json_ring
 
 
 class CliffordPair(Value):
@@ -242,28 +242,20 @@ def dual_form_trace(q: BinaryQuadraticForm):
 def dual_conic(q: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """The form cut out by the tangent lines of the conic q = 0.
 
-    Nondegenerate case: (4c, -4b, 4a)/(4ac - b^2) = (4CL, -4BL, 4AL)/(4AC - B^2) over Q, q = (A, B, C)/L.
-    Degenerate case q = (alpha*x + beta*y)^2: the exact limit of duals of
-    nearby nondegenerate forms, (beta*x - alpha*y)^2.
+    With q = (A, B, C)/L cleared and d4 = 4AC - B^2, the dual is
+    (4LC, -4LB, 4LA)/d4 over Q.  A double line q = (alpha*x + beta*y)^2,
+    d4 = 0, goes to the exact limit of duals of nearby nondegenerate forms,
+    (beta*x - alpha*y)^2 = (c, -b, a): the same numerators over 4L^2.  It
+    needs a, or c when a = 0, to be a rational square.
     """
     R = q.ring
     if not isinstance(R, (IntegerRing, RationalRing)):
         raise UsageError("dual conics are computed over the rationals")
     (A, B, C), L = _cleared(*q.coeffs())
     d4 = 4 * A * C - B * B
-    if d4 != 0:
-        return BinaryQuadraticForm(QQ, Fraction(4 * L * C, d4), Fraction(-4 * L * B, d4), Fraction(4 * L * A, d4))
-    if isinstance(R, IntegerRing):
-        q = q.map(RingHom(R, QQ))
-    a, b, c = q.coeffs()
-    alpha = fraction_sqrt(a)
-    if alpha is None:
-        raise NotAPerfectSquare(f"{q} has zero determinant but {a} is not a square")
-    if alpha != 0:
-        beta = b / (2 * alpha)  # beta^2 = b^2/4a = c, as b^2 = 4ac
-    else:
-        # a = 0 and det = 0 force b = 0
-        beta = fraction_sqrt(c)
-        if beta is None:
-            raise NotAPerfectSquare(f"{q} has zero determinant but {c} is not a square")
-    return BinaryQuadraticForm(QQ, beta * beta, -2 * alpha * beta, alpha * alpha)
+    if d4 == 0:
+        s = q.a if q.a else q.c  # a = 0 and d4 = 0 force b = 0
+        if fraction_sqrt(s) is None:
+            raise NotAPerfectSquare(f"{BinaryQuadraticForm(QQ, *q.coeffs())} has zero determinant but {s} is not a square")
+        d4 = 4 * L * L
+    return BinaryQuadraticForm(QQ, Fraction(4 * L * C, d4), Fraction(-4 * L * B, d4), Fraction(4 * L * A, d4))

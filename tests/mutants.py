@@ -65,6 +65,11 @@ CATALOGUE = [
     ("ring-rat-normalize-keeps-ints", RING, "        if isinstance(v, int):\n            return Fraction(v)\n",
      "        if isinstance(v, int):\n            return v\n", T_RING),
     ("ring-mod-normalize-fallback-unreduced", RING, "return _as_int(v) % self.n", "return _as_int(v)", T_RING),
+    # -- ring.py and mat2.py: refusals of JSON input ------------------------
+    ("ring-unknown-kind-accepted", RING, "    raise UsageError(f\"unknown ring kind {kind!r}\")", "    return ZZ", T_CLI),
+    ("ring-rat-bool-accepted", RING, "        if isinstance(obj, bool):\n", "        if False:\n", T_CLI),
+    ("mat2-row-length-unchecked", MAT2, "not isinstance(r, list) or len(r) != 2 for r in obj",
+     "not isinstance(r, list) for r in obj", T_CLI),
     # -- mat2.py and the shared formulas -----------------------------------
     ("mat2-mat-per-entry-normalize", MAT2, "    return (ring.normalize_all(a, b), ring.normalize_all(c, d))",
      "    n = ring.normalize\n    return ((n(a), n(b)), (n(c), n(d)))", T_ARITH),
@@ -146,6 +151,9 @@ CATALOGUE = [
     ("alg-module-axiom-nm-sign", CLIFFORD, "s, r = a + d - t, b * c + nm", "s, r = a + d - t, b * c - nm", T_ALG),
     ("alg-module-axiom-drops-c-times-s", CLIFFORD, " and n(c * s) == 0", "", T_ALG),
     ("pairs-dual-conic-sign", PAIRS, "Fraction(-4 * L * B, d4)", "Fraction(4 * L * B, d4)", ["test_pairs.py", "test_acceptance.py"]),
+    ("pairs-dual-conic-double-line-over-4l", PAIRS, "        d4 = 4 * L * L\n", "        d4 = 4 * L\n",
+     ["test_pairs.py", "test_acceptance.py"]),
+    ("pairs-dual-conic-square-test-reads-c", PAIRS, "s = q.a if q.a else q.c", "s = q.c", ["test_pairs.py", "test_acceptance.py"]),
     # -- the criteria of acceptance.py over their grids -------------------------
     ("alg-disc-reduced-mod-m-plus-1", CLIFFORD, "        return d % m if m else d", "        return d % (m + 1) if m else d",
      ["test_acceptance.py"]),
@@ -154,6 +162,8 @@ CATALOGUE = [
     ("pairs-traceable-reads-m10", PAIRS, "normalize(self.m[0][0] + self.m[1][1])", "normalize(self.m[0][0] + self.m[1][0])",
      ["test_acceptance.py"]),
     ("pairs-dual-conic-a-over-2-d4", PAIRS, "Fraction(4 * L * C, d4)", "Fraction(4 * L * C, 2 * d4)", ["test_acceptance.py"]),
+    ("norm-form-check-every-modulus-a-field", NORM, "isinstance(R, ModularRing) and factor(R.n) == {R.n: 1}",
+     "isinstance(R, ModularRing)", ["test_norm.py", "test_acceptance.py"]),
     # -- norm.py and compose.py: the integer lattice core -----------------------
     ("lattice-orientation-rule-widened", NORM, "    if s == 0 and (r * t) % p == 0:", "    if s == 0:", T_LATTICE),
     ("lattice-form-basis-k-off-by-one", NORM, "    k = (b - eps * t) // 2", "    k = (b - eps * t) // 2 + 1", T_LATTICE),

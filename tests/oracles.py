@@ -46,7 +46,7 @@ from typing import Optional
 
 from binquad.clifford import QuadraticAlgebra, _witness_for_eps, even_clifford, tau_product
 from binquad.compose import shanks
-from binquad.errors import NotComposable, UnsupportedRing
+from binquad.errors import NotAPerfectSquare, NotComposable, UnsupportedRing
 # reduce_definite, reduce_triple and shanks are bound here at import, so
 # tests that patch the library's bindings leave these oracles their own.
 from binquad.form import (
@@ -69,7 +69,7 @@ from binquad.modular import (
     factor,
 )
 from binquad.norm import IdealLattice, _hnf_cols, _nonzero_leading
-from binquad.pairs import CliffordPair, PairWitness, dual_conic
+from binquad.pairs import CliffordPair, PairWitness
 from binquad.ring import IntegerRing, ModularRing, QQ, RationalRing, Ring, RingHom, ZZ, fraction_sqrt
 
 
@@ -281,15 +281,26 @@ def pairs_isomorphic_search(p: CliffordPair, p2: CliffordPair, bound: int = 12) 
 def dual_conic_fractions(q):
     """The dual conic by Fraction arithmetic over Q: a form over Z is mapped
     to Q first, and a nondegenerate dual is (c, -b, a)/det with
-    det = ac - b^2/4.  A degenerate form goes on, over Q, to the library's
-    square branch."""
+    det = ac - b^2/4.  A double line (alpha*x + beta*y)^2 goes to
+    (beta*x - alpha*y)^2, with alpha = sqrt(a) and beta = b/(2*alpha), or
+    beta = sqrt(c) when a = 0; a root that is not rational is refused with
+    the library's text."""
     if isinstance(q.ring, IntegerRing):
         q = q.map(RingHom(ZZ, QQ))
     a, b, c = q.coeffs()
     det = a * c - b * b / 4
-    if det == 0:
-        return dual_conic(q)
-    return BinaryQuadraticForm(QQ, c / det, -b / det, a / det)
+    if det != 0:
+        return BinaryQuadraticForm(QQ, c / det, -b / det, a / det)
+    alpha = fraction_sqrt(a)
+    if alpha is None:
+        raise NotAPerfectSquare(f"{q} has zero determinant but {a} is not a square")
+    if alpha != 0:
+        beta = b / (2 * alpha)  # beta^2 = b^2/4a = c, as b^2 = 4ac
+    else:
+        beta = fraction_sqrt(c)  # a = 0 and det = 0 force b = 0
+        if beta is None:
+            raise NotAPerfectSquare(f"{q} has zero determinant but {c} is not a square")
+    return BinaryQuadraticForm(QQ, beta * beta, -2 * alpha * beta, alpha * alpha)
 
 
 def principal_by_generator(I: IdealLattice) -> bool:

@@ -216,7 +216,7 @@ def test_pair_errors_print_json_elements(capsys, ring, name):
              'action matrix [[{"num": 1, "den": 2}, 0], [0, 1]] violates the relation of <1,tau | tau^2 = 0*tau - 1> over Q'),
             ("NotTraceable", '{"alg":{"t":0,"nm":{"num":-1,"den":4}},"m":[[%s,0],[0,%s]],"ring":%s}' % (half, half, ring),
              'action matrix [[{"num": 1, "den": 2}, 0], [0, {"num": 1, "den": 2}]] is not traceable for '
-             "<1,tau | tau^2 = 0*tau - -1/4> over Q"),
+             '<1,tau | tau^2 = 0*tau + {"num": 1, "den": 4}> over Q'),
         ]
     for error, pair, message in cases:
         assert run(["pair2form", pair]) == 2
@@ -492,6 +492,7 @@ def _verify_layers(*layers):
     (["similar", form_json(1, 0, 1), form_json(1, 1, 1)], FORM_LAYER),
     (["disc", form_json(2, 1, 3)], FORM_LAYER),
     (["reduce", form_json(3, 1, 2)], FORM_LAYER),
+    (["identity", '{"t":1,"nm":6}'], sorted(FORM_LAYER + ["binquad.clifford"])),
     (["verify", "--filter", "C01"], _verify_layers("clifford")),
     (["verify", "--filter", "C05"], _verify_layers("clifford", "pairs")),
     (["verify", "--filter", "C08"], _verify_layers("clifford", "compose", "norm", "picard")),
@@ -500,8 +501,8 @@ def _verify_layers(*layers):
 def test_a_verb_loads_the_layers_it_runs(argv, loaded):
     # similar, disc and reduce run on the form layer alone, so a fresh
     # process that answers them compiles no pairs, ideal lattices,
-    # composition or class groups; verify loads the layers of the
-    # criteria it runs
+    # composition or class groups; identity adds only the algebra layer;
+    # verify loads the layers of the criteria it runs
     code = (
         "import io, json, sys\nfrom contextlib import redirect_stdout\nfrom binquad.cli import run\n"
         f"with redirect_stdout(io.StringIO()):\n    run({argv!r})\n"

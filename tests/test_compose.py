@@ -5,11 +5,10 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binquad.clifford import QuadraticAlgebra
+from binquad.clifford import QuadraticAlgebra, identity_form
 from binquad.compose import (
     compose,
     dirichlet_compose,
-    identity_form,
     inverse_form,
     proper_reduce,
 )

@@ -282,6 +282,8 @@ def test_properly_equivalent():
     assert not properly_equivalent(bqf(2, 1, 3), bqf(1, 1, 6))
     # D = 4 is a square: decided by the canonical split form
     assert properly_equivalent(bqf(1, 0, -1), bqf(0, 2, 1))
+    # discriminants -4 and -3 differ
+    assert not properly_equivalent(bqf(1, 0, 1), bqf(1, 1, 1))
     with pytest.raises(NotDefinite):
         properly_equivalent(BinaryQuadraticForm(ModularRing(5), 1, 0, 1), BinaryQuadraticForm(ModularRing(5), 1, 0, 1))
 

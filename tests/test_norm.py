@@ -4,8 +4,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from binquad.clifford import QuadraticAlgebra, even_clifford, m_left
-from binquad.compose import identity_form
+from binquad.clifford import QuadraticAlgebra, even_clifford, identity_form, m_left
 from binquad.errors import (
     DomainError,
     IncompatibleAlgebras,

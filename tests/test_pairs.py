@@ -276,35 +276,38 @@ def test_dual_conic_examples():
 
 
 def test_dual_conic_against_matrix_inverse():
-    # every form of the grid [-7, 7]^3 over Z and over Q: the dual, or the
-    # error and its text, is that of the Fraction route over Q; a
-    # nondegenerate dual inverts the Gram matrix [[a, b/2], [b/2, c]]
-    # exactly, and a square (alpha x + beta y)^2 goes to (beta x - alpha y)^2
+    # every form of the grid [-7, 7]^3 over Z and over Q, and the double
+    # lines +-(alpha x + beta y)^2 over Q with alpha, beta in
+    # {0, +-1/2, +-1, +-3/2}: the dual, or the error and its text, is that of
+    # the Fraction route over Q; a nondegenerate dual inverts the Gram
+    # matrix [[a, b/2], [b/2, c]] exactly, and a square (alpha x + beta y)^2
+    # goes to (beta x - alpha y)^2
+    roots = [Fraction(k, 2) for k in range(-4, 5)]
     squares = {}
-    for alpha, beta in product(range(-2, 3), range(-2, 3)):
+    for alpha, beta in product(roots, repeat=2):
         squares[(alpha * alpha, 2 * alpha * beta, beta * beta)] = (beta * beta, -2 * alpha * beta, alpha * alpha)
+    forms = [f for a, b, c in product(range(-7, 8), repeat=3) for f in (bqf(a, b, c), bqf(a, b, c, QQ))]
+    forms += [bqf(s * alpha * alpha, 2 * s * alpha * beta, s * beta * beta, QQ)
+              for s in (1, -1) for alpha, beta in product(roots[1:-1], repeat=2)]
     refused = 0
-    for a, b, c in product(range(-7, 8), repeat=3):
-        for q in (bqf(a, b, c), BinaryQuadraticForm(QQ, a, b, c)):
-            try:
-                want = dual_conic_fractions(q)
-            except NotAPerfectSquare as e:
-                with pytest.raises(NotAPerfectSquare) as err:
-                    dual_conic(q)
-                assert str(err.value) == str(e) and " over Q " in str(e)
-                refused += 1
-                continue
-            got = dual_conic(q)
-            assert got == want and got.ring == QQ
-            det = Fraction(a) * c - Fraction(b, 2) ** 2
-            if det != 0:
-                inv = (
-                    (Fraction(c) / det, Fraction(-b, 2) / det),
-                    (Fraction(-b, 2) / det, Fraction(a) / det),
-                )
-                assert got.coeffs() == (inv[0][0], 2 * inv[0][1], inv[1][1])
-            else:
-                assert got.coeffs() == squares[(a, b, c)]
+    for q in forms:
+        try:
+            want = dual_conic_fractions(q)
+        except NotAPerfectSquare as e:
+            with pytest.raises(NotAPerfectSquare) as err:
+                dual_conic(q)
+            assert str(err.value) == str(e) and " over Q " in str(e)
+            refused += 1
+            continue
+        got = dual_conic(q)
+        assert got == want and got.ring == QQ
+        a, b, c = (Fraction(v) for v in q.coeffs())
+        det = a * c - (b / 2) ** 2
+        if det != 0:
+            inv = ((c / det, -b / 2 / det), (-b / 2 / det, a / det))
+            assert got.coeffs() == (inv[0][0], 2 * inv[0][1], inv[1][1])
+        else:
+            assert got.coeffs() == squares[(a, b, c)]
     assert refused > 0
 
 

@@ -5,8 +5,8 @@ from math import gcd, prod
 import pytest
 
 from binquad import picard
-from binquad.clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford
-from binquad.compose import compose, identity_form as form_for_algebra, shanks
+from binquad.clifford import QuadraticAlgebra, algebra_isomorphic, even_clifford, identity_form as form_for_algebra
+from binquad.compose import compose, shanks
 from binquad.errors import BadDiscriminant
 from binquad.form import bqf, reduce_definite
 from binquad.norm import IdealLattice

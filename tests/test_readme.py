@@ -37,6 +37,7 @@ KEPT = {
     "picard.ClassGroup": "the value that class_group returns",
     "picard.ideal_class_representatives": "a README capability",
     "ring.Ring.add": "the seed definitions of test_arithmetic are written in it",
+    "ring.Ring.mul": "the seed definitions of test_arithmetic are written in it, and ModularRing.half calls it",
     "ring.Ring.sub": "the seed definitions of test_arithmetic are written in it",
 }
 

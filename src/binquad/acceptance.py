@@ -378,12 +378,11 @@ def criterion_universal_norm():
         for I in ideals:
             if universal_norm_form(ideal_multiply(I, ideal_conjugate(I))) != ident:
                 return False, f"conjugate-inverse law broke for {I}"
+        contents = [naive_norm_form(I).content() for I in ideals]
         for i, I in enumerate(ideals):
-            for J in ideals[i:]:
-                lhs = naive_norm_form(ideal_multiply(I, J)).content()
-                rhs = naive_norm_form(I).content() * naive_norm_form(J).content()
-                if lhs != rhs:
-                    return False, f"content multiplicativity broke for {I}, {J}"
+            for j in range(i, len(ideals)):
+                if naive_norm_form(ideal_multiply(I, ideals[j])).content() != contents[i] * contents[j]:
+                    return False, f"content multiplicativity broke for {I}, {ideals[j]}"
                 lattice_pairs += 1
     return True, f"{recovered} recoveries; {lattice_pairs} lattice pairs"
 

@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import NonScalarNorm, UnsupportedRing, UsageError
 from .form import BinaryQuadraticForm
 from .mat2 import mat
-from .ring import Ring, RingHom, Value, json_ring
+from .ring import Ring, RingHom, Value, json_ring, json_text
 
 
 def tau_product(t, nm, z, w):
@@ -224,5 +224,5 @@ def quat_to_json(q: BinaryQuadraticForm, z) -> list:
 
 def quat_from_json(q: BinaryQuadraticForm, obj):
     if not isinstance(obj, list) or len(obj) != 4:
-        raise UsageError(f"expected a 4-entry quaternion element, got {obj!r}")
+        raise UsageError(f"expected a 4-entry quaternion element, got {json_text(obj)}")
     return tuple(q.ring.elem_from_json(v) for v in obj)

@@ -169,6 +169,8 @@ def properly_equivalent_integral(f1, f2) -> bool:
     D = f1[1] * f1[1] - 4 * f1[0] * f1[2]
     if f2[1] * f2[1] - 4 * f2[0] * f2[2] != D:
         return False
+    if f1 == f2:
+        return True
     r = isqrt(max(D, 0))
     g1, _ = _canonical(f1, D, r)
     return _find(f2, {g1: None}, D, r)[1] is not None

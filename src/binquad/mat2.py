@@ -10,7 +10,7 @@ ring map and Q is closed under Fraction arithmetic.
 from __future__ import annotations
 
 from .errors import NotInvertible, UsageError
-from .ring import Ring
+from .ring import Ring, json_text
 
 
 def mat(ring: Ring, rows):
@@ -50,7 +50,7 @@ def mat_from_json(ring: Ring, obj):
         or len(obj) != 2
         or any(not isinstance(r, list) or len(r) != 2 for r in obj)
     ):
-        raise UsageError(f"expected a 2x2 matrix, got {obj!r}")
+        raise UsageError(f"expected a 2x2 matrix, got {json_text(obj)}")
     return mat(
         ring,
         tuple(tuple(ring.elem_from_json(x) for x in row) for row in obj),

@@ -32,7 +32,7 @@ from .errors import IncompatibleAlgebras, NotDefinite, NotInvertible, NotPrimiti
 from .form import BinaryQuadraticForm, similar
 from .mat2 import mat, mat_from_json, mat_to_json
 from .modular import factor
-from .ring import IntegerRing, ModularRing, RationalRing, RingHom, Value, ZZ, basis_change
+from .ring import IntegerRing, ModularRing, RationalRing, RingHom, Value, ZZ, basis_change, json_text
 
 
 def _hnf_cols(cols):
@@ -69,9 +69,14 @@ def _canonical_basis(t: int, p: int, s: int, r: int):
     return ((p, (-s) % p), (0, -r))
 
 
+def _product_hermite(t: int, nm: int, B1, B2):
+    """Hermite data (p, s, r) of the lattice spanned by the pairwise products."""
+    return _hnf_cols([tau_product(t, nm, x, y) for x in zip(*B1) for y in zip(*B2)])
+
+
 def _product_basis(t: int, nm: int, B1, B2):
     """Canonical basis of the lattice spanned by the pairwise products."""
-    return _canonical_basis(t, *_hnf_cols([tau_product(t, nm, x, y) for x in zip(*B1) for y in zip(*B2)]))
+    return _canonical_basis(t, *_product_hermite(t, nm, B1, B2))
 
 
 def _conjugate_basis(t: int, B):
@@ -153,7 +158,7 @@ class IdealLattice(Value):
     @staticmethod
     def from_json(obj) -> "IdealLattice":
         if not isinstance(obj, dict) or not {"alg", "basis"} <= set(obj):
-            raise UsageError(f"expected an ideal object with alg, basis, got {obj!r}")
+            raise UsageError(f"expected an ideal object with alg, basis, got {json_text(obj)}")
         alg = QuadraticAlgebra.from_json(obj["alg"], default_ring=ZZ)
         return IdealLattice(alg, mat_from_json(ZZ, obj["basis"]))
 
@@ -171,12 +176,14 @@ def form_to_ideal(q: BinaryQuadraticForm) -> IdealLattice:
     applied first."""
     if not isinstance(q.ring, IntegerRing):
         raise UsageError("form/ideal dictionary is implemented over Z")
-    if q.is_zero():
-        raise ZeroForm("the zero form has no associated lattice")
-    if not q.is_primitive():
-        raise NotPrimitive(f"{q} is not primitive")
-    q = BinaryQuadraticForm(ZZ, *_nonzero_leading(*q.coeffs()))
-    return IdealLattice(even_clifford(q), _form_basis(q.a, q.b, q.b))
+    a, b, c = q.coeffs()
+    g = gcd(a, b, c)
+    if g != 1:
+        raise ZeroForm("the zero form has no associated lattice") if g == 0 else NotPrimitive(f"{q} is not primitive")
+    if a == 0:
+        a, b, c = _nonzero_leading(a, b, c)
+        q = BinaryQuadraticForm(ZZ, a, b, c)
+    return IdealLattice(even_clifford(q), _form_basis(a, b, b))
 
 
 def _nonzero_leading(a: int, b: int, c: int):
@@ -252,9 +259,8 @@ def _represent(A: int, B: int, C: int, target: int):
     return out
 
 
-def _is_principal(t: int, nm: int, B) -> bool:
-    """Whether the lattice of basis B is principal; see ``ideal_is_principal``."""
-    p, s, r = _hnf_cols(zip(*B))
+def _is_principal(t: int, nm: int, p: int, s: int, r: int) -> bool:
+    """Whether the lattice of Hermite data (p, s, r) is principal; see ``ideal_is_principal``."""
     return bool(_represent(*basis_change(1, t, nm, ((p, s), (0, r))), p * r))
 
 
@@ -269,7 +275,7 @@ def ideal_is_principal(I: IdealLattice) -> bool:
     """
     if I.alg.disc() >= 0:
         raise NotDefinite("principality search needs a definite algebra")
-    return _is_principal(I.alg.t, I.alg.nm, I.basis)
+    return _is_principal(I.alg.t, I.alg.nm, *_hnf_cols(I.columns()))
 
 
 def base_change_checks(q: BinaryQuadraticForm, hom: RingHom) -> dict:

@@ -17,7 +17,7 @@ from .errors import BadDiscriminant
 from .form import BinaryQuadraticForm
 from .integral import reduce_triple
 from .modular import factor
-from .norm import IdealLattice, _conjugate_basis, _is_invertible, _is_principal, _product_basis
+from .norm import IdealLattice, _conjugate_basis, _is_invertible, _is_principal, _product_hermite
 from .ring import Value, ZZ
 
 
@@ -124,32 +124,35 @@ def _invariant_factors(orders):
 
 
 def _class_bases(D: int):
-    """(t, nm, bases): one Hermite basis ((a, s), (0, -1)) per invertible
-    class of Z[tau], tau^2 = t*tau - nm, of discriminant D; a <= sqrt(|D|/3) + 1."""
+    """(t, nm, bases, conjugates): one Hermite basis ((a, s), (0, -1)) per
+    invertible class of Z[tau], tau^2 = t*tau - nm, of discriminant D,
+    a <= sqrt(|D|/3) + 1, and the canonical basis of each one's conjugate."""
     _check_disc(D)
     t = D % 2
     nm = (t * t - D) // 4
-    reps = []
+    reps, conjs = [], []
     for a in range(1, isqrt(-D // 3) + 2):
         for s in range(a):
             B = ((a, s), (0, -1))  # closed under tau iff a | N(s - tau)
             if (s * s - t * s + nm) % a == 0 and _is_invertible(t, nm, B):
-                if _class_index(t, nm, reps, B) is None:
+                if _class_index(t, nm, conjs, B) is None:
                     reps.append(B)
-    return t, nm, reps
+                    conjs.append(_conjugate_basis(t, B))
+    return t, nm, reps, conjs
 
 
-def _class_index(t: int, nm: int, reps, B):
-    """Index of the class of B among reps, or None; B ~ J iff B*conj(J) is principal."""
-    for i, J in enumerate(reps):
-        if _is_principal(t, nm, _product_basis(t, nm, B, _conjugate_basis(t, J))):
+def _class_index(t: int, nm: int, conjs, B):
+    """Index i of the class of B, or None; conjs[i] = conj(J_i), and B ~ J iff B*conj(J) is principal."""
+    for i, C in enumerate(conjs):
+        p, s, r = _product_hermite(t, nm, B, C)
+        if _is_principal(t, nm, p, s, r):
             return i
     return None
 
 
 def ideal_class_representatives(D: int):
     """One invertible ``IdealLattice`` per class, in ``_class_bases`` order; a README capability."""
-    t, nm, bases = _class_bases(D)
+    t, nm, bases, _ = _class_bases(D)
     alg = QuadraticAlgebra(ZZ, t, nm)
     return [IdealLattice(alg, B) for B in bases]
 
@@ -163,11 +166,11 @@ def pic_counts(D: int):
     the integer core, so the counts are independent of the element
     orders that ``ClassGroup`` reads them from (Cohen, GTM 138, 5.2).
     """
-    t, nm, reps = _class_bases(D)
+    t, nm, reps, conjs = _class_bases(D)
     seen, orbits = set(), 0
-    for i, B in enumerate(reps):
+    for i, C in enumerate(conjs):
         if i in seen:
             continue
-        seen.update((i, _class_index(t, nm, reps, _conjugate_basis(t, B))))
+        seen.update((i, _class_index(t, nm, conjs, C)))
         orbits += 1
     return len(reps), orbits

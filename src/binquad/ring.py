@@ -8,6 +8,7 @@ floats anywhere.  ``basis_change``, the one q(Mv), works on plain values.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import attrgetter
@@ -17,6 +18,16 @@ from .errors import IncompatibleHom, NotInvertible, UnsupportedRing, UsageError
 
 # The default c of Ring.normalize_all: the value has two coefficients, not three.
 _TWO = object()
+
+
+def json_text(obj) -> str:
+    """obj as JSON text, for the usage message that refuses it.  A value
+    JSON cannot show (a library caller's object, an int past Python's
+    digit limit) reads as its type name, so the message never raises."""
+    try:
+        return json.dumps(obj)
+    except (TypeError, ValueError, RecursionError):
+        return f"a {type(obj).__name__}"
 
 
 class Value:
@@ -114,7 +125,7 @@ class Ring:
 
     def elem_from_json(self, obj):
         if not isinstance(obj, int) or isinstance(obj, bool):
-            raise UsageError(f"expected an integer element, got {obj!r}")
+            raise UsageError(f"expected an integer element, got {json_text(obj)}")
         return self.normalize(obj)
 
     def to_json(self) -> dict:
@@ -271,15 +282,15 @@ class RationalRing(Ring):
 
     def elem_from_json(self, obj):
         if isinstance(obj, bool):
-            raise UsageError(f"expected a number, got {obj!r}")
+            raise UsageError(f"expected a number, got {json_text(obj)}")
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, dict) and set(obj) == {"num", "den"}:
             num, den = obj["num"], obj["den"]
             if not all(type(v) is int for v in (num, den)) or den == 0:
-                raise UsageError(f"expected integer num and nonzero integer den, got {obj!r}")
+                raise UsageError(f"expected integer num and nonzero integer den, got {json_text(obj)}")
             return Fraction(num, den)
-        raise UsageError(f"expected an integer or {{num,den}} object, got {obj!r}")
+        raise UsageError(f"expected an integer or {{num,den}} object, got {json_text(obj)}")
 
     def to_json(self) -> dict:
         return {"ring": "rat"}
@@ -300,7 +311,7 @@ QQ = RationalRing()
 
 def ring_from_json(obj) -> Ring:
     if not isinstance(obj, dict) or "ring" not in obj:
-        raise UsageError(f"expected a ring object, got {obj!r}")
+        raise UsageError(f"expected a ring object, got {json_text(obj)}")
     kind = obj["ring"]
     if kind == "int":
         return ZZ
@@ -315,7 +326,7 @@ def json_ring(obj, keys, what: str, default_ring: Optional[Ring]) -> Ring:
     """The ring of the JSON object obj, which must carry keys: its own "ring", else default_ring.
     what names the object in messages, "a form" or "an algebra"."""
     if not isinstance(obj, dict) or not set(keys) <= set(obj):
-        raise UsageError(f"expected {what} object with {', '.join(keys)}, got {obj!r}")
+        raise UsageError(f"expected {what} object with {', '.join(keys)}, got {json_text(obj)}")
     ring = ring_from_json(obj["ring"]) if "ring" in obj else default_ring
     if ring is None:
         raise UsageError(f"{what.split()[1]} JSON carries no ring and no default was given")

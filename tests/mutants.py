@@ -1,18 +1,20 @@
 """The mutation catalogue of binquad, and its runner.
 
-Each entry of CATALOGUE is (name, file, old, new, test files): a small fault
-put into one library file, and the test files that must catch it.  For each
-entry the runner copies src/, tests/, pyproject.toml and the README (which
-tests/test_readme.py reads) into a temporary directory, checks that `old`
-occurs once in the copy of `file`, replaces it with `new`, and runs the
-mapped test files there, where pyproject.toml's `pythonpath = ["src"]` makes
+Each entry of CATALOGUE is (name, file, old, new, tests): a small fault put
+into one library file, and the tests that must catch it, each a test file
+under tests/ or a pytest node id in it (`test_picard.py::test_...`).  For
+each entry the runner copies src/, tests/, pyproject.toml and the README
+(which tests/test_readme.py reads) into a temporary directory, checks that
+`old` occurs once in the copy of `file`, replaces it with `new`, and runs the
+mapped tests there, where pyproject.toml's `pythonpath = ["src"]` makes
 pytest load the copy.  A mutant is killed when a test fails.  An oracle or a
 test may be retired only if every mutant is still killed without it.
 
     python tests/mutants.py    # no options; prints one line per mutant
 
 It exits 0 only if every mutant is killed.  pytest does not collect it;
-tests/test_readme.py checks that every entry still applies to the source.
+tests/test_readme.py checks that every entry still applies to the source
+and that every test it names exists.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ T_Q = ["test_form.py", "test_kernels.py", "test_pairs.py", "test_cli.py"]
 T_MOD = ["test_modular.py", "test_kernels.py", "test_pairs.py"]
 T_GENUS = ["test_indefinite.py", "test_form.py", "test_pairs.py"]
 T_Z = ["test_form.py", "test_indefinite.py", "test_kernels.py", "test_pairs.py"]
-T_LATTICE = ["test_norm.py", "test_compose.py", "test_picard.py", "test_kernels.py", "test_acceptance.py"]
 T_SHANKS = ["test_compose.py", "test_picard.py", "test_acceptance.py"]
-T_PICARD = ["test_picard.py", "test_cli.py", "test_acceptance.py"]
 T_CLI = ["test_cli.py"]
 T_ALG = ["test_clifford.py", "test_arithmetic.py", "test_kernels.py", "test_pairs.py"]
+# node ids of one test each, for the entries that name single tests
+LATTICE_ROUTE = "test_kernels.py::test_compose_and_inverse_match_the_lattice_route"
+C08 = "test_acceptance.py::test_criterion[C08-picard-bijections]"
 
 CATALOGUE = [
     # -- ring.py: normalization -------------------------------------------
@@ -142,6 +145,9 @@ CATALOGUE = [
     ("z-rho-root-side", INTEGRAL, "b2 = r - (r + b) % m", "b2 = r - (r - b) % m", T_Z),
     ("z-split-picks-the-minus-line", INTEGRAL, "        if B == s:", "        if B == -s:", T_Z),
     ("z-witness-inverse-sign", INTEGRAL, "((t11, -t01 * n), (-t10, t00 * n))", "((t11, t01 * n), (-t10, t00 * n))", T_Z),
+    ("z-equal-triples-widened-to-equal-discriminants", INTEGRAL, "    if f1 == f2:\n        return True",
+     "    if True:\n        return True",
+     ["test_form.py::test_properly_equivalent", "test_indefinite.py::test_properly_equivalent_against_sl2_search"]),
     ("z-translation-window", INTEGRAL, "        elif not (-a < b <= a):", "        elif not (-a <= b <= a):", T_Z + ["test_picard.py"]),
     # -- clifford.py and pairs.py ---------------------------------------------
     ("alg-quat-mul-sign", CLIFFORD, "+ y1 * v2 - y2 * v1),", "+ y1 * v2 + y2 * v1),", T_ALG),
@@ -165,38 +171,56 @@ CATALOGUE = [
     ("norm-form-check-every-modulus-a-field", NORM, "isinstance(R, ModularRing) and factor(R.n) == {R.n: 1}",
      "isinstance(R, ModularRing)", ["test_norm.py", "test_acceptance.py"]),
     # -- norm.py and compose.py: the integer lattice core -----------------------
-    ("lattice-orientation-rule-widened", NORM, "    if s == 0 and (r * t) % p == 0:", "    if s == 0:", T_LATTICE),
-    ("lattice-form-basis-k-off-by-one", NORM, "    k = (b - eps * t) // 2", "    k = (b - eps * t) // 2 + 1", T_LATTICE),
+    ("lattice-orientation-rule-widened", NORM, "    if s == 0 and (r * t) % p == 0:", "    if s == 0:",
+     ["test_compose.py::test_inverse_form_examples", "test_norm.py::test_conjugate_gives_the_inverse_class"]),
+    ("lattice-form-basis-k-off-by-one", NORM, "    k = (b - eps * t) // 2", "    k = (b - eps * t) // 2 + 1",
+     ["test_norm.py::test_form_to_ideal_examples", "test_compose.py::test_compose_examples"]),
     ("lattice-invertible-content-4", NORM, "    return _product_basis(t, nm, B, _conjugate_basis(t, B)) == ((g, 0), (0, g))",
-     "    return _product_basis(t, nm, B, _conjugate_basis(t, B)) == ((g, 0), (0, g)) or g % 4 == 0", T_LATTICE),
-    ("lattice-principal-every-r-3", NORM, "    return bool(_represent(", "    return r == 3 or bool(_represent(", T_LATTICE),
+     "    return _product_basis(t, nm, B, _conjugate_basis(t, B)) == ((g, 0), (0, g)) or g % 4 == 0",
+     ["test_norm.py::test_invertibility_tracks_primitivity", C08]),
+    ("lattice-principal-every-r-3", NORM, "    return bool(_represent(", "    return r == 3 or bool(_represent(",
+     ["test_norm.py::test_principality_matches_generator_check", "test_picard.py::test_unoriented_count_is_read_off_the_table"]),
     ("lattice-check-det-sign", NORM, "        det = a * d - b * c\n        if det == 0:", "        det = a * d + b * c\n        if det == 0:",
-     T_LATTICE),
+     ["test_norm.py::test_lattice_validation", "test_norm.py::test_canonical_is_a_lattice_invariant"]),
     ("lattice-check-one-closure-side", NORM, "if (d * x - b * y) % det or (a * y - c * x) % det:", "if (d * x - b * y) % det:",
-     T_LATTICE),
-    ("lattice-check-tau-sign", NORM, "x, y = -nm * v, u + t * v", "x, y = nm * v, u + t * v", T_LATTICE),
-    ("lattice-hnf-s-unreduced", NORM, "    return p, w[0] % p, w[1]", "    return p, w[0], w[1]", T_LATTICE),
+     ["test_norm.py::test_lattice_validation"]),
+    ("lattice-check-tau-sign", NORM, "x, y = -nm * v, u + t * v", "x, y = nm * v, u + t * v",
+     ["test_norm.py::test_principality_matches_generator_check", "test_picard.py::test_ideal_class_enumeration_matches"]),
+    ("lattice-hnf-s-unreduced", NORM, "    return p, w[0] % p, w[1]", "    return p, w[0], w[1]",
+     ["test_norm.py::test_hnf_cols_spans_the_columns", "test_picard.py::test_pic_counts_examples"]),
     ("lattice-product-of-the-first-alone", NORM, "for x in zip(*B1) for y in zip(*B2)", "for x in zip(*B1) for y in zip(*B1)",
-     T_LATTICE),
-    ("lattice-represent-half-integers", NORM, "            if num % (2 * A) == 0:", "            if num % A == 0:", T_LATTICE),
+     ["test_norm.py::test_ideal_multiply_examples", "test_compose.py::test_compose_examples"]),
+    ("lattice-represent-half-integers", NORM, "            if num % (2 * A) == 0:", "            if num % A == 0:",
+     ["test_norm.py::test_principality_matches_generator_check", "test_picard.py::test_pic_counts_examples"]),
     ("lattice-conjugate-sign", NORM, "[(x + y * t, -y) for x, y in zip(*B)]", "[(x - y * t, -y) for x, y in zip(*B)]",
-     T_LATTICE),
+     ["test_compose.py::test_inverse_form_examples", "test_norm.py::test_conjugate_gives_the_inverse_class"]),
     ("compose-output-moved-in-its-class", COMPOSE, "    return _universal_form(t, nm, B)",
-     "    return _universal_form(t, nm, ((B[0][0], B[0][1] + B[0][0]), (B[1][0], B[1][1] + B[1][0])))", T_LATTICE),
+     "    return _universal_form(t, nm, ((B[0][0], B[0][1] + B[0][0]), (B[1][0], B[1][1] + B[1][0])))",
+     [LATTICE_ROUTE + "[negative]", LATTICE_ROUTE + "[square]"]),
     ("inverse-output-moved-in-its-class", COMPOSE, "    return _universal_form(b, a * c, _conjugate_basis(b, _form_basis(a, b, b)))",
      "    B = _conjugate_basis(b, _form_basis(a, b, b))\n"
-     "    return _universal_form(b, a * c, ((B[0][0], B[0][1] + B[0][0]), (B[1][0], B[1][1] + B[1][0])))", T_LATTICE),
+     "    return _universal_form(b, a * c, ((B[0][0], B[0][1] + B[0][0]), (B[1][0], B[1][1] + B[1][0])))",
+     ["test_compose.py::test_inverse_form_examples", LATTICE_ROUTE + "[negative]"]),
     # -- compose.shanks ---------------------------------------------------------
     ("shanks-half-difference", COMPOSE, "    s = (b1 + b2) // 2", "    s = (b1 - b2) // 2", T_SHANKS),
     ("shanks-r-sign", COMPOSE, "r = (-y1 * v * n - x2 * c2) % v1", "r = (y1 * v * n - x2 * c2) % v1", T_SHANKS),
     ("shanks-b3-without-2", COMPOSE, "    b3 = b2 + 2 * v2 * r", "    b3 = b2 + v2 * r", T_SHANKS),
     # -- picard.py --------------------------------------------------------------
-    ("picard-ambiguous-duplicates-kept", PICARD, "            if a == c and b < 0:\n                continue\n", "", T_PICARD),
-    ("picard-power-orders", PICARD, "            orders[k] = n // gcd(j, n)", "            orders[k] = n", T_PICARD),
-    ("picard-unoriented-drops-order-2", PICARD, "for k in self.orders if k <= 2)", "for k in self.orders if k < 2)", T_PICARD),
-    ("picard-orbits-ignore-conjugates", PICARD, "        seen.update((i, _class_index(t, nm, reps, _conjugate_basis(t, B))))",
-     "        seen.add(i)", T_PICARD),
-    ("picard-invariant-factor-step", PICARD, "                factors[i] *= p\n", "                factors[i] *= p * p\n", T_PICARD),
+    ("picard-ambiguous-duplicates-kept", PICARD, "            if a == c and b < 0:\n                continue\n", "",
+     ["test_picard.py::test_reduced_forms_are_reduced_and_primitive", "test_picard.py::test_class_numbers"]),
+    ("picard-power-orders", PICARD, "            orders[k] = n // gcd(j, n)", "            orders[k] = n",
+     ["test_picard.py::test_unoriented_count_is_read_off_the_table", "test_cli.py::test_classgroup_and_picard"]),
+    ("picard-unoriented-drops-order-2", PICARD, "for k in self.orders if k <= 2)", "for k in self.orders if k < 2)",
+     ["test_picard.py::test_unoriented_count_is_read_off_the_table", "test_cli.py::test_every_verb_answers_byte_for_byte_as_recorded[picard]"]),
+    ("picard-orbits-ignore-conjugates", PICARD, "        seen.update((i, _class_index(t, nm, conjs, C)))", "        seen.add(i)",
+     ["test_picard.py::test_pic_counts_examples", C08]),
+    ("picard-conjugate-of-the-first-representative", PICARD, "conjs.append(_conjugate_basis(t, B))",
+     "conjs.append(_conjugate_basis(t, reps[0]))",
+     ["test_picard.py::test_pic_counts_examples", "test_picard.py::test_ideal_class_enumeration_matches"]),
+    ("picard-principal-drops-s", PICARD, "_is_principal(t, nm, p, s, r)", "_is_principal(t, nm, p, 0, r)",
+     ["test_picard.py::test_pic_counts_examples", C08]),
+    ("picard-invariant-factor-step", PICARD, "                factors[i] *= p\n", "                factors[i] *= p * p\n",
+     ["test_picard.py::test_class_group_structure", "test_cli.py::test_classgroup_and_picard"]),
     # -- cli.py: the verb-table parser and the answers -----------------------------
     ("cli-ambiguity-refusal-dropped", CLI, "    if len(hits) > 1:", "    if False:", T_CLI),
     ("cli-ambiguity-after-help-dropped", CLI, "        elif any(t[:3] == \"--=\" for t in takewhile(\"--\".__ne__, it)):",

@@ -276,8 +276,8 @@ def test_classgroup_golden_runs_no_lattice_code(monkeypatch, capsys, D):
 
     for mod in (cli, composition, norm, picard):
         for name in ("pic_counts", "ideal_class_representatives", "ideal_is_principal", "ideal_multiply",
-                     "form_to_ideal", "compose", "_class_bases", "_product_basis", "_conjugate_basis",
-                     "_is_invertible", "_is_principal"):
+                     "form_to_ideal", "compose", "_class_bases", "_product_basis", "_product_hermite",
+                     "_conjugate_basis", "_is_invertible", "_is_principal"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     want = CLASSGROUP_GOLDEN[D]

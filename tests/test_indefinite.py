@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from binquad.acceptance import _valid_discriminants
 from binquad.errors import BudgetExceeded, DomainError
 from binquad.form import bqf, properly_equivalent, similar
-from binquad.integral import CYCLE_LIMIT
+from binquad.integral import CYCLE_LIMIT, _canonical, _find
 from binquad.mat2 import mmul
 from binquad import modular
 from binquad.modular import _genus, _genus_separates, factor
@@ -203,6 +203,43 @@ def test_large_coefficients_end_in_time():
     with pytest.raises(BudgetExceeded, match="CYCLE_LIMIT") as err:
         properly_equivalent(q1, q2)
     assert isinstance(err.value, DomainError)
+    assert properly_equivalent(q1, q1) and properly_equivalent(q2, q2)
+
+
+_self_forms = st.one_of(
+    st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)),
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60)),
+    st.builds(lambda k, u, v: (k * u * u, 2 * k * u * v, k * v * v), st.integers(-9, 9), small, small),  # D = 0
+    st.builds(lambda a, b, c: (a * c, b * c, 0), small, small, st.integers(1, 5)),  # square D
+).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_self_forms)
+def test_equal_triples_are_properly_equivalent(f):
+    # the equal-triple shortcut agrees with the canonical route it skips,
+    # at every sign of D, wherever that route answers within CYCLE_LIMIT
+    assert properly_equivalent(bqf(*f), bqf(*f))
+    D = f[1] * f[1] - 4 * f[0] * f[2]
+    r = isqrt(max(D, 0))
+    try:
+        assert _find(f, {_canonical(f, D, r)[0]: None}, D, r)[1] is not None
+    except BudgetExceeded:
+        pass
+
+
+def test_equal_triples_past_the_cycle_limit():
+    # (1, 1, -3) moved by ((1, 1), (1, 0))^20000: reducing it takes more
+    # than CYCLE_LIMIT rho-steps, but equal triples are answered at once
+    M, P, n = ((1, 0), (0, 1)), ((1, 1), (1, 0)), 20000
+    while n:
+        if n & 1:
+            M = mmul(ZZ, M, P)
+        P, n = mmul(ZZ, P, P), n >> 1
+    q = bqf(1, 1, -3).act(M, 1)
+    start = time.perf_counter()
+    assert properly_equivalent(q, q)
+    assert time.perf_counter() - start < 1
 
 
 def test_one_factorization_per_verdict(monkeypatch):

@@ -263,7 +263,7 @@ def test_ideal_predicates_match_the_lattice_route(drawn):
     # one of its elements generates it
     C, I = drawn
     assert _is_invertible(C.t, C.nm, I.basis) == (universal_norm_form(I).discriminant()[1] == C.disc())
-    assert _is_principal(C.t, C.nm, I.basis) == principal_by_generator(I)
+    assert _is_principal(C.t, C.nm, *_hnf_cols(I.columns())) == principal_by_generator(I)
 
 
 @settings(max_examples=300, deadline=None)

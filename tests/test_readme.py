@@ -17,6 +17,7 @@ KEPT = {
     "cli.main": "the console script named in pyproject.toml",
     "errors.BinquadError": "the base class that callers catch",
     "clifford.QuadraticAlgebra.norm": "AlgebraWitness.verify reads it, on the witness-check path",
+    "form.BinaryQuadraticForm.is_zero": "the zero test that similar and is_primitive read",
     "form.BinaryQuadraticForm.evaluate": "q(x, y), the form as a map, which bounded_witness_search and column_search "
                                          "evaluate",
     "form.BinaryQuadraticForm.polar": "b_q(v, w), which bounded_witness_search and column_search evaluate",
@@ -120,12 +121,19 @@ def test_module_imports_form_no_cycle():
 
 def test_every_mutant_applies_to_the_source():
     # the catalogue of tests/mutants.py, which is run by hand, keeps step with
-    # src: each fault's old text occurs once in its file, and its tests exist
+    # src: each fault's old text occurs once in its file, and its tests exist:
+    # a test file, or a node id whose file defines the named test function
     from mutants import CATALOGUE
 
-    texts = {}
+    texts, defined = {}, {}
     for name, file, old, _, tests in CATALOGUE:
         text = texts.setdefault(file, (ROOT / file).read_text())
         assert text.count(old) == 1, name
-        assert all((ROOT / "tests" / t).is_file() for t in tests), name
+        for t in tests:
+            path, _, test = t.partition("::")
+            assert (ROOT / "tests" / path).is_file(), name
+            if path not in defined:
+                tree = ast.parse((ROOT / "tests" / path).read_text())
+                defined[path] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+            assert not test or test.split("[")[0] in defined[path], (name, t)
     assert len({entry[0] for entry in CATALOGUE}) == len(CATALOGUE)

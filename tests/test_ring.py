@@ -152,6 +152,17 @@ def test_ring_json_round_trip():
     assert QQ.elem_to_json(Fraction(4, 2)) == 2
 
 
+def test_refused_json_is_shown_as_json():
+    with pytest.raises(UsageError, match=re.escape('object, got {"num": 1}')):
+        QQ.elem_from_json({"num": 1})
+    with pytest.raises(UsageError, match="got true$"):
+        QQ.elem_from_json(True)
+    # a value JSON cannot show reads as its type name; the message never raises
+    for obj, shown in ((Fraction(1, 2), "a Fraction"), ({(1, 2): 3}, "a dict"), ([10**5000], "a list")):
+        with pytest.raises(UsageError, match=f"got {shown}$"):
+            QQ.elem_from_json(obj)
+
+
 # The ring arithmetic as first written, before the exact-type fast paths in
 # normalize and the constant zero and one: the oracle for the rings above.
 class _SeedRing:
